@@ -128,7 +128,7 @@ def _verify_scalar(n: int, cap: int):
 def _verify_spinor(n: int, cap: int):
     from .clifford import verify_spinor_identities
 
-    return verify_spinor_identities(n, min(cap, 2), k_max=min(cap, 2))
+    return verify_spinor_identities(n, cap, k_max=cap)
 
 
 def _verify_entropy(order: int, cutoff: int, quick: bool):
@@ -153,8 +153,8 @@ def cmd_verify(args) -> int:
     if "spinor" in scopes:
         from .clifford import gamma_algebra
 
-        if n > 4 or args.N > 3:
-            print("error: spinor model guard: need n <= 4 and N <= 3", file=sys.stderr)
+        if n > 4 or args.N > 2:
+            print("error: spinor model guard: need n <= 4 and N <= 2", file=sys.stderr)
             return 2
         dim = gamma_algebra(n).dim_spin * count_normal_monomials(n, args.N)
         if dim > MAX_SPINOR_DIM:

@@ -25,7 +25,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -266,16 +265,21 @@ def entropy_sides(
 ) -> tuple:
     """Left and right sides of the sharp entropy inequality for positive f:
     (4/n) int f^2 log f  <=  (2/n)(int f^2) log int f^2 + <f, H f>."""
+    lhs, rhs, _ = _entropy_sides_and_residual(f, rule, cutoff, projector, n)
+    return lhs, rhs
+
+
+def _entropy_sides_and_residual(f, rule, cutoff, projector, n) -> tuple:
     vals = _node_values(f, rule)
     if np.min(vals) <= 0:
         raise ValueError("f must be positive at every quadrature node")
     i2 = rule.integrate(vals * vals)
     lhs = (4.0 / n) * rule.integrate(vals * vals * np.log(vals))
-    spectral, _ = _spectral_quadratic(
+    spectral, residual = _spectral_quadratic(
         f, rule, lambda j: float(entropy_operator_eigen(n, j)), cutoff, projector
     )
     rhs = (2.0 / n) * i2 * math.log(i2) + spectral
-    return lhs, rhs
+    return lhs, rhs, residual
 
 
 def giveaway_sides(
@@ -311,22 +315,9 @@ def beckner_check(
 ) -> tuple:
     """Sides of the sharp fractional-integral inequality at order 2r:
     int F^{(n-2r)/2} B_{2r} F^{(n-2r)/2}  >=  (int F^n)^{(n-2r)/n}."""
-    rf = float(r)
-    if not 0 < rf < n / 2:
+    if not 0 < float(r) < n / 2:
         raise ValueError("r must lie in (0, n/2)")
-    F_vals = _node_values(F, rule)
-    if np.min(F_vals) <= 0:
-        raise ValueError("F must be positive at every quadrature node")
-    g = F_vals ** ((n - 2 * rf) / 2.0)
-
-    def b_eigen(j):
-        v = normalized_intertwinor_eigen(n, r, j).payload
-        return float(v)
-
-    lhs, _ = _spectral_quadratic(g, rule, b_eigen, cutoff, projector)
-    mass = rule.integrate(F_vals ** n)
-    rhs = mass ** ((n - 2 * rf) / n)
-    return lhs, rhs
+    return _beckner_sides(F, r, rule, cutoff, projector, n)
 
 
 def beckner_deficit(
@@ -341,9 +332,14 @@ def beckner_deficit(
     sign (the spectral family is analytic through r = 0; the inequality
     itself is only asserted for positive r).  Used by the derivative
     consistency check, which differentiates the deficit at r = 0."""
-    rf = float(r)
-    if not -n / 2 < rf < n / 2:
+    if not -n / 2 < float(r) < n / 2:
         raise ValueError("r must lie in (-n/2, n/2)")
+    lhs, rhs = _beckner_sides(F, r, rule, cutoff, projector, n)
+    return lhs - rhs
+
+
+def _beckner_sides(F, r, rule, cutoff, projector, n) -> tuple:
+    rf = float(r)
     F_vals = _node_values(F, rule)
     if np.min(F_vals) <= 0:
         raise ValueError("F must be positive at every quadrature node")
@@ -354,7 +350,7 @@ def beckner_deficit(
 
     lhs, _ = _spectral_quadratic(g, rule, b_eigen, cutoff, projector)
     mass = rule.integrate(F_vals ** n)
-    return lhs - mass ** ((n - 2 * rf) / n)
+    return lhs, mass ** ((n - 2 * rf) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +428,7 @@ def entropy_report(
     if quick:
         members = members[:6]
     for name, kind, f in members:
-        lhs, rhs = entropy_sides(f, rule, cutoff=cutoff, projector=projector)
-        _, residual = _spectral_quadratic(
-            f, rule, lambda j: float(entropy_operator_eigen(2, j)), cutoff, projector
-        )
+        lhs, rhs, residual = _entropy_sides_and_residual(f, rule, cutoff, projector, 2)
         gap = rhs - lhs
         if kind == "equality":
             status = "pass" if gap >= -1e-10 and abs(gap) < 1e-6 else "fail"
@@ -459,7 +452,3 @@ def entropy_report(
         "all_passed": all(r["status"] == "pass" for r in rows),
         "rows": rows,
     }
-
-
-def entropy_report_json(**kwargs) -> str:
-    return json.dumps(entropy_report(**kwargs), indent=2, sort_keys=True)

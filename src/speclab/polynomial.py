@@ -31,10 +31,6 @@ from .scalars import fmt_rat
 Monomial = tuple  # exponent tuple of length n+1
 
 
-def monomial_degree(e: Monomial) -> int:
-    return sum(e)
-
-
 def grlex_key(e: Monomial):
     """Graded lexicographic sort key: degree ascending, then exponent
     tuple descending (so x0-heavy monomials print first within a degree)."""

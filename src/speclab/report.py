@@ -66,7 +66,73 @@ class VerificationReport:
     def to_json(self, indent=2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True, default=str)
 
-    def summary_lines(self) -> list:
-        return [
-            f"[{c.status.upper():4s}] {c.identity_id}: {c.law}" for c in self.checks
-        ]
+    def check_laws(self, basis: list, laws: list, ops: dict, indexed_ops: dict):
+        """Check a table of linear operator laws exactly on every basis vector
+        and add one result per law, in table order.
+
+        A law is a row ``(identity_id, law_text, per_index, terms)`` whose
+        ``(coefficient, word)`` terms must sum to zero.  A word is a string
+        of symbols applied right to left ("" is the identity); ``ops`` maps
+        a symbol to a callable on a vector, ``indexed_ops`` to one on
+        ``(i, vector)``.  A word holding an indexed symbol is evaluated at
+        the law's own i when ``per_index`` (one check per i = 0..n) and
+        summed over i = 0..n otherwise.  Word images are memoized per basis
+        vector by (word, i), index-free words without i, so laws share
+        subwords.  The first failing vector of a law becomes its
+        counterexample ``{"basis_vector", "index", "difference"}``.
+        """
+
+        def indexed(word):
+            return any(s in indexed_ops for s in word.split())
+
+        indices = range(self.n + 1)
+        failed = {}
+        for vector in basis:
+            memo = {}
+
+            def image(word, i):
+                if not word:
+                    return vector
+                key = (word, i if indexed(word) else None)
+                if key not in memo:
+                    head, _, rest = word.partition(" ")
+                    inner = image(rest, i)
+                    if head in indexed_ops:
+                        memo[key] = indexed_ops[head](i, inner)
+                    else:
+                        memo[key] = ops[head](inner)
+                return memo[key]
+
+            for identity_id, _, per_index, terms in laws:
+                if identity_id in failed:
+                    continue
+                for i in indices if per_index else (None,):
+                    diff = None
+                    for coeff, word in terms:
+                        summed = not per_index and indexed(word)
+                        for j in indices if summed else (i,):
+                            term = image(word, j).scale(coeff)
+                            diff = term if diff is None else diff + term
+                    if not diff.is_zero:
+                        failed[identity_id] = {
+                            "basis_vector": str(vector),
+                            "index": i,
+                            "difference": str(diff),
+                        }
+                        break
+        for identity_id, law, _, _ in laws:
+            self.add(identity_id, law, identity_id not in failed, failed.get(identity_id))
+
+
+def covariance_terms(polynomial: list, s) -> list:
+    """Terms of Q (U_i - s x_i) - (U_i + s x_i) Q, for Q given as
+    ``(coefficient, word)`` pairs."""
+    terms = []
+    for c, w in polynomial:
+        terms += [(c, f"{w} U"), (-s * c, f"{w} x"), (-c, f"U {w}"), (-s * c, f"x {w}")]
+    return terms
+
+
+def shifted_square_terms(a) -> list:
+    """Terms of sum_i (U_i + a x_i)^2 - a^2."""
+    return [(1, "U U"), (a, "U x"), (a, "x U"), (a * a, "x x"), (-a * a, "")]

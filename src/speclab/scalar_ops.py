@@ -31,7 +31,7 @@ from .polynomial import (
     harmonic_dimension,
     normal_monomials,
 )
-from .report import VerificationReport
+from .report import VerificationReport, covariance_terms, shifted_square_terms
 from .scalars import as_rat
 from .surd import Quad, rational_sqrt, sqrt_in_field
 
@@ -407,6 +407,62 @@ def refute_candidate(n: int, lam) -> RefutationChain:
 # ---------------------------------------------------------------------------
 
 
+def scalar_laws(n: int) -> list:
+    """The scalar identity table for ``VerificationReport.check_laws``.
+
+    Symbols: ``x`` and ``U`` (indexed), ``D`` the conformal Laplacian, ``L``
+    and ``LT`` the homogeneous-degree and conformal-field Laplacian routes.
+    """
+    laws = [
+        (
+            "spectrum_generating_commutator",
+            "[D, x_i] = 2 U_i",
+            True,
+            [(1, "D x"), (-1, "x D"), (-2, "U")],
+        ),
+        (
+            "conformal_covariance",
+            "D (U_i - x_i) = (U_i + x_i) D",
+            True,
+            covariance_terms([(1, "D")], 1),
+        ),
+        (
+            "coordinate_anticommutator",
+            "sum_i (x_i U_i + U_i x_i) = 0",
+            False,
+            [(1, "x U"), (1, "U x")],
+        ),
+        (
+            "coordinate_commutator",
+            "sum_i [U_i, x_i] = -n",
+            False,
+            [(1, "U x"), (-1, "x U"), (n, "")],
+        ),
+        (
+            "laplacian_two_routes",
+            "-sum_i T_i^2 = Laplacian (homogeneous-degree route)",
+            False,
+            [(1, "L"), (-1, "LT")],
+        ),
+        (
+            "u_square_sum",
+            "sum_i U_i^2 = -D - n/2",
+            False,
+            [(1, "U U"), (1, "D"), (Fraction(n, 2), "")],
+        ),
+    ]
+    for a in (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-3, 2)):
+        laws.append(
+            (
+                f"shifted_square_sum_a={a}",
+                "sum_i (U_i + a x_i)^2 = a^2 + sum_i U_i^2",
+                False,
+                shifted_square_terms(a) + [(-1, "U U")],
+            )
+        )
+    return laws
+
+
 def verify_scalar_identities(
     n: int, degree_cap: int, corruption: Fraction | None = None
 ) -> VerificationReport:
@@ -432,86 +488,7 @@ def verify_scalar_identities(
         SpherePoly(n, {e: Fraction(1)}, reduced=True)
         for e in normal_monomials(n, degree_cap)
     ]
-
-    def sweep(check, over_i: bool):
-        for p in basis:
-            idxs = range(n + 1) if over_i else (None,)
-            for i in idxs:
-                diff = check(p) if i is None else check(i, p)
-                if not diff.is_zero:
-                    return {
-                        "monomial": p.canonical_str(),
-                        "index": i,
-                        "difference": diff.canonical_str(),
-                    }
-        return None
-
-    # commutator of D with coordinate multiplication gives twice U
-    cx = sweep(lambda i, p: D(coordinate_mul(i, p)) - coordinate_mul(i, D(p)) - U(i, p) * 2, True)
-    report.add("spectrum_generating_commutator", "[D, x_i] = 2 U_i", cx is None, cx)
-
-    cx = sweep(
-        lambda i, p: D(U(i, p) - coordinate_mul(i, p)) - U(i, D(p)) - coordinate_mul(i, D(p)),
-        True,
-    )
-    report.add(
-        "conformal_covariance", "D (U_i - x_i) = (U_i + x_i) D", cx is None, cx
-    )
-
-    def anticomm(p):
-        acc = SpherePoly.zero(n)
-        for i in range(n + 1):
-            acc = acc + coordinate_mul(i, U(i, p)) + U(i, coordinate_mul(i, p))
-        return acc
-
-    cx = sweep(anticomm, False)
-    report.add(
-        "coordinate_anticommutator", "sum_i (x_i U_i + U_i x_i) = 0", cx is None, cx
-    )
-
-    def comm(p):
-        acc = SpherePoly.zero(n)
-        for i in range(n + 1):
-            acc = acc + U(i, coordinate_mul(i, p)) - coordinate_mul(i, U(i, p))
-        return acc + p * Fraction(n)
-
-    cx = sweep(comm, False)
-    report.add("coordinate_commutator", "sum_i [U_i, x_i] = -n", cx is None, cx)
-
-    cx = sweep(lambda p: laplacian(p) - laplacian_via_conformal_fields(p), False)
-    report.add(
-        "laplacian_two_routes",
-        "-sum_i T_i^2 = Laplacian (homogeneous-degree route)",
-        cx is None,
-        cx,
-    )
-
-    def usq(p):
-        acc = SpherePoly.zero(n)
-        for i in range(n + 1):
-            acc = acc + U(i, U(i, p))
-        return acc + D(p) + p * Fraction(n, 2)
-
-    cx = sweep(usq, False)
-    report.add("u_square_sum", "sum_i U_i^2 = -D - n/2", cx is None, cx)
-
-    for a in (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-3, 2)):
-
-        def orth(p, a=a):
-            acc = SpherePoly.zero(n)
-            usum = SpherePoly.zero(n)
-            for i in range(n + 1):
-                shifted = U(i, p) + coordinate_mul(i, p) * a
-                acc = acc + U(i, shifted) + coordinate_mul(i, shifted) * a
-                usum = usum + U(i, U(i, p))
-            return acc - p * (a * a) - usum
-
-        cx = sweep(orth, False)
-        report.add(
-            f"shifted_square_sum_a={a}",
-            "sum_i (U_i + a x_i)^2 = a^2 + sum_i U_i^2",
-            cx is None,
-            cx,
-        )
-
+    # built per call, so that a rebound module-level name (a patch, a tracer) is used
+    ops = {"D": D, "L": laplacian, "LT": laplacian_via_conformal_fields}
+    report.check_laws(basis, scalar_laws(n), ops, {"x": coordinate_mul, "U": U})
     return report

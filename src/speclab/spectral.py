@@ -36,11 +36,6 @@ def _mp():
     return mpmath
 
 
-def is_half_integer(x) -> bool:
-    x = as_rat(x)
-    return (2 * x).denominator == 1
-
-
 # ---------------------------------------------------------------------------
 # values
 # ---------------------------------------------------------------------------
@@ -175,7 +170,7 @@ def normalized_intertwinor_eigen(n: int, r, j: int) -> SpectralValue:
     if zj.kind == "pole":
         raise ExcludedParameterError("pole above a finite level-0 value")
     v0 = z0.value
-    if isinstance(v0, Fraction) and v0 == 0:
+    if v0 == 0:
         raise ExcludedParameterError("level-0 eigenvalue vanishes")
     return finite(zj.value / v0)
 

@@ -147,6 +147,24 @@ def test_verify_cost_guard(capsys):
     assert "basis" in err or "guard" in err
 
 
+def test_verify_spinor_refuses_cap_above_two(capsys):
+    # the guard refuses the work; it must not run a smaller cap instead
+    code, out, err = run(capsys, "verify", "spinor", "--n", "2", "--N", "3")
+    assert code == 2
+    assert out == ""
+    assert "guard" in err
+
+
+def test_normalized_intertwinor_float_order_on_excluded_lattice(capsys):
+    for r in ("1.0", "2.0", "2"):
+        code, out, err = run(
+            capsys, "intertwinor", "scalar-normalized", "--n", "2", "--r", r
+        )
+        assert code == 2, r
+        assert out == ""
+        assert "level-0 eigenvalue vanishes" in err
+
+
 def test_byte_determinism(capsys):
     args = ("--format", "json", "intertwinor", "scalar", "--n", "2", "--r", "0.3", "--jmax", "6")
     _, out1, _ = run(capsys, *args)

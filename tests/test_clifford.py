@@ -23,11 +23,13 @@ from speclab.clifford import (
     monogenic_dimension,
     refute_dirac_candidate,
     spinor_ladders,
+    spinor_laws,
     truncation_matrices,
     verify_spinor_identities,
     y_apply,
 )
 from speclab.polynomial import SpherePoly, normal_monomials
+from speclab.report import VerificationReport
 from speclab.scalars import CRat, parse_crat
 
 
@@ -338,7 +340,52 @@ def test_dirac_refutation_descends_below_bound():
 def test_verify_spinor_identities_n2():
     rep = verify_spinor_identities(2, 1, k_max=1)
     assert rep.all_passed
-    ids = {c.identity_id for c in rep.checks}
-    assert "dirac_conformal_covariance" in ids
-    assert "adjacent_span_rank" in ids
-    assert "spectral_bound" in ids
+    shifted = "sum_i (U_i + a x_i)^2 = a^2 - P^2 - n/4"
+    odd = "P_(2k+1) (U_i - (k+1/2) x_i) = (U_i + (k+1/2) x_i) P_(2k+1)"
+    ladder = "ladder targets and the three summed factors"
+    assert [(c.identity_id, c.law) for c in rep.checks] == [
+        ("clifford_relations", "e_i e_j + e_j e_i = -2 delta_ij"),
+        ("dirac_conformal_covariance", "P (U_i - x_i/2) = (U_i + x_i/2) P"),
+        ("y_square_sum", "sum_i y_i^2 = -n"),
+        ("coordinate_y_sum", "sum_i x_i y_i = 0"),
+        ("y_coordinate_sum", "sum_i y_i x_i = 0"),
+        ("uy_commutator_sum", "sum_i [U_i, y_i] = 0"),
+        ("u_square_sum_spinor", "sum_i U_i^2 = -P^2 - n/4"),
+        ("shifted_square_sum_spinor_a=1", shifted),
+        ("shifted_square_sum_spinor_a=-1", shifted),
+        ("shifted_square_sum_spinor_a=3/2", shifted),
+        ("odd_intertwinor_k=0", odd),
+        ("odd_intertwinor_k=1", odd),
+        ("ladder_suite_j=0_sign=1", ladder),
+        ("ladder_suite_j=0_sign=-1", ladder),
+        ("ladder_suite_j=1_sign=1", ladder),
+        ("ladder_suite_j=1_sign=-1", ladder),
+        ("compressed_u_is_gap_times_x", "U_i between eigenspaces = ((mu^2-lam^2)/2) x_i"),
+        ("coordinate_adjacency", "x_i E(lam) lies in E(lam+1) + E(lam-1) + E(-lam)"),
+        (
+            "adjacent_span_rank",
+            "span{x_i E, P x_i E, P^2 x_i E} = E(lam+1) + E(lam-1) + E(-lam)",
+        ),
+        ("truncation_spectrum_lattice", "certified truncation spectrum lies on +-(n/2+j)"),
+        ("spectral_bound", "lam^2 >= n(n-1)/4 on the model spectrum"),
+    ]
+
+
+def test_spinor_law_table_is_falsifiable():
+    # the spinor table checked with its P shifted by a constant must fail
+    n = 2
+    basis = [
+        SpinorPoly.unit(n, c, SpherePoly.monomial(n, e))
+        for c in range(2)
+        for e in normal_monomials(n, 1)
+    ]
+    rep = VerificationReport(scope="spinor", n=n, degree_cap=1)
+    shifted = {"P": lambda psi: dirac_apply(psi) + psi.scale(1)}
+    indexed = {"x": lambda i, psi: psi.coordinate_mul(i), "U": U_spin, "y": y_apply}
+    rep.check_laws(basis, spinor_laws(n, 1), shifted, indexed)
+    failed = {c.identity_id: c.counterexample for c in rep.failures()}
+    assert {"dirac_conformal_covariance", "u_square_sum_spinor"} <= set(failed)
+    for cx in failed.values():
+        assert set(cx) == {"basis_vector", "index", "difference"}
+    assert failed["dirac_conformal_covariance"]["index"] == 0
+    assert failed["u_square_sum_spinor"]["index"] is None

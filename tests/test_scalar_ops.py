@@ -390,17 +390,32 @@ def test_refutation_random_candidates():
 def test_verify_scalar_identities_pass():
     rep = verify_scalar_identities(3, 4)
     assert rep.all_passed
-    ids = {c.identity_id for c in rep.checks}
-    assert "spectrum_generating_commutator" in ids
-    assert "laplacian_two_routes" in ids
+    shifted = "sum_i (U_i + a x_i)^2 = a^2 + sum_i U_i^2"
+    assert [(c.identity_id, c.law) for c in rep.checks] == [
+        ("spectrum_generating_commutator", "[D, x_i] = 2 U_i"),
+        ("conformal_covariance", "D (U_i - x_i) = (U_i + x_i) D"),
+        ("coordinate_anticommutator", "sum_i (x_i U_i + U_i x_i) = 0"),
+        ("coordinate_commutator", "sum_i [U_i, x_i] = -n"),
+        ("laplacian_two_routes", "-sum_i T_i^2 = Laplacian (homogeneous-degree route)"),
+        ("u_square_sum", "sum_i U_i^2 = -D - n/2"),
+        ("shifted_square_sum_a=0", shifted),
+        ("shifted_square_sum_a=1", shifted),
+        ("shifted_square_sum_a=-1", shifted),
+        ("shifted_square_sum_a=3/2", shifted),
+        ("shifted_square_sum_a=-3/2", shifted),
+    ]
 
 
 def test_verify_scalar_corruption_fails():
     rep = verify_scalar_identities(3, 3, corruption=Fraction(1))
     failed = {c.identity_id for c in rep.failures()}
-    assert "conformal_covariance" in failed
-    assert "u_square_sum" in failed
-    assert rep.failures()[0].counterexample is not None
+    assert failed == {"conformal_covariance", "u_square_sum"}
+    for c in rep.failures():
+        assert set(c.counterexample) == {"basis_vector", "index", "difference"}
+        assert c.counterexample["difference"] != "0"
+    # the covariance law is checked for each i, the square sum summed over i
+    assert rep.failures()[0].counterexample["index"] == 0
+    assert rep.failures()[1].counterexample["index"] is None
 
 
 def test_commutator_on_constant_gives_n_coordinate():
