@@ -2,7 +2,10 @@
 
 Subcommands: spectrum, intertwinor, verify, refute, entropy.  Exit codes:
 0 success / all checks pass, 1 verification failure, 2 usage or cost-guard
-error.  Output is byte-deterministic for a fixed configuration (fixed
+error, 3 internal invariant failure: an ``AssertionError`` raised inside
+the library (a singular Gram matrix, a truncation spectrum off the
+lattice, ...), reported as one JSON line on stderr instead of a
+traceback.  Output is byte-deterministic for a fixed configuration (fixed
 orderings, floats at 17 significant digits); SPECLAB_PRECISION sets the
 working precision of the transcendental branch (decimal digits).
 """
@@ -342,6 +345,14 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        record = {
+            "error": "internal invariant failure",
+            "exception": type(exc).__name__,
+            "message": str(exc),
+        }
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

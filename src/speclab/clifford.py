@@ -12,6 +12,14 @@ the vector variable x = sum_i x_i e_i,
 
     P psi = x . (G - n/2) psi,   reduced to normal form.
 
+That route is kept as ``dirac_reference``.  ``dirac_apply`` treats P as a
+sparse linear map over the unit spinor monomials: the column of
+(slot, normal-form exponent) is built once by the reference route and
+memoized, and P psi is the sum of coefficient times column, accumulated
+per slot (already in normal form).  Whole results are memoized per spinor
+in front of the columns.  Every operator built from P (P^2, U_i, y_i, the
+truncation models) goes through the columns.
+
 On restrictions of degree-k monogenic polynomials M (harmonic,
 annihilated by the Euclidean Dirac operator) one has G M = -k M and
 G (x.M) = (k+n) x.M, so M -+ x.M are exact P-eigenspinors with
@@ -27,9 +35,11 @@ all operator identities are unaffected.
 
 Truncation-model cost grows like dim_spin times the count of normal-form
 monomials of degree <= N+1 (the Dirac closure adds one degree).  Model
-dimensions: n=2 gives 4/12/24 at N=0/1/2; n=3 gives 8/32/80.  The n=3,
-N=2 identity suite is the most expensive deliverable (about a minute with
-the compiled kernel, a couple with the fallback).
+dimensions: n=2 gives 4/12/24 at N=0/1/2; n=3 gives 8/32/80.  Identity
+suite cost on the pure-Python backend (CPython 3.11, one core of a 2-vCPU
+VM, cold caches): n=2, N=2 takes 2.7 s over 72 columns of P; n=3, N=2
+22 s over 364 columns; n=4 takes 19 s at N=1 (400 columns) and 63 s at
+N=2 (780 columns).
 """
 
 from __future__ import annotations
@@ -283,21 +293,59 @@ def angular_apply(psi: SpinorPoly) -> SpinorPoly:
     return -out
 
 
+# Per-spinor results of P, in front of the column map: identity sweeps
+# apply P to the same few spinors repeatedly.
 _DIRAC_CACHE: dict = {}
+# (n, slot, normal-form exponent) -> image under P of that unit spinor
+# monomial, one tuple of (exponent, coefficient) pairs per slot.
+_DIRAC_COLUMNS: dict = {}
+_CACHE_LIMIT = 20000
+
+
+def dirac_reference(psi: SpinorPoly) -> SpinorPoly:
+    """P psi by its defining route x . (angular - n/2) psi."""
+    half_n = Fraction(psi.n, 2)
+    return clifford_x(angular_apply(psi) - psi.scale(half_n))
+
+
+def _dirac_column(n: int, slot: int, e: tuple) -> tuple:
+    """Column of P at one unit spinor monomial, built by the reference route."""
+    unit = SpinorPoly.unit(n, slot, SpherePoly(n, {e: CRat(1)}, reduced=True))
+    return tuple(tuple(p.terms.items()) for p in dirac_reference(unit).components)
 
 
 def dirac_apply(psi: SpinorPoly) -> SpinorPoly:
     """The model Dirac operator P = x . (angular - n/2).
 
-    Memoized: identity sweeps apply P to the same few spinors repeatedly.
+    P is linear, so P psi is the sum of coeff * column over the terms of
+    psi; each column is built once and kept in ``_DIRAC_COLUMNS``.  Columns
+    are in normal form, hence so is the sum.  Whole results are memoized
+    in ``_DIRAC_CACHE``.
     """
     hit = _DIRAC_CACHE.get(psi)
     if hit is not None:
         return hit
-    half_n = Fraction(psi.n, 2)
-    inner = angular_apply(psi) - psi.scale(half_n)
-    out = clifford_x(inner)
-    if len(_DIRAC_CACHE) > 20000:
+    n = psi.n
+    acc = [{} for _ in psi.components]
+    for slot, comp in enumerate(psi.components):
+        for e, coeff in comp.terms.items():
+            key = (n, slot, e)
+            col = _DIRAC_COLUMNS.get(key)
+            if col is None:
+                col = _dirac_column(n, slot, e)
+                if len(_DIRAC_COLUMNS) > _CACHE_LIMIT:
+                    _DIRAC_COLUMNS.clear()
+                _DIRAC_COLUMNS[key] = col
+            for terms, image in zip(acc, col):
+                for f, v in image:
+                    c = coeff * v
+                    prev = terms.get(f)
+                    terms[f] = c if prev is None else prev + c
+    out = SpinorPoly(
+        n,
+        [SpherePoly(n, {f: c for f, c in t.items() if c}, reduced=True) for t in acc],
+    )
+    if len(_DIRAC_CACHE) > _CACHE_LIMIT:
         _DIRAC_CACHE.clear()
     _DIRAC_CACHE[psi] = out
     return out
@@ -797,8 +845,8 @@ def verify_spinor_identities(n: int, N: int, k_max: int = 2) -> VerificationRepo
     run on the exact model eigenbases; the spectrum statements run on the
     certified truncation model.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    if not 1 <= N <= 2:
+        raise ValueError("N must be 1 or 2")
     report = VerificationReport(scope="spinor", n=n, degree_cap=N)
     alg = gamma_algebra(n)
     report.add(
@@ -819,8 +867,7 @@ def verify_spinor_identities(n: int, N: int, k_max: int = 2) -> VerificationRepo
     half = Fraction(1, 2)
 
     # eigenspace statements
-    jmax = min(N, 2)
-    for j in range(jmax + 1):
+    for j in range(N + 1):
         for sign in (1, -1):
             lam = dirac_eigenvalue(n, j, sign)
             ok = True
@@ -913,7 +960,7 @@ def verify_spinor_identities(n: int, N: int, k_max: int = 2) -> VerificationRepo
     )
 
     # certified truncation spectrum on the lattice + the spectral bound
-    model = truncation_matrices(n, min(N, 2))
+    model = truncation_matrices(n, N)
     rows = model.spectrum()
     lattice_ok = all(
         (abs(lam) - Fraction(n, 2)).denominator == 1 and abs(lam) >= Fraction(n, 2)

@@ -32,7 +32,14 @@ def fmt_rat(x: Fraction) -> str:
 
 
 class CRat:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
+
+    Arithmetic skips zero parts: almost every coefficient of the spinor
+    model is real or purely imaginary, so a product usually costs two
+    ``Fraction`` multiplies instead of four multiplies and two adds.
+    Results are built by ``_crat`` from parts that are already
+    ``Fraction``.
+    """
 
     __slots__ = ("re", "im")
 
@@ -43,47 +50,61 @@ class CRat:
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CRat(self.re + other.re, self.im + other.im)
+        if isinstance(other, CRat):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return _crat(a + c if a and c else a or c, b + d if b and d else b or d)
+        if isinstance(other, _RatLike):
+            return _crat(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CRat(self.re - other.re, self.im - other.im)
+        if isinstance(other, CRat):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return _crat(a - c if c else a, b - d if d else b)
+        if isinstance(other, _RatLike):
+            return _crat(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CRat(other.re - self.re, other.im - self.im)
+        if isinstance(other, _RatLike):
+            return _crat(other - self.re, -self.im if self.im else self.im)
+        return NotImplemented
 
     def __neg__(self):
-        return CRat(-self.re, -self.im)
+        a, b = self.re, self.im
+        return _crat(-a if a else a, -b if b else b)
 
     def __mul__(self, other):
-        if isinstance(other, _RatLike):
-            return CRat(self.re * other, self.im * other)
         if isinstance(other, CRat):
-            return CRat(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            a, b, c, d = self.re, self.im, other.re, other.im
+            if not b:
+                return _crat(a * c if a and c else _ZERO, a * d if a and d else _ZERO)
+            if not a:
+                return _crat(-(b * d) if d else _ZERO, b * c if c else _ZERO)
+            if not d:
+                return _crat(a * c, b * c)
+            if not c:
+                return _crat(-(b * d), a * d)
+            return _crat(a * c - b * d, a * d + b * c)
+        if isinstance(other, _RatLike):
+            a, b = self.re, self.im
+            return _crat(a * other if a else a, b * other if b else b)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, CRat) and not other.im:
+            other = other.re
         if isinstance(other, _RatLike):
-            return CRat(self.re / other, self.im / other)
+            if not other:
+                raise ZeroDivisionError("division by zero CRat")
+            a, b = self.re, self.im
+            return _crat(a / other if a else a, b / other if b else b)
         if isinstance(other, CRat):
             d = other.re * other.re + other.im * other.im
-            if not d:
-                raise ZeroDivisionError("division by zero CRat")
             return CRat(
                 (self.re * other.re + self.im * other.im) / d,
                 (self.im * other.re - self.re * other.im) / d,
@@ -91,15 +112,14 @@ class CRat:
         return NotImplemented
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        if isinstance(other, _RatLike):
+            return CRat(other) / self
+        return NotImplemented
 
     # -- structure -----------------------------------------------------
 
     def conjugate(self) -> "CRat":
-        return CRat(self.re, -self.im)
+        return _crat(self.re, -self.im if self.im else self.im)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus."""
@@ -133,12 +153,16 @@ class CRat:
         return f"{fmt_rat(self.re)}-{fmt_rat(-self.im)} i"
 
 
-def _coerce(x):
-    if isinstance(x, CRat):
-        return x
-    if isinstance(x, _RatLike):
-        return CRat(x)
-    return NotImplemented
+_ZERO = Fraction(0)
+_new = object.__new__
+
+
+def _crat(re: Fraction, im: Fraction) -> CRat:
+    """CRat from parts that are already ``Fraction`` (no coercion)."""
+    z = _new(CRat)
+    z.re = re
+    z.im = im
+    return z
 
 
 CRAT_ZERO = CRat(0)

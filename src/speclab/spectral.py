@@ -29,11 +29,12 @@ class ExcludedParameterError(ValueError):
     """Parameter combination outside a family's hypotheses."""
 
 
-def _mp():
+def _workdps():
+    """Scoped mpmath working precision from SPECLAB_PRECISION (decimal
+    digits); the global ``mpmath.mp.dps`` is restored on exit."""
     import mpmath
 
-    mpmath.mp.dps = int(os.environ.get("SPECLAB_PRECISION", "64"))
-    return mpmath
+    return mpmath.workdps(int(os.environ.get("SPECLAB_PRECISION", "64")))
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +122,12 @@ def intertwinor_eigen(n: int, r, j: int) -> SpectralValue:
                 prod *= factor
         return finite(1 / prod)
     # transcendental parameter: high-precision float
-    mp = _mp()
-    rf = _to_mpf(mp, r)
-    bf = _to_mpf(mp, base)
-    val = mp.gammaprod([bf + rf], [bf - rf])
+    import mpmath as mp
+
+    with _workdps():
+        rf = _to_mpf(mp, r)
+        bf = _to_mpf(mp, base)
+        val = mp.gammaprod([bf + rf], [bf - rf])
     return finite(float(val))
 
 
@@ -382,11 +385,13 @@ def dirac_intertwinor_eigen(n: int, k, lam) -> SpectralValue:
             prod *= t
             t += 1
         return finite(parity_sign * prod)
-    mp = _mp()
-    lam_f = _to_mpf(mp, lam if lam_exact is None else lam_exact)
-    k_f = _to_mpf(mp, k if k_exact is None else k_exact)
-    sign = mp.sign(lam_f) ** (n + 1)
-    val = sign * mp.gammaprod([lam_f + k_f + 1], [lam_f - k_f])
+    import mpmath as mp
+
+    with _workdps():
+        lam_f = _to_mpf(mp, lam if lam_exact is None else lam_exact)
+        k_f = _to_mpf(mp, k if k_exact is None else k_exact)
+        sign = mp.sign(lam_f) ** (n + 1)
+        val = sign * mp.gammaprod([lam_f + k_f + 1], [lam_f - k_f])
     return finite(float(val))
 
 

@@ -197,6 +197,27 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
 
 
+def test_internal_invariant_failure_exit_code(capsys, monkeypatch):
+    # an AssertionError inside a suite is neither a verification failure
+    # (1) nor a usage error (2), and never a traceback
+    import speclab.cli as cli
+
+    def broken(n, cap):
+        raise AssertionError("model Gram matrix is singular")
+
+    monkeypatch.setattr(cli, "verify_scalar_identities", broken)
+    code, out, err = run(capsys, "verify", "scalar", "--n", "2", "--cap", "2")
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "internal invariant failure",
+        "exception": "AssertionError",
+        "message": "model Gram matrix is singular",
+    }
+
+
 def test_verify_entropy_quick(capsys):
     code, out, _ = run(capsys, "verify", "entropy", "--order", "60", "--quick")
     assert code == 0

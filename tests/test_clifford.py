@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from speclab import clifford
 from speclab.clifford import (
     SpinorPoly,
     U_spin,
@@ -15,6 +16,7 @@ from speclab.clifford import (
     decompose_by_levels,
     dirac_apply,
     dirac_eigenvalue,
+    dirac_reference,
     dirac_squared,
     eigenspinor_basis,
     gamma_algebra,
@@ -389,3 +391,64 @@ def test_spinor_law_table_is_falsifiable():
         assert set(cx) == {"basis_vector", "index", "difference"}
     assert failed["dirac_conformal_covariance"]["index"] == 0
     assert failed["u_square_sum_spinor"]["index"] is None
+
+
+def test_verify_spinor_identities_refuses_cap_outside_one_to_two():
+    # a cost guard refuses work; it never quietly shrinks it
+    for N in (0, 3):
+        with pytest.raises(ValueError):
+            verify_spinor_identities(2, N)
+
+
+# ---------------------------------------------------------------------------
+# the column-memoized Dirac operator
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def cold_dirac_caches():
+    clifford._DIRAC_CACHE.clear()
+    clifford._DIRAC_COLUMNS.clear()
+    yield
+    clifford._DIRAC_CACHE.clear()
+    clifford._DIRAC_COLUMNS.clear()
+
+
+def test_dirac_column_map_matches_reference(cold_dirac_caches):
+    rng = random.Random(20261018)
+    for n in (2, 3, 4):
+        psis = [rand_spinor(rng, n, deg=4) for _ in range(4)]
+        psis.append(SpinorPoly.unit(n, 0, SpherePoly.monomial(n, normal_monomials(n, 4)[-1])))
+        want = [dirac_reference(psi) for psi in psis]
+        assert [dirac_apply(psi) for psi in psis] == want  # column map cold
+        assert [dirac_apply(psi) for psi in psis] == want  # per-spinor cache hits
+        clifford._DIRAC_CACHE.clear()
+        assert [dirac_apply(psi) for psi in psis] == want  # warm columns only
+        for psi in psis:
+            for comp in dirac_apply(psi).components:
+                assert all(v for v in comp.terms.values())
+                assert all(e[0] <= 1 for e in comp.terms)
+
+
+def test_dirac_column_map_is_falsifiable(monkeypatch, cold_dirac_caches):
+    # one column off by a constant: the suite runs on the memoized columns,
+    # so it must fail, although the reference route is untouched
+    build = clifford._dirac_column
+    bad_key = (2, 0, (0, 3, 0))
+
+    def corrupted(n, slot, e):
+        col = build(n, slot, e)
+        if (n, slot, e) != bad_key:
+            return col
+        image = [dict(terms) for terms in col]
+        image[slot][e] = image[slot].get(e, CRat(0)) + CRat(1)
+        return tuple(tuple((f, c) for f, c in t.items() if c) for t in image)
+
+    monkeypatch.setattr(clifford, "_dirac_column", corrupted)
+    rep = verify_spinor_identities(2, 1, k_max=1)
+    failed = {c.identity_id: c.counterexample for c in rep.failures()}
+    assert "dirac_conformal_covariance" in failed
+    cx = failed["dirac_conformal_covariance"]
+    assert set(cx) == {"basis_vector", "index", "difference"}
+    assert cx["difference"]
+    assert bad_key in clifford._DIRAC_COLUMNS

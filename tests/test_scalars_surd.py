@@ -26,6 +26,44 @@ def test_crat_field_axioms(a, b, c, d):
     assert (z * w).abs2() == z.abs2() * w.abs2()
 
 
+def _parts(z):
+    assert type(z) is CRat and type(z.re) is Fraction and type(z.im) is Fraction
+    return z.re, z.im
+
+
+def test_crat_fast_paths_match_four_product_formula():
+    # every part zero or nonzero, against the plain formulas over Fraction pairs
+    values = (Fraction(0), Fraction(3, 4), Fraction(-5, 2))
+    pairs = [(a, b) for a in values for b in values]
+    scalars = [0, 1, -3, Fraction(0), Fraction(-2, 7), Fraction(9, 4)]
+    for a, b in pairs:
+        z = CRat(a, b)
+        assert _parts(-z) == (-a, -b)
+        assert _parts(z.conjugate()) == (a, -b)
+        for c, d in pairs:
+            w = CRat(c, d)
+            assert _parts(z * w) == (a * c - b * d, a * d + b * c)
+            assert _parts(z + w) == (a + c, b + d)
+            assert _parts(z - w) == (a - c, b - d)
+            if d == 0 and c != 0:
+                assert _parts(z / w) == (a / c, b / c)
+                assert _parts(2 / w) == (2 / c, 0)
+        for k in scalars:
+            assert _parts(z * k) == (a * k, b * k)
+            assert _parts(k * z) == (a * k, b * k)
+            assert _parts(z + k) == (a + k, b)
+            assert _parts(k + z) == (a + k, b)
+            assert _parts(z - k) == (a - k, b)
+            assert _parts(k - z) == (k - a, -b)
+            if k:
+                assert _parts(z / k) == (a / k, b / k)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    z / k
+        with pytest.raises(ZeroDivisionError):
+            z / CRat(0)
+
+
 def test_crat_text_roundtrip():
     for z in (CRat(1, 2), CRat(Fraction(-3, 4), Fraction(5, 7)), CRat(0, -1), CRat(2)):
         assert parse_crat(str(z)) == z

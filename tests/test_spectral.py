@@ -352,3 +352,17 @@ def test_table_json_sorted():
     d = json.loads(json.dumps(t.to_dict(), sort_keys=True))
     assert d["family"] == "residue"
     assert [row["kind"] for row in d["rows"]][:2] == ["residue", "residue"]
+
+
+def test_float_orders_leave_global_mpmath_precision_alone():
+    import mpmath
+
+    saved = mpmath.mp.dps
+    try:
+        mpmath.mp.dps = 23
+        assert intertwinor_eigen(3, 0.3, 2).kind == "finite"
+        assert mpmath.mp.dps == 23
+        SpectrumTable.dirac(2, 0.3, 3)
+        assert mpmath.mp.dps == 23
+    finally:
+        mpmath.mp.dps = saved
