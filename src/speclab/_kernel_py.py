@@ -11,32 +11,79 @@ compiled twin gives up in exchange for speed.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb, factorial
 
 BACKEND = "python"
 
 
+def _unit_sign(c, v) -> int:
+    """1 or -1 when multiplying coefficients of the type of ``v`` by c only
+    copies or negates them, else 0.  That is c = +-1 given as an int, a
+    Fraction or that same type: a float 1.0 would turn Fraction
+    coefficients into floats, and CRat(1) would turn them into CRat."""
+    t = type(c)
+    if t is int or t is Fraction or t is type(v):
+        if c == 1:
+            return 1
+        if c == -1:
+            return -1
+    return 0
+
+
 def add_scaled_terms(a: dict, b: dict, c) -> dict:
-    """Return a + c*b as a fresh term map (zero coefficients dropped)."""
+    """Return a + c*b as a fresh term map (zero coefficients dropped).
+
+    One merge loop per case, so c = +-1 costs no multiply and no extra
+    pass over b."""
     out = dict(a)
-    if not c:
+    if not c or not b:
         return out
-    for e, cb in b.items():
-        prev = out.get(e)
-        if prev is None:
-            out[e] = c * cb
-        else:
-            s = prev + c * cb
-            if s:
-                out[e] = s
+    sign = _unit_sign(c, next(iter(b.values())))
+    if sign == 1:
+        for e, cb in b.items():
+            prev = out.get(e)
+            if prev is None:
+                out[e] = cb
             else:
-                del out[e]
+                s = prev + cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    elif sign == -1:
+        for e, cb in b.items():
+            prev = out.get(e)
+            if prev is None:
+                out[e] = -cb
+            else:
+                s = prev - cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    else:
+        for e, cb in b.items():
+            prev = out.get(e)
+            if prev is None:
+                out[e] = c * cb
+            else:
+                s = prev + c * cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
     return out
 
 
 def scale_terms(a: dict, c) -> dict:
-    if not c:
+    if not c or not a:
         return {}
+    sign = _unit_sign(c, next(iter(a.values())))
+    if sign == 1:
+        return dict(a)
+    if sign == -1:
+        return {e: -v for e, v in a.items()}
     return {e: c * v for e, v in a.items()}
 
 
@@ -62,8 +109,10 @@ def mul_terms(a: dict, b: dict) -> dict:
 
 
 # cache of the expansions (1 - x1^2 - ... - xn^2)^k, keyed by (n, k);
-# entries are lists of (exponent tuple, integer coefficient)
+# entries are lists of (exponent tuple, integer coefficient), oldest
+# dropped first beyond the limit
 _POW_CACHE: dict = {}
+_POW_LIMIT = 256
 
 
 def _compositions(total: int, parts: int):
@@ -89,6 +138,8 @@ def _pow_one_minus_s(n: int, k: int):
                 coeff //= factorial(bi)
             exps = (0,) + tuple(2 * bi for bi in beta)
             rows.append((exps, coeff))
+    if len(_POW_CACHE) >= _POW_LIMIT:
+        del _POW_CACHE[next(iter(_POW_CACHE))]
     _POW_CACHE[key] = rows
     return rows
 

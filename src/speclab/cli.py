@@ -38,7 +38,10 @@ def parse_number(text: str):
     literals stay floats (the genuinely transcendental parameters)."""
     s = text.strip()
     if "/" in s:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     try:
         return int(s)
     except ValueError:

@@ -205,12 +205,19 @@ class SpinorPoly:
         c = c if isinstance(c, CRat) else CRat(c)
         return SpinorPoly(self.n, [p.scale(c) for p in self.components])
 
+    def add_scaled(self, other: "SpinorPoly", c) -> "SpinorPoly":
+        """self + c * other, one pass per component."""
+        c = c if isinstance(c, CRat) else CRat(c)
+        return SpinorPoly(
+            self.n, [a.add_scaled(b, c) for a, b in zip(self.components, other.components)]
+        )
+
     def poly_mul(self, f: SpherePoly) -> "SpinorPoly":
         return SpinorPoly(self.n, [f * p for p in self.components])
 
     def coordinate_mul(self, i: int) -> "SpinorPoly":
-        xi = SpherePoly.coordinate(self.n, i)
-        return SpinorPoly(self.n, [xi * p for p in self.components])
+        """x_i times each component, by exponent shifts."""
+        return SpinorPoly(self.n, [p.coordinate_mul(i) for p in self.components])
 
     def matrix_apply(self, mat) -> "SpinorPoly":
         d = len(self.components)
@@ -407,7 +414,8 @@ def monogenic_dimension(n: int, k: int) -> int:
     return d * (comb(n + k, k) - comb(n + k - 1, k - 1))
 
 
-@lru_cache(maxsize=None)
+# bounded: a warm CLI session holds a handful of (n, k) and (n, j, sign)
+@lru_cache(maxsize=64)
 def _monogenic_basis_cached(n: int, k: int) -> tuple:
     """Restrictions of degree-k monogenics: exact kernel of the Euclidean
     Dirac operator on homogeneous degree-k spinor polynomials."""
@@ -454,7 +462,7 @@ def monogenic_basis(n: int, k: int) -> list:
     return list(_monogenic_basis_cached(n, k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _eigenspinor_basis_cached(n: int, j: int, sign: int) -> tuple:
     lam = dirac_eigenvalue(n, j, sign)
     out = []
@@ -488,10 +496,11 @@ def _spinor_index(n: int, max_degree: int) -> dict:
     return {(c, e): c * len(monos) + k for c in range(d) for k, e in enumerate(monos)}
 
 
-def decompose_many_by_levels(psis: list, jmax: int) -> list:
+def _level_parts(psis: list, jmax: int) -> list:
     """Exact decomposition of several spinors into model eigenspinor
-    components up to level jmax (both signs), sharing one echelon pass.
-    Raises if any lies outside that sum."""
+    components up to level jmax (both signs), sharing one echelon pass:
+    one dict (j, sign) -> component per spinor, None for a spinor outside
+    that sum."""
     if not psis:
         return []
     n = psis[0].n
@@ -505,9 +514,10 @@ def decompose_many_by_levels(psis: list, jmax: int) -> list:
     targets = [_spinor_vector(psi, index) for psi in psis]
     all_coeffs = coords_in_span_multi(vec_basis, targets)
     out = []
-    for psi, coeffs in zip(psis, all_coeffs):
+    for coeffs in all_coeffs:
         if coeffs is None:
-            raise ValueError("spinor is outside the requested level range")
+            out.append(None)
+            continue
         parts: dict = {}
         pos = 0
         for j in range(jmax + 1):
@@ -526,6 +536,16 @@ def decompose_many_by_levels(psis: list, jmax: int) -> list:
     return out
 
 
+def decompose_many_by_levels(psis: list, jmax: int) -> list:
+    """Exact decomposition of several spinors into model eigenspinor
+    components up to level jmax (both signs), sharing one echelon pass.
+    Raises if any lies outside that sum."""
+    out = _level_parts(psis, jmax)
+    if any(parts is None for parts in out):
+        raise ValueError("spinor is outside the requested level range")
+    return out
+
+
 def decompose_by_levels(psi: SpinorPoly, jmax: int) -> dict:
     """Exact decomposition of psi into model eigenspinor components up to
     level jmax (both signs).  Raises if psi lies outside that sum."""
@@ -534,6 +554,13 @@ def decompose_by_levels(psi: SpinorPoly, jmax: int) -> dict:
 # ---------------------------------------------------------------------------
 # finite truncation models
 # ---------------------------------------------------------------------------
+
+
+class SpectrumError(AssertionError):
+    """The truncation spectrum cannot be certified on the lattice: a
+    non-real or off-lattice eigenvalue, or certified multiplicities that do
+    not fill the model.  Under the true P this is an internal invariant
+    failure; the spinor suite reports it as a failed check."""
 
 
 @dataclass
@@ -625,10 +652,10 @@ class TruncationModel:
         found = set()
         for z in eigs:
             if abs(z.imag) > snap_tol:
-                raise AssertionError(f"non-real eigenvalue discovered: {z}")
+                raise SpectrumError(f"non-real eigenvalue discovered: {z}")
             lam2 = Fraction(round(2 * z.real), 2)
             if abs(float(lam2) - z.real) > snap_tol:
-                raise AssertionError(f"eigenvalue {z.real} off the lattice")
+                raise SpectrumError(f"eigenvalue {z.real} off the lattice")
             found.add(lam2)
         rows = []
         total = 0
@@ -653,7 +680,7 @@ class TruncationModel:
             total += mult
             rows.append((lam, mult, certified))
         if total != d:
-            raise AssertionError("certified multiplicities do not fill the model")
+            raise SpectrumError("certified multiplicities do not fill the model")
         return rows
 
     def spectrum_csv(self) -> str:
@@ -843,7 +870,11 @@ def verify_spinor_identities(n: int, N: int, k_max: int = 2) -> VerificationRepo
     Operator identities are applied exactly to the full spinor monomial
     basis of degree <= N (no truncation artifacts); eigenspace statements
     run on the exact model eigenbases; the spectrum statements run on the
-    certified truncation model.
+    certified truncation model.  A wrong P is reported, not raised: a U_i
+    image outside the decomposed levels fails
+    ``compressed_u_is_gap_times_x``, and a truncation spectrum that cannot
+    be certified fails ``truncation_spectrum_lattice`` and
+    ``spectral_bound``.
     """
     if not 1 <= N <= 2:
         raise ValueError("N must be 1 or 2")
@@ -917,11 +948,22 @@ def verify_spinor_identities(n: int, N: int, k_max: int = 2) -> VerificationRepo
                     cases.append(i)
                     targets.append(psi.coordinate_mul(i))
                     targets.append(U_spin(i, psi))
-            decomposed = decompose_many_by_levels(targets, j + 1)
+            decomposed = _level_parts(targets, j + 1)
             for t in range(len(cases)):
                 i = cases[t]
                 parts_x = decomposed[2 * t]
                 parts_u = decomposed[2 * t + 1]
+                if parts_x is None or parts_u is None:
+                    # a wrong P: x_i or U_i leaves the adjacent levels
+                    adj_ok = adj_ok and parts_x is not None
+                    comp_ok = False
+                    comp_cx = comp_cx or {
+                        "level": j,
+                        "sign": sign,
+                        "index": i,
+                        "target": f"outside levels 0..{j + 1}",
+                    }
+                    continue
                 allowed = {lam + 1, lam - 1, -lam}
                 for (jj, ss), comp in parts_x.items():
                     mu = dirac_eigenvalue(n, jj, ss)
@@ -934,7 +976,9 @@ def verify_spinor_identities(n: int, N: int, k_max: int = 2) -> VerificationRepo
                     factor = (mu * mu - lam * lam) / 2
                     if not (cu - cxp.scale(factor)).is_zero:
                         comp_ok = False
-                        comp_cx = {"level": j, "sign": sign, "index": i, "target": str(mu)}
+                        comp_cx = comp_cx or {
+                            "level": j, "sign": sign, "index": i, "target": str(mu)
+                        }
     report.add(
         "compressed_u_is_gap_times_x",
         "U_i between eigenspaces = ((mu^2-lam^2)/2) x_i",
@@ -959,23 +1003,25 @@ def verify_spinor_identities(n: int, N: int, k_max: int = 2) -> VerificationRepo
         span_ok,
     )
 
-    # certified truncation spectrum on the lattice + the spectral bound
-    model = truncation_matrices(n, N)
-    rows = model.spectrum()
+    # certified truncation spectrum on the lattice + the spectral bound;
+    # a spectrum that cannot be certified (a wrong P) fails both checks
+    lattice_law = "certified truncation spectrum lies on +-(n/2+j)"
+    bound_law = "lam^2 >= n(n-1)/4 on the model spectrum"
+    try:
+        rows = truncation_matrices(n, N).spectrum()
+    except SpectrumError as exc:
+        cx = {"error": str(exc)}
+        report.add("truncation_spectrum_lattice", lattice_law, False, cx)
+        report.add("spectral_bound", bound_law, False, cx)
+        return report
     lattice_ok = all(
         (abs(lam) - Fraction(n, 2)).denominator == 1 and abs(lam) >= Fraction(n, 2)
         for lam, _, _ in rows
     )
     certified_ok = all(cert for _, _, cert in rows)
     licz_ok = all(lam * lam >= Fraction(n * (n - 1), 4) for lam, _, _ in rows)
-    report.add(
-        "truncation_spectrum_lattice",
-        "certified truncation spectrum lies on +-(n/2+j)",
-        lattice_ok and certified_ok,
-    )
-    report.add(
-        "spectral_bound", "lam^2 >= n(n-1)/4 on the model spectrum", licz_ok
-    )
+    report.add("truncation_spectrum_lattice", lattice_law, lattice_ok and certified_ok)
+    report.add("spectral_bound", bound_law, licz_ok)
     return report
 
 

@@ -88,6 +88,12 @@ def deriv_terms(terms: dict, i: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def shift_terms(terms: dict, i: int) -> dict:
+    """x_i times a raw term map: each exponent goes up by one in slot i, no
+    coefficient arithmetic."""
+    return {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in terms.items()}
+
+
 def euler_terms(terms: dict) -> dict:
     """Euler operator sum_i x_i d/dx_i: scales each monomial by its degree."""
     return {e: c * sum(e) for e, c in terms.items() if sum(e)}
@@ -177,26 +183,30 @@ class SpherePoly:
 
     def __add__(self, other):
         if isinstance(other, SpherePoly):
-            self._check(other)
-            return SpherePoly(
-                self.n,
-                _kernel.add_scaled_terms(self.terms, other.terms, Fraction(1)),
-                reduced=True,
-            )
+            return self.add_scaled(other, Fraction(1))
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, SpherePoly):
-            self._check(other)
-            return SpherePoly(
-                self.n,
-                _kernel.add_scaled_terms(self.terms, other.terms, Fraction(-1)),
-                reduced=True,
-            )
+            return self.add_scaled(other, Fraction(-1))
         return NotImplemented
 
     def __neg__(self):
         return self.scale(Fraction(-1))
+
+    def add_scaled(self, other: "SpherePoly", c) -> "SpherePoly":
+        """self + c * other in one pass over the terms of other."""
+        self._check(other)
+        return SpherePoly(
+            self.n, _kernel.add_scaled_terms(self.terms, other.terms, c), reduced=True
+        )
+
+    def coordinate_mul(self, i: int) -> "SpherePoly":
+        """x_i times self by an exponent shift.  Only x0 can leave normal form
+        (as x0^2), so only i = 0 reduces."""
+        if not 0 <= i <= self.n:
+            raise IndexError(f"coordinate index {i} out of range for S^{self.n}")
+        return SpherePoly(self.n, shift_terms(self.terms, i), reduced=i != 0)
 
     def __mul__(self, other):
         if isinstance(other, SpherePoly):

@@ -76,14 +76,29 @@ class VerificationReport:
         a symbol to a callable on a vector, ``indexed_ops`` to one on
         ``(i, vector)``.  A word holding an indexed symbol is evaluated at
         the law's own i when ``per_index`` (one check per i = 0..n) and
-        summed over i = 0..n otherwise.  Word images are memoized per basis
-        vector by (word, i), index-free words without i, so laws share
-        subwords.  The first failing vector of a law becomes its
-        counterexample ``{"basis_vector", "index", "difference"}``.
-        """
+        summed over i = 0..n otherwise.
 
-        def indexed(word):
-            return any(s in indexed_ops for s in word.split())
+        Word images are memoized per basis vector by (word, i), index-free
+        words without i, so laws share subwords; the i-sum of an indexed
+        word is memoized too, by (word, "sum"), so every summed law holding
+        that word reuses it.  Whether a word is indexed is decided once per
+        word.  Each law's difference is accumulated in one pass,
+        ``acc = acc.add_scaled(image, coefficient)``, so vectors need
+        ``scale`` (for the zero) and ``add_scaled``.  The first failing
+        vector of a law becomes its counterexample ``{"basis_vector",
+        "index", "difference"}``.
+        """
+        indexed = {"": False}
+
+        def mark(word):
+            if word not in indexed:
+                head, _, rest = word.partition(" ")
+                indexed[word] = mark(rest) or head in indexed_ops
+            return indexed[word]
+
+        for _, _, _, terms in laws:
+            for _, word in terms:
+                mark(word)
 
         indices = range(self.n + 1)
         failed = {}
@@ -93,26 +108,39 @@ class VerificationReport:
             def image(word, i):
                 if not word:
                     return vector
-                key = (word, i if indexed(word) else None)
-                if key not in memo:
+                key = (word, i if indexed[word] else None)
+                hit = memo.get(key)
+                if hit is None:
                     head, _, rest = word.partition(" ")
                     inner = image(rest, i)
                     if head in indexed_ops:
-                        memo[key] = indexed_ops[head](i, inner)
+                        hit = indexed_ops[head](i, inner)
                     else:
-                        memo[key] = ops[head](inner)
-                return memo[key]
+                        hit = ops[head](inner)
+                    memo[key] = hit
+                return hit
 
+            def summed(word):
+                key = (word, "sum")
+                hit = memo.get(key)
+                if hit is None:
+                    hit = image(word, 0)
+                    for i in indices[1:]:
+                        hit = hit + image(word, i)
+                    memo[key] = hit
+                return hit
+
+            zero = vector.scale(0)
             for identity_id, _, per_index, terms in laws:
                 if identity_id in failed:
                     continue
                 for i in indices if per_index else (None,):
-                    diff = None
+                    diff = zero
                     for coeff, word in terms:
-                        summed = not per_index and indexed(word)
-                        for j in indices if summed else (i,):
-                            term = image(word, j).scale(coeff)
-                            diff = term if diff is None else diff + term
+                        if per_index or not indexed[word]:
+                            diff = diff.add_scaled(image(word, i), coeff)
+                        else:
+                            diff = diff.add_scaled(summed(word), coeff)
                     if not diff.is_zero:
                         failed[identity_id] = {
                             "basis_vector": str(vector),

@@ -30,6 +30,7 @@ from .polynomial import (
     euler_terms,
     harmonic_dimension,
     normal_monomials,
+    shift_terms,
 )
 from .report import VerificationReport, covariance_terms, shifted_square_terms
 from .scalars import as_rat
@@ -60,20 +61,47 @@ def T(i: int, p: SpherePoly) -> SpherePoly:
     n = p.n
     if not 0 <= i <= n:
         raise IndexError(f"index {i} out of range for S^{n}")
-    ep = euler_terms(p.terms)
-    xi = [0] * (n + 1)
-    xi[i] = 1
-    shifted = {tuple(a + b for a, b in zip(e, xi)): c for e, c in ep.items()}
+    shifted = shift_terms(euler_terms(p.terms), i)
     raw = _kernel.add_scaled_terms(shifted, deriv_terms(p.terms, i), Fraction(-1))
     return SpherePoly(n, raw)
 
 
 def U(i: int, p: SpherePoly) -> SpherePoly:
-    return T(i, p) + SpherePoly.coordinate(p.n, i) * p * Fraction(p.n, 2)
+    """U_i = T_i + (n/2) x_i, fused: U_i p = x_i (E + n/2) p - d_i p on the
+    canonical representative, in one exponent-shift pass.  Only x0 can
+    leave normal form (as x0^2), so only i = 0 reduces."""
+    n = p.n
+    if not 0 <= i <= n:
+        raise IndexError(f"index {i} out of range for S^{n}")
+    weight = {}  # degree d -> d + n/2, an int for even n
+    raw = {}
+    for e, c in p.terms.items():
+        d = sum(e)
+        w = weight.get(d)
+        if w is None:
+            w = weight[d] = d + n // 2 if n % 2 == 0 else Fraction(2 * d + n, 2)
+        raw[e[:i] + (e[i] + 1,) + e[i + 1 :]] = c * w
+    for e, c in p.terms.items():
+        k = e[i]
+        if k:
+            f = e[:i] + (k - 1,) + e[i + 1 :]
+            v = c * -k
+            prev = raw.get(f)
+            if prev is None:
+                raw[f] = v
+            else:
+                v += prev
+                if v:
+                    raw[f] = v
+                else:
+                    del raw[f]
+    return SpherePoly(n, raw, reduced=i != 0)
 
 
 def coordinate_mul(i: int, p: SpherePoly) -> SpherePoly:
-    return SpherePoly.coordinate(p.n, i) * p
+    """x_i p by an exponent shift (``SpherePoly.coordinate_mul``); only
+    i = 0 needs a reduction."""
+    return p.coordinate_mul(i)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +306,10 @@ def ladder_sums(phi: SpherePoly, lam) -> tuple:
 # eigenspaces by ladders
 # ---------------------------------------------------------------------------
 
+# (n, j) -> canonical basis of the level-j eigenspace, oldest dropped first
+# beyond the limit (a warm CLI session holds a handful of levels)
 _EIGENSPACE_CACHE: dict = {}
+_EIGENSPACE_LIMIT = 128
 
 
 def build_eigenspace(n: int, j: int, max_funcs: int | None = None) -> ScalarEigenpair:
@@ -295,7 +326,7 @@ def build_eigenspace(n: int, j: int, max_funcs: int | None = None) -> ScalarEige
     key = (n, j)
     if key not in _EIGENSPACE_CACHE:
         if j == 0:
-            _EIGENSPACE_CACHE[key] = [SpherePoly.one(n)]
+            basis = [SpherePoly.one(n)]
         else:
             prev = build_eigenspace(n, j - 1).funcs
             lam_prev = scalar_eigenvalue(n, j - 1)
@@ -323,7 +354,9 @@ def build_eigenspace(n: int, j: int, max_funcs: int | None = None) -> ScalarEige
             for r in range(len(pivots)):
                 terms = {monos[k]: v for k, v in enumerate(rows[r]) if v}
                 basis.append(SpherePoly(n, terms, reduced=True))
-            _EIGENSPACE_CACHE[key] = basis
+        if len(_EIGENSPACE_CACHE) >= _EIGENSPACE_LIMIT:
+            del _EIGENSPACE_CACHE[next(iter(_EIGENSPACE_CACHE))]
+        _EIGENSPACE_CACHE[key] = basis
     funcs = list(_EIGENSPACE_CACHE[key])
     if max_funcs is not None:
         funcs = funcs[:max_funcs]
@@ -372,6 +405,8 @@ def refute_candidate(n: int, lam) -> RefutationChain:
     nu -> |nu - 2|, so every iterate stays in the starting field
     Q[sqrt(4 lam + 1)].
     """
+    if n < 2:
+        raise ValueError("sphere dimension must be >= 2")
     lam = as_rat(lam)
     bound = bottom_eigenvalue(n)
     if lam < bound:

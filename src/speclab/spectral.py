@@ -237,6 +237,8 @@ def entropy_operator_eigen(n: int, j: int) -> Fraction:
     if j < 0:
         raise ValueError("level must be >= 0")
     m = Fraction(n, 2)
+    if m <= 0 and m.denominator == 1 and -m < j:
+        raise ValueError(f"pole below level {j}: n/2 + {-m} vanishes")
     return sum((Fraction(2) / (m + t) for t in range(j)), Fraction(0))
 
 

@@ -1,6 +1,10 @@
 """Command-line front end: output contracts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+
+from hypothesis import given, settings, strategies as st
 
 from speclab.cli import main, parse_number
 from fractions import Fraction
@@ -295,3 +299,80 @@ def test_intertwinor_adjacent_candidates(capsys):
     assert code == 0
     vals = [r.split(",")[0] for r in out.strip().splitlines()[1:]]
     assert vals == ["-3/2", "1/2", "5/2"]
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over random argument vectors
+# ---------------------------------------------------------------------------
+
+MALFORMED = ["1/0", "abc", "", "nan", "inf", "-inf", "1e400", "1/", "0x10", "-0.0", "--"]
+_number = st.one_of(
+    st.integers(-6, 40).map(str),
+    st.sampled_from(MALFORMED),
+    st.fractions(min_value=-20, max_value=40, max_denominator=12).map(str),
+    st.floats(-20, 40, allow_nan=False).map(repr),
+)
+_small = st.one_of(st.integers(-4, 12).map(str), st.sampled_from(MALFORMED))
+
+
+def _flags(**values):
+    """Any subset of the given flags, each with a drawn value."""
+    pairs = [st.tuples(st.just(f"--{name.replace('_', '-')}"), v) for name, v in values.items()]
+    return st.lists(st.one_of(pairs), unique_by=lambda p: p[0], max_size=len(pairs)).map(
+        lambda chosen: [part for pair in chosen for part in pair]
+    )
+
+
+_FAMILIES = [
+    "scalar", "scalar-normalized", "product", "residue", "entropy-derivative",
+    "first-order", "dirac", "dirac-odd", "adjacent", "nope",
+]
+# verify only where the guard refuses or parsing fails, so no suite runs
+_REFUSED_VERIFY = [
+    ["verify", "scalar", "--n", "7"],
+    ["verify", "scalar", "--n", "5", "--cap", "40"],
+    ["verify", "all", "--n", "9"],
+    ["verify", "spinor", "--n", "5"],
+    ["verify", "spinor", "--n", "2", "--N", "3"],
+    ["verify", "scalar", "--n", "x"],
+    ["verify", "spinor", "--N", "1/2"],
+    ["verify", "entropy", "--order", "2.5"],
+]
+_argv = st.tuples(
+    st.lists(st.sampled_from([["--format", "csv"], ["--format", "text"], ["--format", "xml"]]), max_size=1),
+    st.one_of(
+        st.tuples(
+            st.sampled_from([["spectrum", "scalar"], ["spectrum", "dirac"], ["spectrum", "x"]]),
+            _flags(n=_small, count=_small, operator=st.sampled_from(["conformal", "laplacian", "x"])),
+        ),
+        st.tuples(
+            st.sampled_from(_FAMILIES).map(lambda f: ["intertwinor", f]),
+            _flags(n=_small, r=_number, k=_number, j0=_small, jmax=_small, lambda_max=_number, **{"lambda": _number}),
+        ),
+        st.tuples(st.just(["refute"]), _flags(n=_small, **{"lambda": _number})),
+        st.tuples(st.sampled_from(_REFUSED_VERIFY), st.just([])),
+    ),
+).map(lambda t: [a for part in t[0] for a in part] + t[1][0] + t[1][1])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_argv)
+def test_exit_code_contract_on_random_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def test_malformed_numbers_are_usage_errors(capsys):
+    # each of these escaped main with a traceback, or exited 3
+    for argv in (
+        ["refute", "--n", "3", "--lambda", "1/0"],
+        ["intertwinor", "scalar", "--n", "3", "--r", "1/0"],
+        ["refute", "--n", "1", "--lambda", "5"],
+        ["intertwinor", "entropy-derivative", "--n", "-4", "--jmax", "4"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ")

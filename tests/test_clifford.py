@@ -407,6 +407,11 @@ def test_verify_spinor_identities_refuses_cap_outside_one_to_two():
 
 @pytest.fixture
 def cold_dirac_caches():
+    # the exact eigenbases of the n=2, N=1 suite come from the true P, as in
+    # a warm session; built under a corrupted P, their foothold check raises
+    for j in range(3):
+        for sign in (1, -1):
+            eigenspinor_basis(2, j, sign)
     clifford._DIRAC_CACHE.clear()
     clifford._DIRAC_COLUMNS.clear()
     yield
@@ -430,11 +435,9 @@ def test_dirac_column_map_matches_reference(cold_dirac_caches):
                 assert all(e[0] <= 1 for e in comp.terms)
 
 
-def test_dirac_column_map_is_falsifiable(monkeypatch, cold_dirac_caches):
-    # one column off by a constant: the suite runs on the memoized columns,
-    # so it must fail, although the reference route is untouched
+def _corrupt_dirac_column(monkeypatch, bad_key):
+    """Add 1 to the diagonal entry of one column of P."""
     build = clifford._dirac_column
-    bad_key = (2, 0, (0, 3, 0))
 
     def corrupted(n, slot, e):
         col = build(n, slot, e)
@@ -445,6 +448,13 @@ def test_dirac_column_map_is_falsifiable(monkeypatch, cold_dirac_caches):
         return tuple(tuple((f, c) for f, c in t.items() if c) for t in image)
 
     monkeypatch.setattr(clifford, "_dirac_column", corrupted)
+
+
+def test_dirac_column_map_is_falsifiable(monkeypatch, cold_dirac_caches):
+    # one column off by a constant: the suite runs on the memoized columns,
+    # so it must fail, although the reference route is untouched
+    bad_key = (2, 0, (0, 3, 0))
+    _corrupt_dirac_column(monkeypatch, bad_key)
     rep = verify_spinor_identities(2, 1, k_max=1)
     failed = {c.identity_id: c.counterexample for c in rep.failures()}
     assert "dirac_conformal_covariance" in failed
@@ -452,3 +462,47 @@ def test_dirac_column_map_is_falsifiable(monkeypatch, cold_dirac_caches):
     assert set(cx) == {"basis_vector", "index", "difference"}
     assert cx["difference"]
     assert bad_key in clifford._DIRAC_COLUMNS
+
+
+@pytest.mark.parametrize(
+    "bad_key, check, detail",
+    [
+        # U_i of an eigenspinor leaves the levels the decomposition covers
+        ((2, 1, (1, 1, 1)), "compressed_u_is_gap_times_x", "outside levels 0..2"),
+        # ... or lands there with the wrong factor
+        ((2, 0, (0, 1, 0)), "compressed_u_is_gap_times_x", "'target': '1'"),
+        # the truncation spectrum leaves the half-integer lattice
+        ((2, 0, (0, 0, 0)), "truncation_spectrum_lattice", "off the lattice"),
+    ],
+)
+def test_wrong_dirac_column_fails_the_suite(
+    monkeypatch, capsys, cold_dirac_caches, bad_key, check, detail
+):
+    # a wrong P is a verification failure (exit 1), never a usage error or
+    # an internal invariant failure
+    from speclab.cli import main
+
+    _corrupt_dirac_column(monkeypatch, bad_key)
+    rep = verify_spinor_identities(2, 1, k_max=1)
+    failed = {c.identity_id: c.counterexample for c in rep.failures()}
+    assert "dirac_conformal_covariance" in failed
+    assert detail in str(failed[check])
+    clifford._DIRAC_CACHE.clear()
+    assert main(["--jobs", "1", "verify", "spinor", "--n", "2", "--N", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["all_passed"] is False
+
+
+def test_basis_caches_stay_bounded(monkeypatch):
+    from functools import lru_cache
+
+    for cached in (clifford._monogenic_basis_cached, clifford._eigenspinor_basis_cached):
+        assert cached.cache_info().maxsize is not None
+    want = {(j, s): eigenspinor_basis(2, j, s) for j in range(3) for s in (1, -1)}
+    for name in ("_monogenic_basis_cached", "_eigenspinor_basis_cached"):
+        small = lru_cache(maxsize=1)(getattr(clifford, name).__wrapped__)
+        monkeypatch.setattr(clifford, name, small)
+    for _ in range(2):
+        for (j, s), basis in want.items():
+            assert eigenspinor_basis(2, j, s) == basis
+            assert clifford._eigenspinor_basis_cached.cache_info().currsize <= 1
+            assert clifford._monogenic_basis_cached.cache_info().currsize <= 1

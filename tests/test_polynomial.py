@@ -279,3 +279,16 @@ def test_normal_monomial_count():
     for n in (2, 3, 4):
         for cap in (0, 1, 3, 5):
             assert count_normal_monomials(n, cap) == len(normal_monomials(n, cap))
+
+
+def test_pow_cache_stays_bounded(monkeypatch):
+    from speclab import _kernel_py
+
+    raws = [{(k, 1) + (0,) * (n - 1): Fraction(1, k)} for n in (2, 3, 4) for k in range(2, 9)]
+    want = [_kernel_py.reduce_terms(raw, len(next(iter(raw))) - 1) for raw in raws]
+    monkeypatch.setattr(_kernel_py, "_POW_CACHE", {})
+    monkeypatch.setattr(_kernel_py, "_POW_LIMIT", 2)
+    for _ in range(2):
+        for raw, terms in zip(raws, want):
+            assert _kernel_py.reduce_terms(raw, len(next(iter(raw))) - 1) == terms
+            assert len(_kernel_py._POW_CACHE) <= 2

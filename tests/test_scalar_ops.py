@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from speclab import scalar_ops
 from speclab.polynomial import SpherePoly, ambient_laplacian_terms, normal_monomials
 from speclab.scalar_ops import (
     BelowBoundError,
@@ -416,6 +417,46 @@ def test_verify_scalar_corruption_fails():
     # the covariance law is checked for each i, the square sum summed over i
     assert rep.failures()[0].counterexample["index"] == 0
     assert rep.failures()[1].counterexample["index"] is None
+
+
+def test_summed_laws_see_a_corruption_at_one_index(monkeypatch):
+    # U wrong at i = n only: every summed law holding U must still fail,
+    # with the sum over i memoized once per word and basis vector
+    good = scalar_ops.U
+
+    def bad(i, p):
+        out = good(i, p)
+        return out + SpherePoly.coordinate(p.n, i) * p if i == p.n else out
+
+    monkeypatch.setattr(scalar_ops, "U", bad)
+    rep = verify_scalar_identities(3, 3)
+    failed = {c.identity_id: c.counterexample for c in rep.failures()}
+    summed = {
+        "coordinate_anticommutator": "2/1 * x3^2",
+        "u_square_sum": "-1/1 + 5/1 * x3^2",
+        "shifted_square_sum_a=1": "2/1 * x3^2",
+        "shifted_square_sum_a=-1": "-2/1 * x3^2",
+        "shifted_square_sum_a=3/2": "3/1 * x3^2",
+        "shifted_square_sum_a=-3/2": "-3/1 * x3^2",
+    }
+    assert set(failed) == set(summed) | {"spectrum_generating_commutator", "conformal_covariance"}
+    for identity_id, difference in summed.items():
+        assert failed[identity_id] == {
+            "basis_vector": "1/1",
+            "index": None,
+            "difference": difference,
+        }
+    assert failed["conformal_covariance"]["index"] == 3
+
+
+def test_eigenspace_cache_stays_bounded(monkeypatch):
+    want = {(n, j): build_eigenspace(n, j).funcs for n in (2, 3) for j in range(5)}
+    monkeypatch.setattr(scalar_ops, "_EIGENSPACE_CACHE", {})
+    monkeypatch.setattr(scalar_ops, "_EIGENSPACE_LIMIT", 2)
+    for _ in range(2):
+        for (n, j), funcs in want.items():
+            assert build_eigenspace(n, j).funcs == funcs
+            assert len(scalar_ops._EIGENSPACE_CACHE) <= 2
 
 
 def test_commutator_on_constant_gives_n_coordinate():
