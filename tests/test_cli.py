@@ -365,7 +365,7 @@ def test_exit_code_contract_on_random_argv(argv):
     assert "Traceback" not in err.getvalue()
 
 
-def test_malformed_numbers_are_usage_errors(capsys):
+def test_escaped_inputs_are_usage_errors(capsys):
     # each of these escaped main with a traceback, or exited 3
     for argv in (
         ["refute", "--n", "3", "--lambda", "1/0"],
