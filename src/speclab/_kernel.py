@@ -1,9 +1,11 @@
 """Kernel selector: compiled twin when available, pure Python otherwise.
 
 Set SPECLAB_PURE_PYTHON=1 to force the fallback (used by the benchmark
-and the parity tests).  The compiled kernel has two coefficient lanes,
-Fraction and CRat; anything else (floats from spectral images) routes to
-the coefficient-generic pure implementation.
+and the parity tests).  The compiled kernel has one coefficient lane,
+Fraction.  Everything else routes to the coefficient-generic pure
+implementation: CRat term maps (spinor coefficients, whose int-triple
+arithmetic lives in ``scalars.CRat``), mixed maps and floats from
+spectral images.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import os
 from fractions import Fraction
 
 from . import _kernel_py as _py
-from .scalars import CRat
 
 _cy = None
 if not os.environ.get("SPECLAB_PURE_PYTHON"):
@@ -23,75 +24,40 @@ if not os.environ.get("SPECLAB_PURE_PYTHON"):
 
 BACKEND = "cython" if _cy is not None else "python"
 
-_FRAC = 1
-_CRAT = 2
-_OTHER = 3
 
-
-def _lane(terms: dict) -> int:
+def _frac(terms: dict) -> bool:
+    """True when the map's coefficients are Fractions (or it is empty)."""
     for v in terms.values():
-        if type(v) is Fraction:
-            return _FRAC
-        if type(v) is CRat:
-            return _CRAT
-        return _OTHER
-    return _FRAC
-
-
-def _scalar_lane(c) -> int:
-    if type(c) is Fraction:
-        return _FRAC
-    if type(c) is CRat:
-        return _CRAT
-    return _OTHER
+        return type(v) is Fraction
+    return True
 
 
 def mul_terms(a: dict, b: dict) -> dict:
-    if _cy is not None:
-        la, lb = _lane(a), _lane(b)
-        if la == _FRAC and lb == _FRAC:
-            return _cy.mul_terms(a, b)
-        if la in (_FRAC, _CRAT) and lb in (_FRAC, _CRAT):
-            return _cy.crat_mul_terms(a, b)
+    if _cy is not None and _frac(a) and _frac(b):
+        return _cy.mul_terms(a, b)
     return _py.mul_terms(a, b)
 
 
 def add_scaled_terms(a: dict, b: dict, c) -> dict:
-    if _cy is not None:
-        lanes = {_lane(a), _lane(b), _scalar_lane(c)}
-        if lanes == {_FRAC}:
-            return _cy.add_scaled_terms(a, b, c)
-        if _OTHER not in lanes:
-            return _cy.crat_add_scaled_terms(a, b, c)
+    if _cy is not None and type(c) is Fraction and _frac(a) and _frac(b):
+        return _cy.add_scaled_terms(a, b, c)
     return _py.add_scaled_terms(a, b, c)
 
 
 def scale_terms(a: dict, c) -> dict:
-    if _cy is not None:
-        lanes = {_lane(a), _scalar_lane(c)}
-        if lanes == {_FRAC}:
-            return _cy.scale_terms(a, c)
-        if _OTHER not in lanes:
-            return _cy.crat_scale_terms(a, c)
+    if _cy is not None and type(c) is Fraction and _frac(a):
+        return _cy.scale_terms(a, c)
     return _py.scale_terms(a, c)
 
 
 def reduce_terms(terms: dict, n: int) -> dict:
-    if _cy is not None:
-        lane = _lane(terms)
-        if lane == _FRAC:
-            return _cy.reduce_terms(terms, n)
-        if lane == _CRAT:
-            return _cy.crat_reduce_terms(terms, n)
+    if _cy is not None and _frac(terms):
+        return _cy.reduce_terms(terms, n)
     return _py.reduce_terms(terms, n)
 
 
 def rref(rows: list) -> list:
-    """Row echelon over any exact field; compiled lanes for Fraction/CRat."""
-    if _cy is not None and rows:
-        kinds = {type(v) for v in rows[0]}
-        if kinds == {Fraction}:
-            return _cy.frac_rref(rows)
-        if kinds <= {Fraction, CRat} and CRat in kinds:
-            return _cy.crat_rref(rows)
+    """Row echelon over any exact field; compiled lane for Fraction rows."""
+    if _cy is not None and rows and all(type(v) is Fraction for v in rows[0]):
+        return _cy.frac_rref(rows)
     return _py.rref(rows)

@@ -292,204 +292,3 @@ def frac_rref(list rows):
         pivots.append(col)
         r += 1
     return pivots
-
-
-# ---------------------------------------------------------------------------
-# complex-rational (CRat) twins: spinor coefficients are pairs of Fractions
-# ---------------------------------------------------------------------------
-
-from speclab.scalars import CRat
-
-cdef object _CRat = CRat
-cdef object _ZERO_F = _mk(0, 1)
-
-
-cdef inline object _c_mk(object re, object im):
-    c = _alloc(_CRat)
-    c.re = re
-    c.im = im
-    return c
-
-
-cdef inline object _c_of(object v):
-    if type(v) is _CRat:
-        return v
-    return _c_mk(v, _ZERO_F)
-
-
-cdef inline bint _c_nz(object a):
-    return a.re._numerator != 0 or a.im._numerator != 0
-
-
-cdef inline object _cadd(object a, object b):
-    return _c_mk(_add(a.re, b.re), _add(a.im, b.im))
-
-
-cdef inline object _csub(object a, object b):
-    return _c_mk(_sub(a.re, b.re), _sub(a.im, b.im))
-
-
-cdef inline object _cmul(object a, object b):
-    return _c_mk(
-        _sub(_mul(a.re, b.re), _mul(a.im, b.im)),
-        _add(_mul(a.re, b.im), _mul(a.im, b.re)),
-    )
-
-
-cdef inline object _cmul_int(object a, object k):
-    return _c_mk(_mul_int(a.re, k), _mul_int(a.im, k))
-
-
-cdef inline object _cdiv(object a, object b):
-    bre = b.re
-    bim = b.im
-    det = _add(_mul(bre, bre), _mul(bim, bim))
-    re = _div(_add(_mul(a.re, bre), _mul(a.im, bim)), det)
-    im = _div(_sub(_mul(a.im, bre), _mul(a.re, bim)), det)
-    return _c_mk(re, im)
-
-
-def crat_mul_terms(dict a, dict b):
-    if len(a) > len(b):
-        a, b = b, a
-    cdef dict out = {}
-    for ea, ca in a.items():
-        cca = _c_of(ca)
-        for eb, cb in b.items():
-            e = _tadd(<tuple> ea, <tuple> eb)
-            c = _cmul(cca, _c_of(cb))
-            prev = out.get(e)
-            if prev is None:
-                if _c_nz(c):
-                    out[e] = c
-            else:
-                s = _cadd(prev, c)
-                if _c_nz(s):
-                    out[e] = s
-                else:
-                    del out[e]
-    return out
-
-
-def crat_add_scaled_terms(dict a, dict b, object c):
-    cdef dict out = {}
-    for e, v in a.items():
-        out[e] = _c_of(v)
-    cc = _c_of(c)
-    if not _c_nz(cc):
-        return out
-    for e, cb in b.items():
-        v = _cmul(cc, _c_of(cb))
-        prev = out.get(e)
-        if prev is None:
-            if _c_nz(v):
-                out[e] = v
-        else:
-            s = _cadd(prev, v)
-            if _c_nz(s):
-                out[e] = s
-            else:
-                del out[e]
-    return out
-
-
-def crat_scale_terms(dict a, object c):
-    cdef dict out = {}
-    cc = _c_of(c)
-    if not _c_nz(cc):
-        return out
-    for e, v in a.items():
-        out[e] = _cmul(cc, _c_of(v))
-    return out
-
-
-def crat_reduce_terms(dict terms, int n):
-    cdef dict out = {}
-    cdef Py_ssize_t m, i
-    cdef list buf
-    for e, c0 in terms.items():
-        c = _c_of(c0)
-        e0 = (<tuple> e)[0]
-        if e0 < 2:
-            prev = out.get(e)
-            if prev is None:
-                if _c_nz(c):
-                    out[e] = c
-            else:
-                s = _cadd(prev, c)
-                if _c_nz(s):
-                    out[e] = s
-                else:
-                    del out[e]
-            continue
-        k = e0 >> 1
-        r = e0 & 1
-        for pe, pc in _pow_one_minus_s(n, k):
-            m = len(<tuple> e)
-            buf = [0] * m
-            buf[0] = r
-            for i in range(1, m):
-                buf[i] = (<tuple> e)[i] + (<tuple> pe)[i]
-            ne = tuple(buf)
-            cc = _cmul_int(c, pc)
-            prev = out.get(ne)
-            if prev is None:
-                if _c_nz(cc):
-                    out[ne] = cc
-            else:
-                s = _cadd(prev, cc)
-                if _c_nz(s):
-                    out[ne] = s
-                else:
-                    del out[ne]
-    return out
-
-
-def crat_rref(list rows):
-    """Row echelon over CRat entries; returns pivot columns."""
-    if not rows:
-        return []
-    cdef Py_ssize_t nrows = len(rows)
-    cdef Py_ssize_t ncols = len(<list> rows[0])
-    cdef Py_ssize_t r = 0, col, i, j
-    cdef list pivots = []
-    cdef list prow, ri, nri
-    for i in range(nrows):
-        ri = <list> rows[i]
-        for j in range(ncols):
-            ri[j] = _c_of(ri[j])
-    for col in range(ncols):
-        if r == nrows:
-            break
-        pr = -1
-        for i in range(r, nrows):
-            if _c_nz((<list> rows[i])[col]):
-                pr = i
-                break
-        if pr < 0:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = <list> rows[r]
-        piv = prow[col]
-        if piv.im._numerator != 0 or piv.re._numerator != piv.re._denominator:
-            nri = [0] * ncols
-            for j in range(ncols):
-                nri[j] = _cdiv(prow[j], piv)
-            rows[r] = prow = nri
-        for i in range(nrows):
-            if i == r:
-                continue
-            ri = <list> rows[i]
-            f = ri[col]
-            if _c_nz(f):
-                nri = [0] * ncols
-                for j in range(ncols):
-                    pj = prow[j]
-                    if _c_nz(pj):
-                        nri[j] = _csub(ri[j], _cmul(f, pj))
-                    else:
-                        nri[j] = ri[j]
-                rows[i] = nri
-        pivots.append(col)
-        r += 1
-    return pivots

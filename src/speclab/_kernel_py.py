@@ -6,7 +6,8 @@ relation, and exact Gaussian elimination.  A compiled twin with the same
 signatures lives in ``_kernel_cy``; ``speclab._kernel`` picks one at
 import time.  The functions here are coefficient-generic (anything with
 field arithmetic works: Fraction, CRat, float), which is what the
-compiled twin gives up in exchange for speed.
+compiled twin gives up in exchange for speed.  The twin covers Fraction
+maps only: CRat maps always run here, on CRat's own int arithmetic.
 """
 
 from __future__ import annotations

@@ -31,6 +31,12 @@ from .spectral import SpectrumTable, finite, fmt_value
 # cost guards: refuse exact computations beyond these basis sizes
 MAX_SCALAR_BASIS = 4000
 MAX_SPINOR_DIM = 400
+# ... beyond this many spectrum levels (spectrum --count, intertwinor
+# --jmax, and --lambda-max - n/2 for the dirac families) ...
+MAX_LEVELS = 500
+# ... and for refute candidates whose numerator or denominator exceeds
+# this (the descent takes about sqrt(lambda) steps)
+MAX_REFUTE_HEIGHT = 10**6
 
 
 def parse_number(text: str):
@@ -72,8 +78,15 @@ def _write_table(args, table: SpectrumTable) -> None:
         _emit(args, json.dumps(table.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
+def _refuse(text: str) -> int:
+    print(f"error: cost guard: {text}", file=sys.stderr)
+    return 2
+
+
 def cmd_spectrum(args) -> int:
     n = args.n
+    if args.count > MAX_LEVELS:
+        return _refuse(f"--count {args.count} exceeds {MAX_LEVELS} levels")
     if args.kind == "scalar":
         pairs = generate_spectrum(n, args.count)
         if args.operator == "laplacian":
@@ -100,6 +113,11 @@ def cmd_intertwinor(args) -> int:
     if fam in ("scalar", "scalar-normalized", "product") and args.r is None:
         print(f"error: --r is required for the {fam} family", file=sys.stderr)
         return 2
+    if fam in ("dirac", "dirac-odd"):
+        if parse_number(args.lambda_max) - Fraction(n, 2) > MAX_LEVELS:
+            return _refuse(f"--lambda-max {args.lambda_max} spans more than {MAX_LEVELS} levels")
+    elif fam != "adjacent" and args.jmax > MAX_LEVELS:
+        return _refuse(f"--jmax {args.jmax} exceeds {MAX_LEVELS} levels")
     if fam == "scalar":
         table = SpectrumTable.scalar(n, parse_number(args.r), args.jmax)
     elif fam == "scalar-normalized":
@@ -231,8 +249,11 @@ def cmd_refute(args) -> int:
     if isinstance(lam, float):
         print("error: the candidate must be rational ('p/q')", file=sys.stderr)
         return 2
+    lam = Fraction(lam)
+    if max(abs(lam.numerator), lam.denominator) > MAX_REFUTE_HEIGHT:
+        return _refuse(f"candidate {lam} has a numerator or denominator above {MAX_REFUTE_HEIGHT}")
     try:
-        chain = refute_candidate(n, Fraction(lam))
+        chain = refute_candidate(n, lam)
     except OnSpectrumError as exc:
         _emit(args, json.dumps({"on_spectrum": True, "level": exc.level}, sort_keys=True) + "\n")
         return 0

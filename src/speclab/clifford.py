@@ -37,8 +37,8 @@ Truncation-model cost grows like dim_spin times the count of normal-form
 monomials of degree <= N+1 (the Dirac closure adds one degree).  Model
 dimensions: n=2 gives 4/12/24 at N=0/1/2; n=3 gives 8/32/80.  Identity
 suite cost on the pure-Python backend (CPython 3.11, one core of a 2-vCPU
-VM, cold caches): n=2, N=2 takes 2.7 s over 72 columns of P; n=3, N=2
-22 s over 364 columns; n=4 takes 19 s at N=1 (400 columns) and 63 s at
+VM, cold caches): n=2, N=2 takes 0.9 s over 72 columns of P; n=3, N=2
+6.7 s over 364 columns; n=4 takes 4.6 s at N=1 (400 columns) and 17 s at
 N=2 (780 columns).
 """
 
@@ -462,6 +462,12 @@ def monogenic_basis(n: int, k: int) -> list:
     return list(_monogenic_basis_cached(n, k))
 
 
+class FootholdError(AssertionError):
+    """A foothold vector M -+ x.M fails the eigen test under P.  Under the
+    true P this is an internal invariant failure; the spinor suite reports
+    it as failed eigenspace checks."""
+
+
 @lru_cache(maxsize=128)
 def _eigenspinor_basis_cached(n: int, j: int, sign: int) -> tuple:
     lam = dirac_eigenvalue(n, j, sign)
@@ -470,9 +476,21 @@ def _eigenspinor_basis_cached(n: int, j: int, sign: int) -> tuple:
         xm = clifford_x(m)
         v = m - xm if sign > 0 else m + xm
         if not is_eigenspinor(v, lam):
-            raise AssertionError(f"foothold vector fails the eigen test at {lam}")
+            raise FootholdError(f"foothold vector fails the eigen test at {lam}")
         out.append(v)
     return tuple(out)
+
+
+def _foothold_failure(n: int, jmax: int) -> dict | None:
+    """Counterexample of the first eigenbasis of levels 0..jmax whose
+    foothold fails under the current P, or None when all of them build."""
+    for j in range(jmax + 1):
+        for sign in (1, -1):
+            try:
+                _eigenspinor_basis_cached(n, j, sign)
+            except FootholdError as exc:
+                return {"level": j, "sign": sign, "error": str(exc)}
+    return None
 
 
 def eigenspinor_basis(n: int, j: int, sign: int) -> list:
@@ -870,11 +888,13 @@ def verify_spinor_identities(n: int, N: int, k_max: int = 2) -> VerificationRepo
     Operator identities are applied exactly to the full spinor monomial
     basis of degree <= N (no truncation artifacts); eigenspace statements
     run on the exact model eigenbases; the spectrum statements run on the
-    certified truncation model.  A wrong P is reported, not raised: a U_i
-    image outside the decomposed levels fails
-    ``compressed_u_is_gap_times_x``, and a truncation spectrum that cannot
-    be certified fails ``truncation_spectrum_lattice`` and
-    ``spectral_bound``.
+    certified truncation model.  A wrong P is reported, not raised: an
+    eigenbasis whose foothold fails the eigen test fails every eigenspace
+    check (``ladder_suite_*``, ``compressed_u_is_gap_times_x``,
+    ``coordinate_adjacency``, ``adjacent_span_rank``), a U_i image outside
+    the decomposed levels fails ``compressed_u_is_gap_times_x``, and a
+    truncation spectrum that cannot be certified fails
+    ``truncation_spectrum_lattice`` and ``spectral_bound``.
     """
     if not 1 <= N <= 2:
         raise ValueError("N must be 1 or 2")
@@ -897,12 +917,14 @@ def verify_spinor_identities(n: int, N: int, k_max: int = 2) -> VerificationRepo
     report.check_laws(basis, spinor_laws(n, k_max), {"P": dirac_apply}, indexed_ops)
     half = Fraction(1, 2)
 
-    # eigenspace statements
+    # eigenspace statements, on the exact bases of levels 0..N (ladders) and
+    # 0..2 (compression, adjacency, span); without them all of these fail
+    broken = _foothold_failure(n, max(N, 2))
     for j in range(N + 1):
         for sign in (1, -1):
             lam = dirac_eigenvalue(n, j, sign)
-            ok = True
-            for psi in eigenspinor_basis(n, j, sign):
+            ok = broken is None
+            for psi in eigenspinor_basis(n, j, sign) if ok else ():
                 sa = SpinorPoly.zero(n)
                 as_ = SpinorPoly.zero(n)
                 nn_ = SpinorPoly.zero(n)
@@ -931,14 +953,14 @@ def verify_spinor_identities(n: int, N: int, k_max: int = 2) -> VerificationRepo
                 f"ladder_suite_j={j}_sign={sign}",
                 "ladder targets and the three summed factors",
                 ok,
-                None if ok else {"level": j, "sign": sign},
+                broken or {"level": j, "sign": sign},
             )
 
     # compression and adjacency through exact level decomposition
-    comp_ok = True
-    adj_ok = True
-    comp_cx = None
-    for j in range(min(N, 1) + 1):
+    near = range(min(N, 1) + 1) if broken is None else ()
+    comp_ok = adj_ok = span_ok = broken is None
+    comp_cx = broken
+    for j in near:
         for sign in (1, -1):
             lam = dirac_eigenvalue(n, j, sign)
             cases = []
@@ -989,18 +1011,18 @@ def verify_spinor_identities(n: int, N: int, k_max: int = 2) -> VerificationRepo
         "coordinate_adjacency",
         "x_i E(lam) lies in E(lam+1) + E(lam-1) + E(-lam)",
         adj_ok,
+        broken,
     )
 
     # span identity: x_i, P x_i, P^2 x_i images fill the adjacent sum
-    span_ok = True
-    for j in range(min(N, 1) + 1):
+    for j in near:
         for sign in (1, -1):
-            lam = dirac_eigenvalue(n, j, sign)
             span_ok = span_ok and _span_rank_identity(n, j, sign)
     report.add(
         "adjacent_span_rank",
         "span{x_i E, P x_i E, P^2 x_i E} = E(lam+1) + E(lam-1) + E(-lam)",
         span_ok,
+        broken,
     )
 
     # certified truncation spectrum on the lattice + the spectral bound;

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from speclab.cli import main, parse_number
@@ -151,6 +152,41 @@ def test_verify_cost_guard(capsys):
     assert "basis" in err or "guard" in err
 
 
+# requests past the level and refute-height guards; unguarded, the largest
+# ran past 5 s (the first refute candidate was still running after 30 s)
+_GUARDED = [
+    ["spectrum", "scalar", "--n", "3", "--count", "3000000"],
+    ["spectrum", "dirac", "--n", "3", "--count", "501"],
+    ["intertwinor", "scalar", "--n", "3", "--r", "1", "--jmax", "5000000"],
+    ["intertwinor", "entropy-derivative", "--n", "3", "--jmax", "501"],
+    ["intertwinor", "dirac", "--n", "3", "--k", "1/3", "--lambda-max", "1000000"],
+    ["intertwinor", "dirac-odd", "--n", "3", "--k", "2", "--lambda-max", "1005/2"],
+    ["refute", "--n", "3", "--lambda", "10000000001/2"],
+    ["refute", "--n", "3", "--lambda", "1000000000001/1000000000000"],
+]
+
+
+@pytest.mark.parametrize("argv", _GUARDED)
+def test_level_and_height_cost_guards(capsys, argv):
+    # refused up front: no output, no partial table
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cost guard: ")
+
+
+def test_cost_guards_admit_their_limits(capsys):
+    for argv in (
+        ["spectrum", "dirac", "--n", "3", "--count", "500"],
+        ["intertwinor", "first-order", "--n", "3", "--jmax", "500"],
+        ["intertwinor", "dirac-odd", "--n", "3", "--k", "2", "--lambda-max", "1003/2"],
+        ["refute", "--n", "3", "--lambda", "1000000/3"],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert out
+
+
 def test_verify_spinor_refuses_cap_above_two(capsys):
     # the guard refuses the work; it must not run a smaller cap instead
     code, out, err = run(capsys, "verify", "spinor", "--n", "2", "--N", "3")
@@ -257,24 +293,16 @@ def test_jobs_flag_parallel_scopes(capsys):
 
 
 def test_jobs_parallel_multi_scope(capsys):
-    code, out, _ = run(
-        capsys,
-        "--jobs",
-        "3",
-        "verify",
-        "all",
-        "--n",
-        "2",
-        "--cap",
-        "2",
-        "--N",
-        "1",
-        "--quick",
-    )
+    argv = ("verify", "all", "--n", "2", "--cap", "2", "--N", "1", "--quick")
+    code, out, _ = run(capsys, "--jobs", "3", *argv)
     assert code == 0
     payload = json.loads(out)
     assert payload["all_passed"] is True
     assert {"scalar", "spinor", "entropy"} <= set(payload)
+    # reports pickled back from the worker processes print as in one process
+    code, serial, _ = run(capsys, "--jobs", "1", *argv)
+    assert code == 0
+    assert out == serial
 
 
 def test_intertwinor_entropy_derivative_and_first_order(capsys):
@@ -327,8 +355,9 @@ _FAMILIES = [
     "scalar", "scalar-normalized", "product", "residue", "entropy-derivative",
     "first-order", "dirac", "dirac-odd", "adjacent", "nope",
 ]
-# verify only where the guard refuses or parsing fails, so no suite runs
-_REFUSED_VERIFY = [
+# verify only where the guard refuses or parsing fails, so no suite runs;
+# other commands past their cost guards
+_REFUSED = _GUARDED + [
     ["verify", "scalar", "--n", "7"],
     ["verify", "scalar", "--n", "5", "--cap", "40"],
     ["verify", "all", "--n", "9"],
@@ -350,7 +379,7 @@ _argv = st.tuples(
             _flags(n=_small, r=_number, k=_number, j0=_small, jmax=_small, lambda_max=_number, **{"lambda": _number}),
         ),
         st.tuples(st.just(["refute"]), _flags(n=_small, **{"lambda": _number})),
-        st.tuples(st.sampled_from(_REFUSED_VERIFY), st.just([])),
+        st.tuples(st.sampled_from(_REFUSED), st.just([])),
     ),
 ).map(lambda t: [a for part in t[0] for a in part] + t[1][0] + t[1][1])
 

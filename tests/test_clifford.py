@@ -492,6 +492,38 @@ def test_wrong_dirac_column_fails_the_suite(
     assert json.loads(capsys.readouterr().out)["all_passed"] is False
 
 
+def test_wrong_dirac_column_with_cold_eigenbases_fails_the_suite(monkeypatch, capsys):
+    # built under a wrong P, an eigenbasis fails its foothold check: called
+    # directly that raises, but the suite reports it as failed checks (exit 1)
+    from speclab.cli import main
+
+    clifford._eigenspinor_basis_cached.cache_clear()
+    clifford._DIRAC_CACHE.clear()
+    clifford._DIRAC_COLUMNS.clear()
+    _corrupt_dirac_column(monkeypatch, (2, 0, (0, 1, 0)))
+    try:
+        with pytest.raises(clifford.FootholdError):
+            eigenspinor_basis(2, 0, 1)
+        assert main(["--jobs", "1", "verify", "spinor", "--n", "2", "--N", "1"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        failed = {
+            c["identity_id"]: c["counterexample"]
+            for c in payload["spinor"]["checks"]
+            if c["status"] == "fail"
+        }
+        for check in (
+            "ladder_suite_j=0_sign=1",
+            "compressed_u_is_gap_times_x",
+            "coordinate_adjacency",
+            "adjacent_span_rank",
+        ):
+            assert "foothold vector fails the eigen test" in failed[check]["error"]
+    finally:
+        clifford._eigenspinor_basis_cached.cache_clear()
+        clifford._DIRAC_CACHE.clear()
+        clifford._DIRAC_COLUMNS.clear()
+
+
 def test_basis_caches_stay_bounded(monkeypatch):
     from functools import lru_cache
 

@@ -7,18 +7,15 @@ import pytest
 
 from speclab import _kernel
 from speclab import _kernel_py
-from speclab.scalars import CRat
 
 cy = pytest.importorskip("speclab._kernel_cy")
 
 
-def rand_terms(rng, nvars=4, nterms=25, crat=False):
+def rand_terms(rng, nvars=4, nterms=25):
     terms = {}
     for _ in range(nterms):
         e = tuple(rng.randint(0, 3) for _ in range(nvars))
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        if crat:
-            c = CRat(c, Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
         if c:
             terms[e] = c
     return terms
@@ -33,17 +30,6 @@ def test_fraction_lane_parity(seed):
     assert cy.add_scaled_terms(a, b, c) == _kernel_py.add_scaled_terms(a, b, c)
     assert cy.scale_terms(a, c) == _kernel_py.scale_terms(a, c)
     assert cy.reduce_terms(a, 3) == _kernel_py.reduce_terms(a, 3)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_crat_lane_parity(seed):
-    rng = random.Random(100 + seed)
-    a, b = rand_terms(rng, crat=True), rand_terms(rng, crat=True)
-    c = CRat(Fraction(2, 3), Fraction(-1, 2))
-    assert cy.crat_mul_terms(a, b) == _kernel_py.mul_terms(a, b)
-    assert cy.crat_add_scaled_terms(a, b, c) == _kernel_py.add_scaled_terms(a, b, c)
-    assert cy.crat_scale_terms(a, c) == _kernel_py.scale_terms(a, c)
-    assert cy.crat_reduce_terms(a, 3) == _kernel_py.reduce_terms(a, 3)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -74,24 +60,6 @@ def test_rref_parity_on_degenerate_matrices():
     assert a == b
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_crat_rref_parity(seed):
-    rng = random.Random(300 + seed)
-    rows_a = [
-        [
-            CRat(
-                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-            )
-            for _ in range(10)
-        ]
-        for _ in range(7)
-    ]
-    rows_b = [list(r) for r in rows_a]
-    assert cy.crat_rref(rows_a) == _kernel_py.rref(rows_b)
-    assert rows_a == rows_b
-
-
 def test_fraction_results_are_canonical():
     # compiled arithmetic must hand back normalized Fractions
     rng = random.Random(42)
@@ -117,8 +85,3 @@ def test_explicit_zero_inputs_never_survive_reduction():
         out = impl(dict(terms), 3)
         assert all(v for v in out.values())
         assert out == {(0, 2, 0, 0): Fraction(2)}
-    czero = CRat(0)
-    cterms = {(2, 0, 0, 0): czero, (0, 1, 0, 0): CRat(1, 1)}
-    for impl in (cy.crat_reduce_terms, _kernel_py.reduce_terms):
-        out = impl(dict(cterms), 3)
-        assert all(bool(v) for v in out.values())
