@@ -9,7 +9,6 @@ intertwinor families (differential and nonlocal, scalar and spinor), and
 numerically certifies the sharp logarithmic entropy inequality on S^2.
 """
 
-from ._kernel import BACKEND as kernel_backend
 from .polynomial import (
     HarmonicDecomposition,
     SpherePoly,
@@ -76,5 +75,8 @@ from .entropy import (
 from .report import VerificationReport
 
 __version__ = "0.1.0"
+
+# the one kernel implementation (``speclab._kernel``) is pure Python
+kernel_backend = "python"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

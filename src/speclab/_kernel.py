@@ -1,63 +1,221 @@
-"""Kernel selector: compiled twin when available, pure Python otherwise.
+"""Hot kernels: sparse term-map arithmetic and row echelon.
 
-Set SPECLAB_PURE_PYTHON=1 to force the fallback (used by the benchmark
-and the parity tests).  The compiled kernel has one coefficient lane,
-Fraction.  Everything else routes to the coefficient-generic pure
-implementation: CRat term maps (spinor coefficients, whose int-triple
-arithmetic lives in ``scalars.CRat``), mixed maps and floats from
-spectral images.
+These are the inner loops everything else reduces to: merging sparse
+exponent-keyed term maps, rewriting even powers of x0 through the sphere
+relation, and exact Gaussian elimination.  They are pure Python and
+coefficient-generic: anything with field arithmetic works (Fraction,
+CRat, float), and CRat maps run on CRat's own int arithmetic.  Callers
+look the functions up on this module at call time
+(``_kernel.mul_terms(...)``), so a wrapper bound here sees every call.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-
-from . import _kernel_py as _py
-
-_cy = None
-if not os.environ.get("SPECLAB_PURE_PYTHON"):
-    try:
-        from . import _kernel_cy as _cy  # type: ignore[no-redef]
-    except ImportError:
-        _cy = None
-
-BACKEND = "cython" if _cy is not None else "python"
+from math import comb, factorial
 
 
-def _frac(terms: dict) -> bool:
-    """True when the map's coefficients are Fractions (or it is empty)."""
-    for v in terms.values():
-        return type(v) is Fraction
-    return True
-
-
-def mul_terms(a: dict, b: dict) -> dict:
-    if _cy is not None and _frac(a) and _frac(b):
-        return _cy.mul_terms(a, b)
-    return _py.mul_terms(a, b)
+def _unit_sign(c, v) -> int:
+    """1 or -1 when multiplying coefficients of the type of ``v`` by c only
+    copies or negates them, else 0.  That is c = +-1 given as an int, a
+    Fraction or that same type: a float 1.0 would turn Fraction
+    coefficients into floats, and CRat(1) would turn them into CRat."""
+    t = type(c)
+    if t is int or t is Fraction or t is type(v):
+        if c == 1:
+            return 1
+        if c == -1:
+            return -1
+    return 0
 
 
 def add_scaled_terms(a: dict, b: dict, c) -> dict:
-    if _cy is not None and type(c) is Fraction and _frac(a) and _frac(b):
-        return _cy.add_scaled_terms(a, b, c)
-    return _py.add_scaled_terms(a, b, c)
+    """Return a + c*b as a fresh term map (zero coefficients dropped).
+
+    One merge loop per case, so c = +-1 costs no multiply and no extra
+    pass over b."""
+    out = dict(a)
+    if not c or not b:
+        return out
+    sign = _unit_sign(c, next(iter(b.values())))
+    if sign == 1:
+        for e, cb in b.items():
+            prev = out.get(e)
+            if prev is None:
+                out[e] = cb
+            else:
+                s = prev + cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    elif sign == -1:
+        for e, cb in b.items():
+            prev = out.get(e)
+            if prev is None:
+                out[e] = -cb
+            else:
+                s = prev - cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    else:
+        for e, cb in b.items():
+            prev = out.get(e)
+            if prev is None:
+                out[e] = c * cb
+            else:
+                s = prev + c * cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
 
 
 def scale_terms(a: dict, c) -> dict:
-    if _cy is not None and type(c) is Fraction and _frac(a):
-        return _cy.scale_terms(a, c)
-    return _py.scale_terms(a, c)
+    if not c or not a:
+        return {}
+    sign = _unit_sign(c, next(iter(a.values())))
+    if sign == 1:
+        return dict(a)
+    if sign == -1:
+        return {e: -v for e, v in a.items()}
+    return {e: c * v for e, v in a.items()}
+
+
+def mul_terms(a: dict, b: dict) -> dict:
+    """Raw sparse product (no sphere reduction)."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            c = ca * cb
+            prev = out.get(e)
+            if prev is None:
+                out[e] = c
+            else:
+                s = prev + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
+# cache of the expansions (1 - x1^2 - ... - xn^2)^k, keyed by (n, k);
+# entries are lists of (exponent tuple, integer coefficient), oldest
+# dropped first beyond the limit
+_POW_CACHE: dict = {}
+_POW_LIMIT = 256
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _pow_one_minus_s(n: int, k: int):
+    key = (n, k)
+    hit = _POW_CACHE.get(key)
+    if hit is not None:
+        return hit
+    rows = []
+    for t in range(k + 1):
+        base = comb(k, t) * (-1) ** t
+        for beta in _compositions(t, n):
+            coeff = base * factorial(t)
+            for bi in beta:
+                coeff //= factorial(bi)
+            exps = (0,) + tuple(2 * bi for bi in beta)
+            rows.append((exps, coeff))
+    if len(_POW_CACHE) >= _POW_LIMIT:
+        del _POW_CACHE[next(iter(_POW_CACHE))]
+    _POW_CACHE[key] = rows
+    return rows
 
 
 def reduce_terms(terms: dict, n: int) -> dict:
-    if _cy is not None and _frac(terms):
-        return _cy.reduce_terms(terms, n)
-    return _py.reduce_terms(terms, n)
+    """Canonical form modulo the sphere relation: x0^2 -> 1 - sum x_i^2.
+
+    The quotient ring is free over {1, x0} as a module over the other
+    variables, so splitting each exponent e0 = 2k + r and expanding
+    (1 - s)^k is exactly the unique division remainder.
+    """
+    out: dict = {}
+    for e, c in terms.items():
+        e0 = e[0]
+        if e0 < 2:
+            prev = out.get(e)
+            if prev is None:
+                if c:
+                    out[e] = c
+            else:
+                s = prev + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+            continue
+        k, r = divmod(e0, 2)
+        for pe, pc in _pow_one_minus_s(n, k):
+            ne = (r,) + tuple(x + y for x, y in zip(e[1:], pe[1:]))
+            cc = c * pc
+            prev = out.get(ne)
+            if prev is None:
+                if cc:
+                    out[ne] = cc
+            else:
+                s = prev + cc
+                if s:
+                    out[ne] = s
+                else:
+                    del out[ne]
+    return out
 
 
 def rref(rows: list) -> list:
-    """Row echelon over any exact field; compiled lane for Fraction rows."""
-    if _cy is not None and rows and all(type(v) is Fraction for v in rows[0]):
-        return _cy.frac_rref(rows)
-    return _py.rref(rows)
+    """In-place reduced row echelon form; returns the pivot column list.
+
+    Works over any exact field.  Deterministic: scans columns left to
+    right, takes the first nonzero entry as pivot.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for col in range(ncols):
+        if r == nrows:
+            break
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][col]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        inv = prow[col]
+        if inv != 1:
+            rows[r] = prow = [v / inv for v in prow]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][col]
+            if f:
+                ri = rows[i]
+                rows[i] = [x - f * y if y else x for x, y in zip(ri, prow)]
+        pivots.append(col)
+        r += 1
+    return pivots
+

@@ -34,6 +34,10 @@ MAX_SPINOR_DIM = 400
 # ... beyond this many spectrum levels (spectrum --count, intertwinor
 # --jmax, and --lambda-max - n/2 for the dirac families) ...
 MAX_LEVELS = 500
+# ... beyond this size of an intertwinor order parameter (--r, --k and
+# --j0: an exact order-2r eigenvalue is a product of 2r factors, and the
+# residue at j0 a quotient of factorials of about 2 j0) ...
+MAX_ORDER = 100
 # ... and for refute candidates whose numerator or denominator exceeds
 # this (the descent takes about sqrt(lambda) steps)
 MAX_REFUTE_HEIGHT = 10**6
@@ -110,20 +114,29 @@ def cmd_spectrum(args) -> int:
 def cmd_intertwinor(args) -> int:
     n = args.n
     fam = args.family
-    if fam in ("scalar", "scalar-normalized", "product") and args.r is None:
-        print(f"error: --r is required for the {fam} family", file=sys.stderr)
-        return 2
+    order = None
+    if fam in ("scalar", "scalar-normalized", "product"):
+        if args.r is None:
+            print(f"error: --r is required for the {fam} family", file=sys.stderr)
+            return 2
+        order, flag = parse_number(args.r), "--r"
+    elif fam in ("dirac", "dirac-odd") and args.k is not None:
+        order, flag = parse_number(args.k), "--k"
+    elif fam == "residue":
+        order, flag = args.j0, "--j0"
+    if order is not None and abs(order) > MAX_ORDER:
+        return _refuse(f"{flag} {order} exceeds {MAX_ORDER} in absolute value")
     if fam in ("dirac", "dirac-odd"):
         if parse_number(args.lambda_max) - Fraction(n, 2) > MAX_LEVELS:
             return _refuse(f"--lambda-max {args.lambda_max} spans more than {MAX_LEVELS} levels")
     elif fam != "adjacent" and args.jmax > MAX_LEVELS:
         return _refuse(f"--jmax {args.jmax} exceeds {MAX_LEVELS} levels")
     if fam == "scalar":
-        table = SpectrumTable.scalar(n, parse_number(args.r), args.jmax)
+        table = SpectrumTable.scalar(n, order, args.jmax)
     elif fam == "scalar-normalized":
-        table = SpectrumTable.scalar_normalized(n, parse_number(args.r), args.jmax)
+        table = SpectrumTable.scalar_normalized(n, order, args.jmax)
     elif fam == "product":
-        table = SpectrumTable.product_operator(n, int(parse_number(args.r)), args.jmax)
+        table = SpectrumTable.product_operator(n, int(order), args.jmax)
     elif fam == "residue":
         table = SpectrumTable.residue_family(n, args.j0, args.jmax)
     elif fam == "entropy-derivative":

@@ -212,9 +212,6 @@ class SpinorPoly:
             self.n, [a.add_scaled(b, c) for a, b in zip(self.components, other.components)]
         )
 
-    def poly_mul(self, f: SpherePoly) -> "SpinorPoly":
-        return SpinorPoly(self.n, [f * p for p in self.components])
-
     def coordinate_mul(self, i: int) -> "SpinorPoly":
         """x_i times each component, by exponent shifts."""
         return SpinorPoly(self.n, [p.coordinate_mul(i) for p in self.components])

@@ -1,9 +1,8 @@
 """Exact dense linear algebra over Fraction or CRat entries.
 
 Everything is small lists of lists; the point is exactness (ranks,
-kernels, span membership) rather than scale.  Row reduction goes through
-the kernel selector, which takes the compiled lane for Fraction or CRat
-rows.
+kernels, span membership) rather than scale.  Row reduction is
+``_kernel.rref``, which works over any exact field.
 """
 
 from __future__ import annotations

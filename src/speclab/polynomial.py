@@ -297,9 +297,6 @@ class SpherePoly:
 
     # -- calculus on the canonical representative ---------------------------
 
-    def euler_raw(self) -> dict:
-        return euler_terms(self.terms)
-
     def homogeneous_components(self) -> dict:
         return homogeneous_parts(self.terms)
 
@@ -386,10 +383,6 @@ def _analyst_laplacian(terms: dict) -> dict:
     return {e: -c for e, c in ambient_laplacian_terms(terms).items()}
 
 
-def _mul_raw(a: dict, b: dict) -> dict:
-    return _kernel.mul_terms(a, b)
-
-
 def _fischer_split_homogeneous(q: dict, d: int, n: int):
     """Fischer data of a homogeneous degree-d raw polynomial:
     q = sum_s r^{2s} h_{d-2s} with every h ambient-harmonic.
@@ -425,7 +418,7 @@ def _fischer_split_homogeneous(q: dict, d: int, n: int):
                 factor *= c(s - u, k)
             lift = h
             for _ in range(s - t):
-                lift = _mul_raw(lift, r2)
+                lift = _kernel.mul_terms(lift, r2)
             lift = {e: coe * factor for e, coe in lift.items()}
             residual[t] = _kernel.add_scaled_terms(residual[t], lift, Fraction(-1))
     return parts

@@ -498,7 +498,16 @@ class SpectrumTable:
 
     @classmethod
     def entropy_derivative(cls, n: int, jmax: int) -> "SpectrumTable":
-        rows = [(j, finite(entropy_operator_eigen(n, j))) for j in range(jmax + 1)]
+        # row j is entropy_operator_eigen(n, j), kept as a running sum
+        m = Fraction(n, 2)
+        mu = Fraction(0)
+        rows = []
+        for j in range(jmax + 1):
+            rows.append((j, finite(mu)))
+            if j < jmax:
+                if m + j == 0:
+                    raise ValueError(f"pole below level {j + 1}: n/2 + {-m} vanishes")
+                mu += Fraction(2) / (m + j)
         return cls(n=n, family="entropy_derivative", parameter=0, rows=rows)
 
     @classmethod

@@ -3,11 +3,12 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speclab.cli import main, parse_number
+from speclab.cli import MAX_ORDER, main, parse_number
 from fractions import Fraction
 
 
@@ -181,10 +182,40 @@ def test_cost_guards_admit_their_limits(capsys):
         ["intertwinor", "first-order", "--n", "3", "--jmax", "500"],
         ["intertwinor", "dirac-odd", "--n", "3", "--k", "2", "--lambda-max", "1003/2"],
         ["refute", "--n", "3", "--lambda", "1000000/3"],
+        ["intertwinor", "scalar", "--n", "3", "--r", str(MAX_ORDER), "--jmax", "2"],
+        ["intertwinor", "scalar", "--n", "3", f"--r={-MAX_ORDER}", "--jmax", "2"],
+        ["intertwinor", "product", "--n", "3", "--r", str(MAX_ORDER), "--jmax", "2"],
+        ["intertwinor", "residue", "--n", "3", "--j0", str(MAX_ORDER), "--jmax", "2"],
+        ["intertwinor", "dirac-odd", "--n", "3", "--k", str(MAX_ORDER)],
     ):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert out
+
+
+# order parameters past MAX_ORDER, at least one request per guarded
+# family; unguarded, each ran past 10 s, died converting a huge int to
+# text, or (product --r inf) escaped main with an OverflowError
+_ORDER_GUARDED = [
+    ["scalar", "--r", "100000", "--jmax", "10"],
+    ["scalar-normalized", "--r=-100001/2", "--jmax", "10"],
+    ["product", "--r", "100000", "--jmax", "10"],
+    ["product", "--r", "inf"],
+    ["residue", "--j0", "100000", "--jmax", "10"],
+    ["dirac", "--k", "100001/2", "--lambda-max", "10"],
+    ["dirac-odd", "--k", "100000", "--lambda-max", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", _ORDER_GUARDED)
+def test_order_parameter_guards(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "intertwinor", argv[0], "--n", "2", *argv[1:])
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cost guard: ") and f"exceeds {MAX_ORDER}" in err
+    assert elapsed < 0.5
 
 
 def test_verify_spinor_refuses_cap_above_two(capsys):

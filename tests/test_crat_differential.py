@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speclab import _kernel_py
+from speclab import _kernel
 from speclab.scalars import CRat, fmt_rat, parse_crat
 
 
@@ -203,6 +203,6 @@ def test_crat_parts_are_read_only():
 def test_pure_kernel_drops_explicit_crat_zeros():
     # raw input may carry explicit zeros; reduction must drop them
     terms = {(2, 0, 0, 0): CRat(0), (0, 1, 0, 0): CRat(1, 1), (3, 0, 0, 0): CRat(0, 0)}
-    out = _kernel_py.reduce_terms(terms, 3)
+    out = _kernel.reduce_terms(terms, 3)
     assert all(bool(v) for v in out.values())
     assert out == {(0, 1, 0, 0): CRat(1, 1)}

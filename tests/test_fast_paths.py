@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from speclab import _kernel_py
+from speclab import _kernel
 from speclab.clifford import SpinorPoly, gamma_algebra
 from speclab.polynomial import SpherePoly
 from speclab.scalar_ops import T, U, coordinate_mul
@@ -65,10 +65,10 @@ def test_unit_kernels_match_general_formula():
         for c in UNITS + OTHERS:
             if crat and isinstance(c, float):
                 continue  # CRat has no float product, on any path
-            _same(_kernel_py.add_scaled_terms(a, b, c), _add_scaled_reference(a, b, c))
-            _same(_kernel_py.scale_terms(b, c), {e: c * v for e, v in b.items()})
-        assert _kernel_py.add_scaled_terms(a, b, Fraction(1)) is not a
-        assert _kernel_py.scale_terms(b, 1) is not b
+            _same(_kernel.add_scaled_terms(a, b, c), _add_scaled_reference(a, b, c))
+            _same(_kernel.scale_terms(b, c), {e: c * v for e, v in b.items()})
+        assert _kernel.add_scaled_terms(a, b, Fraction(1)) is not a
+        assert _kernel.scale_terms(b, 1) is not b
 
 
 def test_fused_u_matches_field_plus_coordinate_term():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from speclab import _kernel
 from speclab.polynomial import (
     SpherePoly,
     ambient_laplacian_terms,
@@ -74,6 +75,16 @@ def test_x0_cubed_single_substitution():
     # oracle: both representatives agree at random rational sphere points
     for pt in rational_sphere_points(20, seed=3):
         assert got.eval_exact(pt) == pt[0] ** 3
+
+
+def test_explicit_zero_inputs_never_survive_reduction():
+    # raw user input may carry explicit zeros; reduction must drop them
+    zero = Fraction(0)
+    terms = {(1, 0, 0, 0): zero, (3, 1, 0, 0): zero, (0, 2, 0, 0): Fraction(2)}
+    out = _kernel.reduce_terms(dict(terms), 3)
+    assert out == {(0, 2, 0, 0): Fraction(2)}
+    assert SpherePoly(3, dict(terms)).terms == out
+    assert SpherePoly(3, {(2, 0, 0, 0): zero, (0, 1, 0, 0): 0}).terms == {}
 
 
 def test_reduce_is_idempotent_seeded():
@@ -282,13 +293,11 @@ def test_normal_monomial_count():
 
 
 def test_pow_cache_stays_bounded(monkeypatch):
-    from speclab import _kernel_py
-
     raws = [{(k, 1) + (0,) * (n - 1): Fraction(1, k)} for n in (2, 3, 4) for k in range(2, 9)]
-    want = [_kernel_py.reduce_terms(raw, len(next(iter(raw))) - 1) for raw in raws]
-    monkeypatch.setattr(_kernel_py, "_POW_CACHE", {})
-    monkeypatch.setattr(_kernel_py, "_POW_LIMIT", 2)
+    want = [_kernel.reduce_terms(raw, len(next(iter(raw))) - 1) for raw in raws]
+    monkeypatch.setattr(_kernel, "_POW_CACHE", {})
+    monkeypatch.setattr(_kernel, "_POW_LIMIT", 2)
     for _ in range(2):
         for raw, terms in zip(raws, want):
-            assert _kernel_py.reduce_terms(raw, len(next(iter(raw))) - 1) == terms
-            assert len(_kernel_py._POW_CACHE) <= 2
+            assert _kernel.reduce_terms(raw, len(next(iter(raw))) - 1) == terms
+            assert len(_kernel._POW_CACHE) <= 2

@@ -185,6 +185,28 @@ def test_entropy_eigen_difference_rule():
             assert diff == Fraction(4) / gap
 
 
+def test_entropy_derivative_table_matches_reference():
+    # the table keeps a running sum; each row must equal the direct sum
+    for n in range(2, 7):
+        table = SpectrumTable.entropy_derivative(n, 40)
+        assert [level for level, _ in table.rows] == list(range(41))
+        for j, sv in table.rows:
+            assert sv == finite(entropy_operator_eigen(n, j))
+
+
+def test_entropy_derivative_table_refuses_a_pole_as_the_reference_does():
+    # n = -4: n/2 + 2 vanishes, so levels 0..2 exist and level 3 does not
+    table = SpectrumTable.entropy_derivative(-4, 2)
+    assert [sv.value for _, sv in table.rows] == [
+        entropy_operator_eigen(-4, j) for j in range(3)
+    ]
+    with pytest.raises(ValueError) as want:
+        entropy_operator_eigen(-4, 3)
+    with pytest.raises(ValueError) as got:
+        SpectrumTable.entropy_derivative(-4, 3)
+    assert str(got.value) == str(want.value)
+
+
 def test_log_bound_examples():
     import math
 
