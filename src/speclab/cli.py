@@ -38,6 +38,8 @@ MAX_LEVELS = 500
 # --j0: an exact order-2r eigenvalue is a product of 2r factors, and the
 # residue at j0 a quotient of factorials of about 2 j0) ...
 MAX_ORDER = 100
+# ... beyond this --n for the residue family (level j holds (n+j+j0-1)!) ...
+MAX_DIMENSION = 1000
 # ... and for refute candidates whose numerator or denominator exceeds
 # this (the descent takes about sqrt(lambda) steps)
 MAX_REFUTE_HEIGHT = 10**6
@@ -126,6 +128,8 @@ def cmd_intertwinor(args) -> int:
         order, flag = args.j0, "--j0"
     if order is not None and abs(order) > MAX_ORDER:
         return _refuse(f"{flag} {order} exceeds {MAX_ORDER} in absolute value")
+    if fam == "residue" and n > MAX_DIMENSION:
+        return _refuse(f"--n {n} exceeds {MAX_DIMENSION} for the residue family")
     if fam in ("dirac", "dirac-odd"):
         if parse_number(args.lambda_max) - Fraction(n, 2) > MAX_LEVELS:
             return _refuse(f"--lambda-max {args.lambda_max} spans more than {MAX_LEVELS} levels")

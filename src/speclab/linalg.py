@@ -92,9 +92,22 @@ def coords_in_span_multi(basis_rows: list, targets: list) -> list:
     return out
 
 
-def coords_in_span(basis_rows: list, target: list):
-    """Coordinates of target in the row span, or None if outside."""
-    return coords_in_span_multi(basis_rows, [target])[0]
+def echelon_coords(rows: list, targets: list) -> list:
+    """Coordinates of each target in the span of nonzero rows in reduced
+    echelon form, or None where outside: the target's entries at the
+    pivots (each row's first nonzero entry, a 1 alone in its column),
+    kept when the exact residual vanishes."""
+    sparse = [[(k, x) for k, x in enumerate(row) if x] for row in rows]
+    out = []
+    for t in targets:
+        coeffs = [t[row[0][0]] for row in sparse]
+        residual = list(t)
+        for c, row in zip(coeffs, sparse):
+            if c:
+                for k, x in row:
+                    residual[k] -= c * x
+        out.append(None if any(residual) else coeffs)
+    return out
 
 
 def mat_mul(a: list, b: list) -> list:

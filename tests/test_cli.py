@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speclab.cli import MAX_ORDER, main, parse_number
+from speclab.cli import MAX_DIMENSION, MAX_ORDER, main, parse_number
 from fractions import Fraction
 
 
@@ -153,8 +153,9 @@ def test_verify_cost_guard(capsys):
     assert "basis" in err or "guard" in err
 
 
-# requests past the level and refute-height guards; unguarded, the largest
-# ran past 5 s (the first refute candidate was still running after 30 s)
+# requests past the level, dimension and refute-height guards; unguarded,
+# the largest ran past 5 s (the first refute candidate was still running
+# after 30 s)
 _GUARDED = [
     ["spectrum", "scalar", "--n", "3", "--count", "3000000"],
     ["spectrum", "dirac", "--n", "3", "--count", "501"],
@@ -164,6 +165,11 @@ _GUARDED = [
     ["intertwinor", "dirac-odd", "--n", "3", "--k", "2", "--lambda-max", "1005/2"],
     ["refute", "--n", "3", "--lambda", "10000000001/2"],
     ["refute", "--n", "3", "--lambda", "1000000000001/1000000000000"],
+    # unguarded, the first ran past 10 s and the second died converting a
+    # factorial of about n to text
+    ["intertwinor", "residue", "--n", "1000000", "--j0", "3", "--jmax", "10"],
+    ["intertwinor", "residue", "--n", "100000"],
+    ["intertwinor", "residue", "--n", str(MAX_DIMENSION + 1)],
 ]
 
 
@@ -187,6 +193,7 @@ def test_cost_guards_admit_their_limits(capsys):
         ["intertwinor", "product", "--n", "3", "--r", str(MAX_ORDER), "--jmax", "2"],
         ["intertwinor", "residue", "--n", "3", "--j0", str(MAX_ORDER), "--jmax", "2"],
         ["intertwinor", "dirac-odd", "--n", "3", "--k", str(MAX_ORDER)],
+        ["intertwinor", "residue", "--n", str(MAX_DIMENSION), "--j0", str(MAX_ORDER), "--jmax", "500"],
     ):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv

@@ -1,6 +1,7 @@
 """Gamma algebra, the algebraic Dirac model, spinor ladders, truncation
 models with certified spectra."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from speclab.clifford import (
     verify_spinor_identities,
     y_apply,
 )
+from speclab.linalg import nullspace
 from speclab.polynomial import SpherePoly, normal_monomials
 from speclab.report import VerificationReport
 from speclab.scalars import CRat, parse_crat
@@ -266,6 +268,61 @@ def test_truncation_spectrum_examples():
     ]
 
 
+def _kernel_rows(m):
+    """Reference spectrum: the nullity of (P - mu) at each lattice point."""
+    rows = []
+    for j in range(m.N + 2):
+        for sign in (1, -1):
+            mu = dirac_eigenvalue(m.n, j, sign)
+            shifted = [
+                [m.p_matrix[i][k] - (CRat(mu) if i == k else CRat(0)) for k in range(m.dim)]
+                for i in range(m.dim)
+            ]
+            mult = len(nullspace(shifted, ncols=m.dim))
+            if mult:
+                rows.append((mu, mult, True))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("n, N", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (4, 1)])
+def test_truncation_spectrum_matches_kernel_dimensions(n, N):
+    m = truncation_matrices(n, N)
+    want = _kernel_rows(m)
+    assert sum(mult for _, mult, _ in want) == m.dim
+    assert m.spectrum() == want
+
+
+def test_truncation_spectrum_refuses_a_jordan_block():
+    # eigenvalues on the lattice, but P - 1 is not diagonalizable
+    one, zero = CRat(1), CRat(0)
+    jordan = [
+        [one, one, zero, zero],
+        [zero, one, zero, zero],
+        [zero, zero, -one, zero],
+        [zero, zero, zero, -one],
+    ]
+    m = dataclasses.replace(truncation_matrices(2, 0), p_matrix=jordan)
+    with pytest.raises(clifford.SpectrumError, match="Jordan block"):
+        m.spectrum()
+
+
+def test_truncation_spectrum_runs_without_a_float_eigensolver(monkeypatch):
+    import numpy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("floating-point eigensolver called")
+
+    monkeypatch.setattr(numpy.linalg, "eigvals", refuse)
+    assert truncation_matrices(2, 2).spectrum() == [
+        (Fraction(-3), 6, True),
+        (Fraction(-2), 4, True),
+        (Fraction(-1), 2, True),
+        (Fraction(1), 2, True),
+        (Fraction(2), 4, True),
+        (Fraction(3), 6, True),
+    ]
+
+
 def test_truncation_spectrum_csv():
     m = truncation_matrices(2, 0)
     lines = m.spectrum_csv().strip().splitlines()
@@ -282,8 +339,6 @@ def test_compressed_coordinate_matrix_between_contained_levels():
     x0 = m.coordinate_matrix(0)
     u0 = m.u_matrix(0)
     # eigenvectors of the model at +-1
-    from speclab.linalg import nullspace
-
     saw_nonzero_x = False
     for lam in (Fraction(1), Fraction(-1)):
         shifted = [
@@ -304,6 +359,9 @@ def test_compressed_coordinate_matrix_between_contained_levels():
 def test_operator_matrix_matches_stored_dirac():
     m = truncation_matrices(2, 1)
     assert m.operator_matrix(dirac_apply) == m.p_matrix
+    # no finite space is invariant under coordinate multiplication
+    with pytest.raises(ValueError, match="escapes the model space"):
+        m.operator_matrix(lambda s: s.coordinate_mul(0))
 
 
 def test_decompose_outside_range_raises():
@@ -490,6 +548,33 @@ def test_wrong_dirac_column_fails_the_suite(
     clifford._DIRAC_CACHE.clear()
     assert main(["--jobs", "1", "verify", "spinor", "--n", "2", "--N", "1"]) == 1
     assert json.loads(capsys.readouterr().out)["all_passed"] is False
+
+
+def test_wrong_dirac_column_model_is_refused_or_matches_kernels(monkeypatch, cold_dirac_caches):
+    # every column the n=2, N=1 suite builds, corrupted in turn: the model
+    # either refuses to certify or agrees with the kernel dimensions
+    verify_spinor_identities(2, 1, k_max=1)
+    keys = sorted(clifford._DIRAC_COLUMNS)
+    assert len(keys) == 50
+    reasons = set()
+    for bad_key in keys:
+        clifford._DIRAC_CACHE.clear()
+        clifford._DIRAC_COLUMNS.pop(bad_key, None)
+        with monkeypatch.context() as mp:
+            _corrupt_dirac_column(mp, bad_key)
+            try:
+                m = truncation_matrices(2, 1)
+                rows = m.spectrum()
+            except clifford.SpectrumError as exc:
+                reasons.add(str(exc).split(":")[0])
+            else:
+                assert rows == _kernel_rows(m), bad_key
+        clifford._DIRAC_CACHE.clear()
+        clifford._DIRAC_COLUMNS.pop(bad_key, None)
+    assert reasons == {
+        "model space is not P-invariant",
+        "eigenvalue off the lattice or a Jordan block",
+    }
 
 
 def test_wrong_dirac_column_with_cold_eigenbases_fails_the_suite(monkeypatch, capsys):
