@@ -169,7 +169,7 @@ def _verify_scalar(n: int, cap: int):
 def _verify_spinor(n: int, cap: int):
     from .clifford import verify_spinor_identities
 
-    return verify_spinor_identities(n, cap, k_max=cap)
+    return verify_spinor_identities(n, cap)
 
 
 def _verify_entropy(order: int, cutoff: int, quick: bool):

@@ -5,6 +5,10 @@ plus the quadratic form of the derivative-at-zero-order spectral family,
 with equality exactly on constant multiples of conformal factors.  All
 integrals use normalized measure.
 
+This layer is fixed to S^2 (n = 2): the quadrature rule and the harmonic
+projector exist only there, so no function takes a dimension, and the
+S^n spectral families are evaluated at n = 2.
+
 Verification strategy (desk scale, honest about its error budget):
 
 * a Gauss-Legendre x uniform-azimuth product rule whose exactness on
@@ -121,8 +125,8 @@ class ConformalFactor:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.values(points)
 
-    def unit_mass_error(self, rule: QuadratureRule, n: int = 2) -> float:
-        return abs(rule.integrate(self.values(rule.nodes) ** n) - 1.0)
+    def unit_mass_error(self, rule: QuadratureRule) -> float:
+        return abs(rule.integrate(self.values(rule.nodes) ** 2) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,24 +265,23 @@ def entropy_sides(
     rule: QuadratureRule,
     cutoff: int = 25,
     projector: SphereProjector | None = None,
-    n: int = 2,
 ) -> tuple:
-    """Left and right sides of the sharp entropy inequality for positive f:
-    (4/n) int f^2 log f  <=  (2/n)(int f^2) log int f^2 + <f, H f>."""
-    lhs, rhs, _ = _entropy_sides_and_residual(f, rule, cutoff, projector, n)
+    """Left and right sides of the sharp entropy inequality for positive f
+    on S^2 (n = 2): 2 int f^2 log f  <=  (int f^2) log int f^2 + <f, H f>."""
+    lhs, rhs, _ = _entropy_sides_and_residual(f, rule, cutoff, projector)
     return lhs, rhs
 
 
-def _entropy_sides_and_residual(f, rule, cutoff, projector, n) -> tuple:
+def _entropy_sides_and_residual(f, rule, cutoff, projector) -> tuple:
     vals = _node_values(f, rule)
     if np.min(vals) <= 0:
         raise ValueError("f must be positive at every quadrature node")
     i2 = rule.integrate(vals * vals)
-    lhs = (4.0 / n) * rule.integrate(vals * vals * np.log(vals))
+    lhs = 2.0 * rule.integrate(vals * vals * np.log(vals))
     spectral, residual = _spectral_quadratic(
-        f, rule, lambda j: float(entropy_operator_eigen(n, j)), cutoff, projector
+        f, rule, lambda j: float(entropy_operator_eigen(2, j)), cutoff, projector
     )
-    rhs = (2.0 / n) * i2 * math.log(i2) + spectral
+    rhs = i2 * math.log(i2) + spectral
     return lhs, rhs, residual
 
 
@@ -287,21 +290,20 @@ def giveaway_sides(
     rule: QuadratureRule,
     cutoff: int = 25,
     projector: SphereProjector | None = None,
-    n: int = 2,
 ) -> tuple:
-    """The weaker logarithmic form: (2/n) int f^2 log f <=
-    (1/n)(int f^2) log int f^2 + <f, log(2 A_1/(n-1)) f>."""
+    """The weaker logarithmic form on S^2 (n = 2): int f^2 log f <=
+    (1/2)(int f^2) log int f^2 + <f, log(2 A_1) f>."""
     vals = _node_values(f, rule)
     if np.min(vals) <= 0:
         raise ValueError("f must be positive at every quadrature node")
     i2 = rule.integrate(vals * vals)
-    lhs = (2.0 / n) * rule.integrate(vals * vals * np.log(vals))
+    lhs = rule.integrate(vals * vals * np.log(vals))
 
     def log_eigen(j):
-        return math.log((n - 1 + 2 * j) / (n - 1))
+        return math.log(1 + 2 * j)
 
     spectral, _ = _spectral_quadratic(f, rule, log_eigen, cutoff, projector)
-    rhs = (1.0 / n) * i2 * math.log(i2) + spectral
+    rhs = 0.5 * i2 * math.log(i2) + spectral
     return lhs, rhs
 
 
@@ -311,13 +313,12 @@ def beckner_check(
     rule: QuadratureRule,
     cutoff: int = 25,
     projector: SphereProjector | None = None,
-    n: int = 2,
 ) -> tuple:
-    """Sides of the sharp fractional-integral inequality at order 2r:
-    int F^{(n-2r)/2} B_{2r} F^{(n-2r)/2}  >=  (int F^n)^{(n-2r)/n}."""
-    if not 0 < float(r) < n / 2:
-        raise ValueError("r must lie in (0, n/2)")
-    return _beckner_sides(F, r, rule, cutoff, projector, n)
+    """Sides of the sharp fractional-integral inequality at order 2r on S^2
+    (n = 2): int F^{1-r} B_{2r} F^{1-r}  >=  (int F^2)^{1-r}."""
+    if not 0 < float(r) < 1:
+        raise ValueError("r must lie in (0, 1)")
+    return _beckner_sides(F, r, rule, cutoff, projector)
 
 
 def beckner_deficit(
@@ -326,31 +327,30 @@ def beckner_deficit(
     rule: QuadratureRule,
     cutoff: int = 25,
     projector: SphereProjector | None = None,
-    n: int = 2,
 ) -> float:
     """lhs - rhs of the order-2r inequality, extended to small r of either
     sign (the spectral family is analytic through r = 0; the inequality
     itself is only asserted for positive r).  Used by the derivative
     consistency check, which differentiates the deficit at r = 0."""
-    if not -n / 2 < float(r) < n / 2:
-        raise ValueError("r must lie in (-n/2, n/2)")
-    lhs, rhs = _beckner_sides(F, r, rule, cutoff, projector, n)
+    if not -1 < float(r) < 1:
+        raise ValueError("r must lie in (-1, 1)")
+    lhs, rhs = _beckner_sides(F, r, rule, cutoff, projector)
     return lhs - rhs
 
 
-def _beckner_sides(F, r, rule, cutoff, projector, n) -> tuple:
+def _beckner_sides(F, r, rule, cutoff, projector) -> tuple:
     rf = float(r)
     F_vals = _node_values(F, rule)
     if np.min(F_vals) <= 0:
         raise ValueError("F must be positive at every quadrature node")
-    g = F_vals ** ((n - 2 * rf) / 2.0)
+    g = F_vals ** ((2 - 2 * rf) / 2.0)  # F^{1-r}
 
     def b_eigen(j):
-        return float(normalized_intertwinor_eigen(n, r, j).payload)
+        return float(normalized_intertwinor_eigen(2, r, j).payload)
 
     lhs, _ = _spectral_quadratic(g, rule, b_eigen, cutoff, projector)
-    mass = rule.integrate(F_vals ** n)
-    return lhs, mass ** ((n - 2 * rf) / n)
+    mass = rule.integrate(F_vals ** 2)
+    return lhs, mass ** ((2 - 2 * rf) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def _beckner_sides(F, r, rule, cutoff, projector, n) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def battery(n: int = 2) -> list:
+def battery() -> list:
     """Thirty positive test functions on S^2: three conformal factors
     (the equality family) and twenty-seven visibly non-conformal members."""
     members = []
@@ -413,14 +413,9 @@ def battery(n: int = 2) -> list:
     return members
 
 
-def entropy_report(
-    rule: QuadratureRule | None = None,
-    cutoff: int = 25,
-    quick: bool = False,
-    order: int = 60,
-) -> dict:
+def entropy_report(cutoff: int = 25, quick: bool = False, order: int = 60) -> dict:
     """Run the battery and return the machine-readable report."""
-    rule = rule if rule is not None else build_quadrature(max(order, 2 * cutoff + 8))
+    rule = build_quadrature(max(order, 2 * cutoff + 8))
     gate = rule.validate(min(rule.order, 12))
     projector = SphereProjector(rule, cutoff + 1)
     rows = []
@@ -428,7 +423,7 @@ def entropy_report(
     if quick:
         members = members[:6]
     for name, kind, f in members:
-        lhs, rhs, residual = _entropy_sides_and_residual(f, rule, cutoff, projector, 2)
+        lhs, rhs, residual = _entropy_sides_and_residual(f, rule, cutoff, projector)
         gap = rhs - lhs
         if kind == "equality":
             status = "pass" if gap >= -1e-10 and abs(gap) < 1e-6 else "fail"

@@ -7,10 +7,7 @@ kernels, span membership) rather than scale.  Row reduction is
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import _kernel
-from .scalars import CRat
 
 
 def rref(rows: list) -> list:
@@ -32,7 +29,8 @@ def nullspace(rows: list, ncols=None) -> list:
     pivots = _kernel.rref(work)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    zero, one = _zero_one(rows[0][0])
+    kind = type(rows[0][0])
+    zero, one = kind(0), kind(1)
     basis = []
     for f in free:
         vec = [zero] * ncols
@@ -41,14 +39,6 @@ def nullspace(rows: list, ncols=None) -> list:
             vec[pc] = -work[r][f]
         basis.append(vec)
     return basis
-
-
-def _zero_one(sample):
-    if isinstance(sample, CRat):
-        return CRat(0), CRat(1)
-    if isinstance(sample, Fraction):
-        return Fraction(0), Fraction(1)
-    return type(sample)(0), type(sample)(1)
 
 
 def coords_in_span_multi(basis_rows: list, targets: list) -> list:
@@ -67,7 +57,7 @@ def coords_in_span_multi(basis_rows: list, targets: list) -> list:
     ncols = len(targets[0])
     m = len(basis_rows)
     k = len(targets)
-    zero, _one = _zero_one(basis_rows[0][0])
+    zero = type(basis_rows[0][0])(0)
     rows = []
     for j in range(ncols):
         rows.append([basis_rows[b][j] for b in range(m)] + [t[j] for t in targets])

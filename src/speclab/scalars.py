@@ -242,11 +242,6 @@ def _norm(a: int, b: int, d: int) -> CRat:
     return z
 
 
-CRAT_ZERO = CRat(0)
-CRAT_ONE = CRat(1)
-CRAT_I = CRat(0, 1)
-
-
 def parse_crat(text: str) -> CRat:
     """Inverse of ``str(CRat)``: parse 'a/b+c/d i' (or 'a/b-c/d i')."""
     s = text.strip()

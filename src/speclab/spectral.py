@@ -269,11 +269,6 @@ def dirac_step_candidates(lam) -> tuple:
     return (-lam, lam - 1, lam + 1)
 
 
-def dirac_lattice(n: int, count: int) -> list:
-    """The first `count` positive Dirac eigenvalues n/2 + j."""
-    return [Fraction(n, 2) + j for j in range(count)]
-
-
 def odd_intertwinor_eigen(k: int, lam) -> Fraction:
     """Eigenvalue of the order-(2k+1) polynomial intertwinor:
     lam * (lam^2 - 1)(lam^2 - 4) ... (lam^2 - k^2)."""
@@ -435,19 +430,6 @@ def dirac_transfer_holds(alpha, lam, mu, k, rel_tol: float | None = None) -> boo
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
-
-FAMILIES = (
-    "scalar_gamma_ratio",
-    "scalar_normalized",
-    "entropy_derivative",
-    "product_operator",
-    "dirac_gamma_ratio",
-    "dirac_odd_poly",
-    "first_order",
-    "dirac_adjacent",
-    "residue",
-)
-
 
 def fmt_value(v) -> str:
     if v is None:

@@ -62,7 +62,7 @@ class Quad:
         if d < 0:
             raise ValueError("radicand must be nonnegative")
         if d in (0, 1) or b == 0:
-            a, b, d = a + b * rational_sqrt_int(d), Fraction(0), 1
+            a, b, d = a + b * isqrt(d), Fraction(0), 1
         else:
             s, d0 = squarefree_split(d)
             if d0 == 1:
@@ -206,11 +206,6 @@ class Quad:
         if self.is_rational:
             return str(self.a)
         return {"a": str(self.a), "b": str(self.b), "d": self.d}
-
-
-def rational_sqrt_int(d: int) -> Fraction:
-    # only called when d is 0 or 1 in normalization
-    return Fraction(isqrt(d)) if d >= 0 else Fraction(0)
 
 
 def sqrt_in_field(x) -> "Quad | None":

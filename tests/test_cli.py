@@ -1,6 +1,7 @@
 """Command-line front end: output contracts, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -248,6 +249,27 @@ def test_byte_determinism(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "--jobs 1 verify spinor --n 2 --N 2",
+            "f1a4515af61ab34a342f3bdb95d524ec094514f9e8ebd6246aaff21d89d29b1f",
+        ),
+        (
+            "verify scalar --n 3 --cap 4",
+            "38483832b2ecb4ac946fd1c1adb21c6fcf01f5cba11422e443adf59fe8af2c1c",
+        ),
+    ],
+)
+def test_golden_verify_output(capsys, argv, digest):
+    # exact suites print no floats or timings, so their stdout is pinned to
+    # the byte; a refactor that must not change output is checked here
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_output_file(tmp_path, capsys):

@@ -398,7 +398,7 @@ def test_dirac_refutation_descends_below_bound():
 
 
 def test_verify_spinor_identities_n2():
-    rep = verify_spinor_identities(2, 1, k_max=1)
+    rep = verify_spinor_identities(2, 1)
     assert rep.all_passed
     shifted = "sum_i (U_i + a x_i)^2 = a^2 - P^2 - n/4"
     odd = "P_(2k+1) (U_i - (k+1/2) x_i) = (U_i + (k+1/2) x_i) P_(2k+1)"
@@ -513,7 +513,7 @@ def test_dirac_column_map_is_falsifiable(monkeypatch, cold_dirac_caches):
     # so it must fail, although the reference route is untouched
     bad_key = (2, 0, (0, 3, 0))
     _corrupt_dirac_column(monkeypatch, bad_key)
-    rep = verify_spinor_identities(2, 1, k_max=1)
+    rep = verify_spinor_identities(2, 1)
     failed = {c.identity_id: c.counterexample for c in rep.failures()}
     assert "dirac_conformal_covariance" in failed
     cx = failed["dirac_conformal_covariance"]
@@ -541,10 +541,13 @@ def test_wrong_dirac_column_fails_the_suite(
     from speclab.cli import main
 
     _corrupt_dirac_column(monkeypatch, bad_key)
-    rep = verify_spinor_identities(2, 1, k_max=1)
+    rep = verify_spinor_identities(2, 1)
     failed = {c.identity_id: c.counterexample for c in rep.failures()}
     assert "dirac_conformal_covariance" in failed
     assert detail in str(failed[check])
+    if check == "truncation_spectrum_lattice":
+        # both spectrum checks pass exactly when the spectrum certifies
+        assert failed["spectral_bound"] == failed[check]
     clifford._DIRAC_CACHE.clear()
     assert main(["--jobs", "1", "verify", "spinor", "--n", "2", "--N", "1"]) == 1
     assert json.loads(capsys.readouterr().out)["all_passed"] is False
@@ -553,7 +556,7 @@ def test_wrong_dirac_column_fails_the_suite(
 def test_wrong_dirac_column_model_is_refused_or_matches_kernels(monkeypatch, cold_dirac_caches):
     # every column the n=2, N=1 suite builds, corrupted in turn: the model
     # either refuses to certify or agrees with the kernel dimensions
-    verify_spinor_identities(2, 1, k_max=1)
+    verify_spinor_identities(2, 1)
     keys = sorted(clifford._DIRAC_COLUMNS)
     assert len(keys) == 50
     reasons = set()

@@ -134,6 +134,24 @@ def test_two_routes_agree_small_sweep():
             assert laplacian(p) == laplacian_via_conformal_fields(p)
 
 
+def test_fused_laplacians_on_random_multi_degree_polynomials():
+    # one pass over all homogeneous parts at once: mixed degrees share
+    # exponents only after the ambient Laplacian lowers them by two
+    rng = random.Random(20261018)
+    for n in (2, 3, 4, 5):
+        monos = normal_monomials(n, 6)
+        for _ in range(6):
+            terms = {
+                e: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                for e in rng.sample(monos, 7)
+            }
+            p = SpherePoly(n, {e: c for e, c in terms.items() if c}, reduced=True)
+            assert len({sum(e) for e in p.terms}) > 1
+            want = laplacian_via_conformal_fields(p)
+            assert laplacian(p) == want
+            assert conformal_laplacian(p) == want + p * bottom_eigenvalue(n)
+
+
 def test_conformal_laplacian_examples():
     for n in (2, 3, 4):
         one = SpherePoly.one(n)
@@ -407,8 +425,11 @@ def test_verify_scalar_identities_pass():
     ]
 
 
-def test_verify_scalar_corruption_fails():
-    rep = verify_scalar_identities(3, 3, corruption=Fraction(1))
+def test_verify_scalar_corruption_fails(monkeypatch):
+    # D shifted by a constant: the suite looks D up at call time
+    real = scalar_ops.conformal_laplacian
+    monkeypatch.setattr(scalar_ops, "conformal_laplacian", lambda p: real(p) + p * Fraction(1))
+    rep = verify_scalar_identities(3, 3)
     failed = {c.identity_id for c in rep.failures()}
     assert failed == {"conformal_covariance", "u_square_sum"}
     for c in rep.failures():
