@@ -9,6 +9,8 @@ intertwinor families (differential and nonlocal, scalar and spinor), and
 numerically certifies the sharp logarithmic entropy inequality on S^2.
 """
 
+import importlib as _importlib
+
 from .polynomial import (
     HarmonicDecomposition,
     SpherePoly,
@@ -61,17 +63,6 @@ from .clifford import (
     truncation_matrices,
     verify_spinor_identities,
 )
-from .entropy import (
-    ConformalFactor,
-    QuadratureRule,
-    SphereProjector,
-    apply_spectral_operator,
-    beckner_check,
-    build_quadrature,
-    entropy_report,
-    entropy_sides,
-    giveaway_sides,
-)
 from .report import VerificationReport
 
 __version__ = "0.1.0"
@@ -79,4 +70,28 @@ __version__ = "0.1.0"
 # the one kernel implementation (``speclab._kernel``) is pure Python
 kernel_backend = "python"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The entropy layer imports numpy, which nothing else needs: its names
+# are resolved on first access.
+_ENTROPY_NAMES = (
+    "ConformalFactor",
+    "QuadratureRule",
+    "SphereProjector",
+    "apply_spectral_operator",
+    "beckner_check",
+    "build_quadrature",
+    "entropy_report",
+    "entropy_sides",
+    "giveaway_sides",
+)
+
+
+def __getattr__(name):
+    if name == "entropy" or name in _ENTROPY_NAMES:
+        entropy = _importlib.import_module(".entropy", __name__)
+        return entropy if name == "entropy" else getattr(entropy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted(
+    {name for name in dir() if not name.startswith("_")} | {"entropy", *_ENTROPY_NAMES}
+)

@@ -40,9 +40,13 @@ MAX_LEVELS = 500
 MAX_ORDER = 100
 # ... beyond this --n for the residue family (level j holds (n+j+j0-1)!) ...
 MAX_DIMENSION = 1000
-# ... and for refute candidates whose numerator or denominator exceeds
+# ... for refute candidates whose numerator or denominator exceeds
 # this (the descent takes about sqrt(lambda) steps)
 MAX_REFUTE_HEIGHT = 10**6
+# ... and beyond this entropy quadrature order, max(--order, 2 --cutoff +
+# 8): the harmonic projector holds (cutoff + 2)^2 x (order/2 + 1)(order + 1)
+# floats twice, about 350 MB at this limit with the largest cutoff it admits
+MAX_ENTROPY_ORDER = 100
 
 
 def parse_number(text: str):
@@ -87,6 +91,20 @@ def _write_table(args, table: SpectrumTable) -> None:
 def _refuse(text: str) -> int:
     print(f"error: cost guard: {text}", file=sys.stderr)
     return 2
+
+
+def _entropy_guard(order: int, cutoff: int):
+    """Exit code 2 with a refusal for an entropy request past its cost guard,
+    else None."""
+    if cutoff < 0:
+        return _refuse(f"--cutoff {cutoff} is negative")
+    effective = max(order, 2 * cutoff + 8)
+    if effective > MAX_ENTROPY_ORDER:
+        return _refuse(
+            f"entropy quadrature order {effective} (max of --order and 2 --cutoff + 8) "
+            f"exceeds {MAX_ENTROPY_ORDER}"
+        )
+    return None
 
 
 def cmd_spectrum(args) -> int:
@@ -204,6 +222,10 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return 2
+    if "entropy" in scopes:
+        refused = _entropy_guard(args.order, args.cutoff)
+        if refused is not None:
+            return refused
 
     tasks = []
     if "scalar" in scopes:
@@ -293,6 +315,9 @@ def cmd_refute(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    refused = _entropy_guard(args.order, args.cutoff)
+    if refused is not None:
+        return refused
     from .entropy import entropy_report
 
     rep = entropy_report(cutoff=args.cutoff, quick=args.quick, order=args.order)

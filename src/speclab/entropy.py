@@ -42,10 +42,7 @@ from .polynomial import (
     moment_integral,
     normal_monomials,
 )
-from .spectral import (
-    entropy_operator_eigen,
-    normalized_intertwinor_eigen,
-)
+from .spectral import normalized_intertwinor_eigen
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +265,35 @@ def entropy_sides(
 ) -> tuple:
     """Left and right sides of the sharp entropy inequality for positive f
     on S^2 (n = 2): 2 int f^2 log f  <=  (int f^2) log int f^2 + <f, H f>."""
-    lhs, rhs, _ = _entropy_sides_and_residual(f, rule, cutoff, projector)
+    eigen = _entropy_eigen_floats(_levels_read(f, cutoff))
+    lhs, rhs, _ = _entropy_sides_and_residual(f, rule, cutoff, projector, eigen)
     return lhs, rhs
 
 
-def _entropy_sides_and_residual(f, rule, cutoff, projector) -> tuple:
+def _levels_read(f, cutoff: int) -> int:
+    """Highest level whose eigenvalue the spectral term of f reads: the
+    tail level past the cutoff, or the degree of an exact polynomial."""
+    return max(cutoff + 1, f.degree() if isinstance(f, SpherePoly) else 0)
+
+
+def _entropy_eigen_floats(levels: int) -> list:
+    """float(entropy_operator_eigen(2, j)) for j = 0..levels, from one
+    running sum of 2/(1 + t) rather than a fresh O(j) sum per level."""
+    mu = Fraction(0)
+    out = [0.0]
+    for j in range(1, levels + 1):
+        mu += Fraction(2, j)
+        out.append(float(mu))
+    return out
+
+
+def _entropy_sides_and_residual(f, rule, cutoff, projector, eigen: list) -> tuple:
     vals = _node_values(f, rule)
     if np.min(vals) <= 0:
         raise ValueError("f must be positive at every quadrature node")
     i2 = rule.integrate(vals * vals)
     lhs = 2.0 * rule.integrate(vals * vals * np.log(vals))
-    spectral, residual = _spectral_quadratic(
-        f, rule, lambda j: float(entropy_operator_eigen(2, j)), cutoff, projector
-    )
+    spectral, residual = _spectral_quadratic(f, rule, eigen.__getitem__, cutoff, projector)
     rhs = i2 * math.log(i2) + spectral
     return lhs, rhs, residual
 
@@ -422,8 +435,9 @@ def entropy_report(cutoff: int = 25, quick: bool = False, order: int = 60) -> di
     members = battery()
     if quick:
         members = members[:6]
+    eigen = _entropy_eigen_floats(max(_levels_read(f, cutoff) for _, _, f in members))
     for name, kind, f in members:
-        lhs, rhs, residual = _entropy_sides_and_residual(f, rule, cutoff, projector)
+        lhs, rhs, residual = _entropy_sides_and_residual(f, rule, cutoff, projector, eigen)
         gap = rhs - lhs
         if kind == "equality":
             status = "pass" if gap >= -1e-10 and abs(gap) < 1e-6 else "fail"

@@ -9,9 +9,19 @@ unique division remainder, so two polynomials represent the same function
 on the sphere exactly when their term maps coincide.
 
 Monomials are exponent tuples of length n+1.  Term maps are dicts
-``exponents -> coefficient`` with no explicit zeros; coefficients are
-``Fraction`` throughout the scalar theory and may be ``CRat`` (spinor
+``exponents -> coefficient`` with no explicit zeros.  Coefficients are
+rational throughout the scalar theory and may be ``CRat`` (spinor
 components) or floats (spectral images of transcendental eigenvalues).
+
+A rational ``SpherePoly`` keeps int numerators over one shared positive
+int denominator, content-normalized as in FLINT's ``fmpq_poly``: the
+denominator has no factor in common with all the numerators, so equal
+polynomials store equal maps.  The operators scale numerators by ints
+(by 2 for U_i and by 4 for the conformal shift n(n-2)/4 on odd n) and
+carry the factor in the denominator, so the hot loops never build a
+``Fraction``; the kernels see plain int maps.  ``CRat`` and float maps
+keep their coefficient objects.  ``SpherePoly.terms`` is a read-only view
+that gives ``Fraction`` values for rational maps.
 
 Raw (unreduced) ambient polynomials appear in a few operations that are
 sensitive to the representative: the Euler operator, the ambient
@@ -21,9 +31,11 @@ term maps.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd
+from types import MappingProxyType
 
 from . import _kernel
 from .scalars import fmt_rat
@@ -135,17 +147,99 @@ def r2_terms(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class SpherePoly:
-    """A polynomial function on the n-sphere in canonical normal form."""
+class _FractionTerms(Mapping):
+    """Read-only view of integer numerators over a shared denominator,
+    giving each coefficient as a ``Fraction``."""
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict, den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, e):
+        return Fraction(self._num[e], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+def _split(terms: dict):
+    """``(numerators, denominator)`` of a map of int and Fraction
+    coefficients over the least common denominator, zeros dropped; ``(terms,
+    None)`` for any other coefficient type."""
+    den = 1
+    for v in terms.values():
+        if type(v) is not int:
+            if not isinstance(v, (int, Fraction)):
+                return terms, None
+            d = v.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+    return {e: v.numerator * (den // v.denominator) for e, v in terms.items() if v}, den
+
+
+def _poly(n: int, num: dict, den) -> "SpherePoly":
+    """SpherePoly from a reduced map: int numerators over den, or
+    coefficient objects when den is None."""
+    p = object.__new__(SpherePoly)
+    p._set(n, num, den)
+    return p
+
+
+class SpherePoly:
+    """A polynomial function on the n-sphere in canonical normal form.
+
+    ``_num`` maps exponents to int numerators over the content-normalized
+    int ``_den``, or to coefficient objects (CRat, float) when ``_den`` is
+    None.
+    """
+
+    __slots__ = ("n", "_num", "_den", "_hash")
 
     def __init__(self, n: int, terms: dict, *, reduced: bool = False):
         if n < 2:
             raise ValueError("sphere dimension must be >= 2")
+        num, den = _split(terms)
+        if not reduced:
+            num = _kernel.reduce_terms(num, n)
+        self._set(n, num, den)
+
+    def _set(self, n: int, num: dict, den):
+        """Store a reduced map, dividing int numerators and den by their
+        common content.  An empty map is the rational zero whatever its
+        origin."""
+        if den is None:
+            if not num:
+                den = 1
+        elif den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: v // g for e, v in num.items()}
+                den //= g
         self.n = n
-        self.terms = terms if reduced else _kernel.reduce_terms(terms, n)
+        self._num = num
+        self._den = den
         self._hash = None
+
+    @property
+    def terms(self):
+        """The coefficient map ``exponents -> coefficient`` (read-only)."""
+        if self._den is None:
+            return MappingProxyType(self._num)
+        return _FractionTerms(self._num, self._den)
+
+    def _values(self) -> dict:
+        """The coefficient map as a dict, for the coefficient-object path."""
+        if self._den is None:
+            return self._num
+        return {e: Fraction(v, self._den) for e, v in self._num.items()}
 
     # -- constructors ----------------------------------------------------
 
@@ -161,7 +255,7 @@ class SpherePoly:
 
     @classmethod
     def one(cls, n: int) -> "SpherePoly":
-        return cls.constant(n, Fraction(1))
+        return cls.constant(n, 1)
 
     @classmethod
     def coordinate(cls, n: int, i: int) -> "SpherePoly":
@@ -169,7 +263,7 @@ class SpherePoly:
             raise IndexError(f"coordinate index {i} out of range for S^{n}")
         e = [0] * (n + 1)
         e[i] = 1
-        return cls(n, {tuple(e): Fraction(1)}, reduced=True)
+        return cls(n, {tuple(e): 1}, reduced=True)
 
     @classmethod
     def monomial(cls, n: int, exps, c=Fraction(1)) -> "SpherePoly":
@@ -183,36 +277,52 @@ class SpherePoly:
 
     def __add__(self, other):
         if isinstance(other, SpherePoly):
-            return self.add_scaled(other, Fraction(1))
+            return self.add_scaled(other, 1)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, SpherePoly):
-            return self.add_scaled(other, Fraction(-1))
+            return self.add_scaled(other, -1)
         return NotImplemented
 
     def __neg__(self):
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def add_scaled(self, other: "SpherePoly", c) -> "SpherePoly":
         """self + c * other in one pass over the terms of other."""
         self._check(other)
-        return SpherePoly(
-            self.n, _kernel.add_scaled_terms(self.terms, other.terms, c), reduced=True
-        )
+        a, b = self._den, other._den
+        if a is None or b is None or not isinstance(c, (int, Fraction)):
+            raw = _kernel.add_scaled_terms(self._values(), other._values(), c)
+            return _poly(self.n, raw, None)
+        # A/a + (p/q) B/b over the least common denominator of a and q b
+        qb = c.denominator * b
+        num = self._num
+        den = a if a == qb else a // gcd(a, qb) * qb
+        if den != a:
+            num = _kernel.scale_terms(num, den // a)
+        raw = _kernel.add_scaled_terms(num, other._num, c.numerator * (den // qb))
+        return _poly(self.n, raw, den)
 
     def coordinate_mul(self, i: int) -> "SpherePoly":
         """x_i times self by an exponent shift.  Only x0 can leave normal form
         (as x0^2), so only i = 0 reduces."""
         if not 0 <= i <= self.n:
             raise IndexError(f"coordinate index {i} out of range for S^{self.n}")
-        return SpherePoly(self.n, shift_terms(self.terms, i), reduced=i != 0)
+        raw = shift_terms(self._num, i)
+        if i == 0:
+            raw = _kernel.reduce_terms(raw, self.n)
+        return _poly(self.n, raw, self._den)
 
     def __mul__(self, other):
         if isinstance(other, SpherePoly):
             self._check(other)
-            raw = _kernel.mul_terms(self.terms, other.terms)
-            return SpherePoly(self.n, raw)
+            a, b = self._den, other._den
+            if a is None or b is None:
+                raw, den = _kernel.mul_terms(self._values(), other._values()), None
+            else:
+                raw, den = _kernel.mul_terms(self._num, other._num), a * b
+            return _poly(self.n, _kernel.reduce_terms(raw, self.n), den)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -227,26 +337,33 @@ class SpherePoly:
         return out
 
     def scale(self, c) -> "SpherePoly":
-        return SpherePoly(self.n, _kernel.scale_terms(self.terms, c), reduced=True)
+        if self._den is None or not isinstance(c, (int, Fraction)):
+            return _poly(self.n, _kernel.scale_terms(self._values(), c), None)
+        raw = _kernel.scale_terms(self._num, c.numerator)
+        return _poly(self.n, raw, self._den * c.denominator)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def degree(self) -> int:
         """Normal-form degree (-1 for the zero polynomial)."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self._num), default=-1)
 
     def __eq__(self, other):
         if isinstance(other, SpherePoly):
-            return self.n == other.n and self.terms == other.terms
+            if self.n != other.n:
+                return False
+            if self._den is None or other._den is None:
+                return self._values() == other._values()
+            return self._den == other._den and self._num == other._num
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, frozenset(self.terms.items())))
+            self._hash = hash((self.n, frozenset(self._values().items())))
         return self._hash
 
     def __repr__(self):
@@ -257,11 +374,12 @@ class SpherePoly:
 
     def canonical_str(self) -> str:
         """Deterministic text form: graded-lex term order, 'p/q * x0^a0 ...'."""
-        if not self.terms:
+        if not self._num:
             return "0"
+        terms = self.terms
         chunks = []
-        for e in sorted(self.terms, key=grlex_key):
-            c = self.terms[e]
+        for e in sorted(terms, key=grlex_key):
+            c = terms[e]
             mono = " ".join(f"x{i}^{k}" for i, k in enumerate(e) if k)
             cs = fmt_rat(c) if isinstance(c, Fraction) else str(c)
             chunks.append(f"{cs} * {mono}" if mono else cs)
@@ -306,35 +424,60 @@ class SpherePoly:
 # ---------------------------------------------------------------------------
 
 
+def _moment_parts(exps: Monomial):
+    """``(numerator, |exps| / 2)`` of the moment of an even monomial, or
+    None for an odd one: the numerator is prod_i (exps_i - 1)!!, and the
+    denominator prod_{s < |exps|/2} (n + 1 + 2 s) depends on n and the
+    degree only."""
+    if any(k % 2 for k in exps):
+        return None
+    num = 1
+    for k in exps:
+        for odd in range(3, k, 2):
+            num *= odd
+    return num, sum(exps) // 2
+
+
 def moment_integral(exps: Monomial, n: int) -> Fraction:
     """Integral of the monomial x^exps over S^n in normalized measure.
 
     Zero for any odd exponent; for exps = 2*beta the value is
     prod_i (2 beta_i - 1)!! / prod_{s<|beta|} (n + 1 + 2 s).
     """
-    if any(k % 2 for k in exps):
+    parts = _moment_parts(exps)
+    if parts is None:
         return Fraction(0)
-    num = 1
-    half_total = 0
-    for k in exps:
-        b = k // 2
-        half_total += b
-        for t in range(1, b + 1):
-            num *= 2 * t - 1
+    num, half = parts
     den = 1
-    for s in range(half_total):
+    for s in range(half):
         den *= n + 1 + 2 * s
     return Fraction(num, den)
 
 
 def integrate(p: SpherePoly) -> Fraction:
     """Exact integral over the sphere, normalized measure."""
-    total = Fraction(0)
-    for e, c in p.terms.items():
-        m = moment_integral(e, p.n)
-        if m:
-            total += c * m
-    return total
+    if p._den is None:
+        total = Fraction(0)
+        for e, c in p._num.items():
+            m = moment_integral(e, p.n)
+            if m:
+                total += c * m
+        return total
+    # integer sums per half-degree h, then one division: the moment
+    # denominators prod_{s<h} (n + 1 + 2 s) all divide the one of the top h
+    sums: dict = {}
+    for e, v in p._num.items():
+        parts = _moment_parts(e)
+        if parts is not None:
+            num, half = parts
+            sums[half] = sums.get(half, 0) + v * num
+    top = max(sums, default=0)
+    total, factor = 0, 1
+    for h in range(top, -1, -1):
+        total += sums.get(h, 0) * factor
+        if h:
+            factor *= p.n + 2 * h - 1
+    return Fraction(total, factor * p._den)
 
 
 # ---------------------------------------------------------------------------

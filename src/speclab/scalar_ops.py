@@ -25,6 +25,7 @@ from . import _kernel
 from .linalg import rref
 from .polynomial import (
     SpherePoly,
+    _poly,
     ambient_laplacian_terms,
     deriv_terms,
     euler_terms,
@@ -61,31 +62,40 @@ def T(i: int, p: SpherePoly) -> SpherePoly:
     n = p.n
     if not 0 <= i <= n:
         raise IndexError(f"index {i} out of range for S^{n}")
-    shifted = shift_terms(euler_terms(p.terms), i)
-    raw = _kernel.add_scaled_terms(shifted, deriv_terms(p.terms, i), Fraction(-1))
-    return SpherePoly(n, raw)
+    num = p._num
+    shifted = shift_terms(euler_terms(num), i)
+    raw = _kernel.add_scaled_terms(shifted, deriv_terms(num, i), -1)
+    return _poly(n, _kernel.reduce_terms(raw, n), p._den)
 
 
 def U(i: int, p: SpherePoly) -> SpherePoly:
     """U_i = T_i + (n/2) x_i, fused: U_i p = x_i (E + n/2) p - d_i p on the
     canonical representative, in one exponent-shift pass.  Only x0 can
-    leave normal form (as x0^2), so only i = 0 reduces."""
+    leave normal form (as x0^2), so only i = 0 reduces.  On odd n the
+    numerators are scaled by 2, so the weights d + n/2 stay integral, and
+    the 2 goes into the denominator."""
     n = p.n
     if not 0 <= i <= n:
         raise IndexError(f"index {i} out of range for S^{n}")
-    weight = {}  # degree d -> d + n/2, an int for even n
+    den = p._den
+    if n % 2 and den is not None:
+        m, half, den = 2, n, 2 * den
+    else:
+        m, half = 1, Fraction(n, 2) if n % 2 else n // 2
+    weight = {}  # degree d -> m (d + n/2)
     raw = {}
-    for e, c in p.terms.items():
+    num = p._num
+    for e, c in num.items():
         d = sum(e)
         w = weight.get(d)
         if w is None:
-            w = weight[d] = d + n // 2 if n % 2 == 0 else Fraction(2 * d + n, 2)
+            w = weight[d] = m * d + half
         raw[e[:i] + (e[i] + 1,) + e[i + 1 :]] = c * w
-    for e, c in p.terms.items():
+    for e, c in num.items():
         k = e[i]
         if k:
             f = e[:i] + (k - 1,) + e[i + 1 :]
-            v = c * -k
+            v = c * (-m * k)
             prev = raw.get(f)
             if prev is None:
                 raw[f] = v
@@ -95,7 +105,9 @@ def U(i: int, p: SpherePoly) -> SpherePoly:
                     raw[f] = v
                 else:
                     del raw[f]
-    return SpherePoly(n, raw, reduced=i != 0)
+    if i == 0:
+        raw = _kernel.reduce_terms(raw, n)
+    return _poly(n, raw, den)
 
 
 def coordinate_mul(i: int, p: SpherePoly) -> SpherePoly:
@@ -113,14 +125,26 @@ def _laplacian(p: SpherePoly, shift) -> SpherePoly:
     """Laplacian plus shift, in one pass over the terms: for a d-homogeneous
     ambient representative the sphere Laplacian is the ambient Laplacian
     plus d(d+n-1) times the restriction, and the normal form groups its
-    terms into such parts."""
+    terms into such parts.  Int numerators are scaled by the denominator
+    of the shift (4 for n(n-2)/4 on odd n), which goes into the
+    denominator of the result."""
     n = p.n
+    num, den = p._num, p._den
+    if den is None:
+        q = 1
+    else:
+        q, shift = shift.denominator, shift.numerator
+        den *= q
+    weight = {}  # degree d -> q d (d + n - 1) + shift
     weighted = {}
-    for e, c in p.terms.items():
+    for e, c in num.items():
         d = sum(e)
-        weighted[e] = c * (d * (d + n - 1) + shift)
-    raw = _kernel.add_scaled_terms(weighted, ambient_laplacian_terms(p.terms), 1)
-    return SpherePoly(n, raw)
+        w = weight.get(d)
+        if w is None:
+            w = weight[d] = q * d * (d + n - 1) + shift
+        weighted[e] = c * w
+    raw = _kernel.add_scaled_terms(weighted, ambient_laplacian_terms(num), q)
+    return _poly(n, _kernel.reduce_terms(raw, n), den)
 
 
 def laplacian(p: SpherePoly) -> SpherePoly:
@@ -342,11 +366,13 @@ def build_eigenspace(n: int, j: int) -> ScalarEigenpair:
                         cands.append(img)
             monos = normal_monomials(n, j)
             index = {e: k for k, e in enumerate(monos)}
+            # a row scaled by its denominator spans the same line, so the
+            # numerators give the same echelon basis
             rows = []
             for p in cands:
                 row = [Fraction(0)] * len(monos)
-                for e, c in p.terms.items():
-                    row[index[e]] = c
+                for e, c in p._num.items():
+                    row[index[e]] = Fraction(c)
                 rows.append(row)
             pivots = rref(rows)
             dim = harmonic_dimension(n, j)
@@ -511,10 +537,7 @@ def verify_scalar_identities(n: int, degree_cap: int) -> VerificationReport:
     if degree_cap < 2:
         raise ValueError("degree_cap must be >= 2")
     report = VerificationReport(scope="scalar", n=n, degree_cap=degree_cap)
-    basis = [
-        SpherePoly(n, {e: Fraction(1)}, reduced=True)
-        for e in normal_monomials(n, degree_cap)
-    ]
+    basis = [SpherePoly(n, {e: 1}, reduced=True) for e in normal_monomials(n, degree_cap)]
     # built per call, so that a rebound module-level name (a patch, a tracer) is used
     ops = {"D": conformal_laplacian, "L": laplacian, "LT": laplacian_via_conformal_fields}
     report.check_laws(basis, scalar_laws(n), ops, {"x": coordinate_mul, "U": U})

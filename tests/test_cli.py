@@ -4,12 +4,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speclab.cli import MAX_DIMENSION, MAX_ORDER, main, parse_number
+import speclab
+from speclab import scalar_ops
+from speclab.cli import MAX_DIMENSION, MAX_ENTROPY_ORDER, MAX_ORDER, main, parse_number
 from fractions import Fraction
 
 
@@ -17,6 +23,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_numpy_unloaded():
+    # only the entropy layer needs numpy; its names resolve on first use
+    code = (
+        "import sys, speclab, speclab.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "assert callable(speclab.entropy_report) and 'numpy' in sys.modules\n"
+    )
+    src = str(Path(speclab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_parse_number():
@@ -171,6 +190,15 @@ _GUARDED = [
     ["intertwinor", "residue", "--n", "1000000", "--j0", "3", "--jmax", "10"],
     ["intertwinor", "residue", "--n", "100000"],
     ["intertwinor", "residue", "--n", str(MAX_DIMENSION + 1)],
+    # unguarded, the first died allocating a 1.7 GiB projector, the second
+    # ran past 20 s, and the negative cutoffs exited 1 or died in numpy
+    ["entropy", "--cutoff", "100", "--quick"],
+    ["entropy", "--order", "4000", "--quick"],
+    ["entropy", "--cutoff", "-1"],
+    ["entropy", "--cutoff", "-5"],
+    ["entropy", "--order", str(MAX_ENTROPY_ORDER + 1), "--quick"],
+    ["verify", "entropy", "--cutoff", str((MAX_ENTROPY_ORDER - 8) // 2 + 1)],
+    ["verify", "all", "--n", "2", "--cutoff", "-1"],
 ]
 
 
@@ -195,6 +223,7 @@ def test_cost_guards_admit_their_limits(capsys):
         ["intertwinor", "residue", "--n", "3", "--j0", str(MAX_ORDER), "--jmax", "2"],
         ["intertwinor", "dirac-odd", "--n", "3", "--k", str(MAX_ORDER)],
         ["intertwinor", "residue", "--n", str(MAX_DIMENSION), "--j0", str(MAX_ORDER), "--jmax", "500"],
+        ["entropy", "--order", str(MAX_ENTROPY_ORDER), "--quick"],
     ):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
@@ -262,6 +291,10 @@ def test_byte_determinism(capsys):
             "verify scalar --n 3 --cap 4",
             "38483832b2ecb4ac946fd1c1adb21c6fcf01f5cba11422e443adf59fe8af2c1c",
         ),
+        (
+            "verify scalar --n 5 --cap 6",
+            "4bf201a3145787aa060e1c6457451cffcc984cd290a97a92b990847b6f7358b5",
+        ),
     ],
 )
 def test_golden_verify_output(capsys, argv, digest):
@@ -270,6 +303,16 @@ def test_golden_verify_output(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_golden_failing_scalar_report(monkeypatch):
+    # with D shifted by 1 the report carries counterexamples, which print
+    # polynomials: their coefficient text is pinned to the byte
+    real = scalar_ops.conformal_laplacian
+    monkeypatch.setattr(scalar_ops, "conformal_laplacian", lambda p: real(p) + p * Fraction(1))
+    rep = scalar_ops.verify_scalar_identities(3, 3)
+    digest = "9fc6fdd1280203c54ca6e1743be273a03e8e27219e0029bc7708f841de81fc31"
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
 
 
 def test_output_file(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from speclab.entropy import (
     ConformalFactor,
+    _entropy_eigen_floats,
     SphereProjector,
     apply_spectral_operator,
     battery,
@@ -239,6 +240,12 @@ def test_battery_composition():
     kinds = [k for _, k, _ in members]
     assert kinds.count("equality") == 3
     assert kinds.count("strict") == 27
+
+
+def test_entropy_eigen_table_matches_the_exact_eigenvalues():
+    table = _entropy_eigen_floats(60)
+    assert len(table) == 61
+    assert all(v == float(entropy_operator_eigen(2, j)) for j, v in enumerate(table))
 
 
 def test_entropy_report_quick():
