@@ -51,18 +51,6 @@ from .spectral import (
     product_operator_eigen,
     recurrence_check,
 )
-from .clifford import (
-    GammaAlgebra,
-    SpinorPoly,
-    TruncationModel,
-    dirac_apply,
-    eigenspinor_basis,
-    gamma_algebra,
-    monogenic_basis,
-    spinor_ladders,
-    truncation_matrices,
-    verify_spinor_identities,
-)
 from .report import VerificationReport
 
 __version__ = "0.1.0"
@@ -70,28 +58,46 @@ __version__ = "0.1.0"
 # the one kernel implementation (``speclab._kernel``) is pure Python
 kernel_backend = "python"
 
-# The entropy layer imports numpy, which nothing else needs: its names
-# are resolved on first access.
-_ENTROPY_NAMES = (
-    "ConformalFactor",
-    "QuadratureRule",
-    "SphereProjector",
-    "apply_spectral_operator",
-    "beckner_check",
-    "build_quadrature",
-    "entropy_report",
-    "entropy_sides",
-    "giveaway_sides",
-)
+# The entropy layer imports numpy, and the spinor layer is the largest
+# module, which the scalar theory never needs: their names are resolved
+# on first access.
+_LAZY_NAMES = {
+    "entropy": (
+        "ConformalFactor",
+        "QuadratureRule",
+        "SphereProjector",
+        "apply_spectral_operator",
+        "beckner_check",
+        "build_quadrature",
+        "entropy_report",
+        "entropy_sides",
+        "giveaway_sides",
+    ),
+    "clifford": (
+        "GammaAlgebra",
+        "SpinorPoly",
+        "TruncationModel",
+        "dirac_apply",
+        "eigenspinor_basis",
+        "gamma_algebra",
+        "monogenic_basis",
+        "spinor_ladders",
+        "truncation_matrices",
+        "verify_spinor_identities",
+    ),
+}
 
 
 def __getattr__(name):
-    if name == "entropy" or name in _ENTROPY_NAMES:
-        entropy = _importlib.import_module(".entropy", __name__)
-        return entropy if name == "entropy" else getattr(entropy, name)
+    for module, names in _LAZY_NAMES.items():
+        if name == module or name in names:
+            mod = _importlib.import_module(f".{module}", __name__)
+            return mod if name == module else getattr(mod, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = sorted(
-    {name for name in dir() if not name.startswith("_")} | {"entropy", *_ENTROPY_NAMES}
+    {name for name in dir() if not name.startswith("_")}
+    | set(_LAZY_NAMES)
+    | {name for names in _LAZY_NAMES.values() for name in names}
 )

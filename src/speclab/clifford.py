@@ -3,8 +3,10 @@
 The gamma matrices e_0..e_n (square -1, pairwise anticommuting) act on a
 spinor space of dimension 2^floor((n+1)/2) and are built by the standard
 tensor-product construction with exact Gaussian-rational entries.  A
-polynomial spinor field is a vector of sphere polynomials with CRat
-coefficients.
+polynomial spinor field is a vector of sphere polynomials with Gaussian
+rational coefficients, stored as Gaussian-integer numerators (a real and
+an imaginary int map per slot) over one shared, content-normalized
+denominator; ``SpinorPoly.components`` reads it as ``CRat`` coefficients.
 
 The Dirac operator is realized algebraically: with the angular operator
 G = -sum_{i<j} e_i e_j (x_i d_j - x_j d_i) and Clifford multiplication by
@@ -17,8 +19,12 @@ sparse linear map over the unit spinor monomials: the column of
 (slot, normal-form exponent) is built once by the reference route and
 memoized, and P psi is the sum of coefficient times column, accumulated
 per slot (already in normal form).  Whole results are memoized per spinor
-in front of the columns.  Every operator built from P (P^2, U_i, y_i, the
-truncation models) goes through the columns.
+in front of the columns.  U_i = (1/2)[P^2, x_i] and y_i = [P, x_i] are
+column maps of the same kind, keyed by (i, n, slot, exponent); each of
+their columns is built by that commutator through ``dirac_apply``, so a
+wrong column of P reaches them.  One accumulation (``_apply_columns``)
+applies all three, on ints.  Every operator built from P (P^2, U_i, y_i,
+the truncation models) goes through the columns.
 
 On restrictions of degree-k monogenic polynomials M (harmonic,
 annihilated by the Euclidean Dirac operator) one has G M = -k M and
@@ -40,10 +46,10 @@ annihilating product and trace moments (``TruncationModel.spectrum``).
 Truncation-model cost grows like dim_spin times the count of normal-form
 monomials of degree <= N+1 (the Dirac closure adds one degree).  Model
 dimensions: n=2 gives 4/12/24 at N=0/1/2; n=3 gives 8/32/80.  Identity
-suite cost on the pure-Python backend (CPython 3.11, one core of a 2-vCPU
-VM, cold caches): n=2, N=2 takes 0.9 s over 72 columns of P; n=3, N=2
-6.7 s over 364 columns; n=4 takes 4.6 s at N=1 (400 columns) and 17 s at
-N=2 (780 columns).
+suite cost (CPython 3.11, one core of a 2-vCPU VM, cold caches, single
+runs), with the columns of P and of U_i and y_i it builds: n=2, N=2
+takes 0.3 s (98 and 284 columns); n=3, N=2 2.4 s (560 and 1544); n=4
+2.3 s at N=1 (780 and 1456) and 6.2 s at N=2 (1344 and 3392).
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, gcd, lcm, prod
 
 from . import _kernel
 from .linalg import (
@@ -65,6 +71,7 @@ from .linalg import (
 )
 from .polynomial import (
     SpherePoly,
+    _poly,
     deriv_terms,
     integrate,
     monomials_of_degree,
@@ -72,7 +79,7 @@ from .polynomial import (
     shift_terms,
 )
 from .report import VerificationReport, covariance_terms, shifted_square_terms
-from .scalars import CRat
+from .scalars import CRat, _norm
 from .scalar_ops import NotEigenfunctionError
 
 
@@ -159,34 +166,104 @@ def gamma_algebra(n: int) -> GammaAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _crat_poly(p: SpherePoly) -> SpherePoly:
-    for v in p.terms.values():
-        if isinstance(v, CRat):
-            return p  # constructors keep coefficient types uniform
-        break
-    else:
-        return p
-    terms = {e: c if isinstance(c, CRat) else CRat(c) for e, c in p.terms.items()}
-    return SpherePoly(p.n, terms, reduced=True)
+def _gaussian(c) -> tuple:
+    """``(p, q, r)`` with c = (p + q i) / r and r > 0."""
+    t = type(c)
+    if t is int:
+        return c, 0, 1
+    if t is Fraction:
+        return c.numerator, 0, c.denominator
+    z = c if t is CRat else CRat(c)
+    return z._a, z._b, z._d
+
+
+def _gaussian_terms(p: SpherePoly) -> tuple:
+    """``(re, im, den)`` of one component: int numerator maps over one
+    denominator."""
+    if p._den is not None:
+        return p._num, {}, p._den
+    vals = {e: v if type(v) is CRat else CRat(v) for e, v in p._num.items()}
+    den = lcm(*(z._d for z in vals.values()))
+    re = {e: z._a * (den // z._d) for e, z in vals.items() if z._a}
+    im = {e: z._b * (den // z._d) for e, z in vals.items() if z._b}
+    return re, im, den
+
+
+def _spinor(n: int, re: tuple, im: tuple, den: int) -> "SpinorPoly":
+    """SpinorPoly from per-slot numerator maps in normal form (no zero
+    values) over den > 0, divided by their common content.  A zero field
+    gets den 1, since gcd(den) = den."""
+    if den != 1:
+        g = den
+        for t in re + im:
+            if t:
+                g = gcd(g, *t.values())
+                if g == 1:
+                    break
+        if g != 1:
+            den //= g
+            re = tuple({e: v // g for e, v in t.items()} for t in re)
+            im = tuple({e: v // g for e, v in t.items()} for t in im)
+    psi = object.__new__(SpinorPoly)
+    psi.n = n
+    psi._re = re
+    psi._im = im
+    psi._den = den
+    psi._hash = None
+    return psi
+
+
+def _crat_terms(re: dict, im: dict, den: int) -> dict:
+    """The ``CRat`` coefficients of one slot."""
+    terms = {e: _norm(a, im.get(e, 0), den) for e, a in re.items()}
+    for e, b in im.items():
+        if e not in re:
+            terms[e] = _norm(0, b, den)
+    return terms
+
+
+def _scaled_maps(maps: tuple, k: int) -> tuple:
+    return maps if k == 1 else tuple(_kernel.scale_terms(t, k) for t in maps)
+
+
+def _add_maps(a: tuple, b: tuple, k: int) -> tuple:
+    """Slotwise a + k b (k a nonzero int)."""
+    return tuple(x if not y else _kernel.add_scaled_terms(x, y, k) for x, y in zip(a, b))
 
 
 class SpinorPoly:
-    """Polynomial spinor field: dim_spin sphere polynomials, CRat coeffs."""
+    """Polynomial spinor field: dim_spin sphere polynomials with Gaussian
+    rational coefficients.
 
-    __slots__ = ("n", "components", "_hash")
+    Stored as Gaussian-integer numerators over one shared denominator:
+    ``_re[s]`` and ``_im[s]`` map the normal-form exponents of slot s to
+    nonzero ints, and ``_den`` > 0 has no factor in common with all of
+    them, so equal fields store equal maps.  ``components`` is the view as
+    sphere polynomials with ``CRat`` coefficients.
+    """
+
+    __slots__ = ("n", "_re", "_im", "_den", "_hash")
 
     def __init__(self, n: int, components):
-        self.n = n
-        self.components = tuple(_crat_poly(c) for c in components)
-        self._hash = None
+        comps = tuple(components)
         want = gamma_algebra(n).dim_spin
-        if len(self.components) != want:
-            raise ValueError(f"expected {want} components, got {len(self.components)}")
+        if len(comps) != want:
+            raise ValueError(f"expected {want} components, got {len(comps)}")
+        parts = [_gaussian_terms(p) for p in comps]
+        den = lcm(*(d for _, _, d in parts))
+        re = tuple(_kernel.scale_terms(r, den // d) if d != den else r for r, _, d in parts)
+        im = tuple(_kernel.scale_terms(i, den // d) if d != den else i for _, i, d in parts)
+        psi = _spinor(n, re, im, den)
+        self.n = n
+        self._re = psi._re
+        self._im = psi._im
+        self._den = psi._den
+        self._hash = None
 
     @classmethod
     def zero(cls, n: int) -> "SpinorPoly":
-        d = gamma_algebra(n).dim_spin
-        return cls(n, [SpherePoly.zero(n)] * d)
+        empty = ({},) * gamma_algebra(n).dim_spin
+        return _spinor(n, empty, empty, 1)
 
     @classmethod
     def unit(cls, n: int, slot: int, poly: SpherePoly | None = None) -> "SpinorPoly":
@@ -195,62 +272,113 @@ class SpinorPoly:
         comps[slot] = poly if poly is not None else SpherePoly.one(n)
         return cls(n, comps)
 
-    def __add__(self, other: "SpinorPoly") -> "SpinorPoly":
-        return SpinorPoly(
-            self.n, [a + b for a, b in zip(self.components, other.components)]
+    @property
+    def components(self) -> tuple:
+        """The slots as sphere polynomials with ``CRat`` coefficients (the
+        rational zero for an empty slot)."""
+        return tuple(
+            _poly(self.n, _crat_terms(re, im, self._den), None)
+            for re, im in zip(self._re, self._im)
         )
+
+    def __add__(self, other: "SpinorPoly") -> "SpinorPoly":
+        return self.add_scaled(other, 1)
 
     def __sub__(self, other: "SpinorPoly") -> "SpinorPoly":
-        return SpinorPoly(
-            self.n, [a - b for a, b in zip(self.components, other.components)]
-        )
+        return self.add_scaled(other, -1)
 
     def __neg__(self):
-        return self.scale(CRat(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "SpinorPoly":
-        c = c if isinstance(c, CRat) else CRat(c)
-        return SpinorPoly(self.n, [p.scale(c) for p in self.components])
+        p, q, r = _gaussian(c)
+        re, im = self._re, self._im
+        if not q:
+            re, im = _scaled_maps(re, p), _scaled_maps(im, p)
+        elif not p:
+            re, im = _scaled_maps(im, -q), _scaled_maps(re, q)
+        else:
+            re, im = _add_maps(_scaled_maps(re, p), im, -q), _add_maps(_scaled_maps(im, p), re, q)
+        return _spinor(self.n, re, im, self._den * r)
 
     def add_scaled(self, other: "SpinorPoly", c) -> "SpinorPoly":
-        """self + c * other, one pass per component."""
-        c = c if isinstance(c, CRat) else CRat(c)
-        return SpinorPoly(
-            self.n, [a.add_scaled(b, c) for a, b in zip(self.components, other.components)]
+        """self + c * other, over the least common denominator of the
+        two fields and c."""
+        p, q, r = _gaussian(c)
+        if not (p or q):
+            return self
+        a, rb = self._den, r * other._den
+        den = a if a == rb else a // gcd(a, rb) * rb
+        m = den // rb
+        re, im = _scaled_maps(self._re, den // a), _scaled_maps(self._im, den // a)
+        # (p + q i) m (B + C i) = m (p B - q C) + m (p C + q B) i
+        if p:
+            re, im = _add_maps(re, other._re, m * p), _add_maps(im, other._im, m * p)
+        if q:
+            re, im = _add_maps(re, other._im, -m * q), _add_maps(im, other._re, m * q)
+        return _spinor(self.n, re, im, den)
+
+    def _termwise(self, op) -> "SpinorPoly":
+        """An int-linear map of term maps applied to every numerator map."""
+        return _spinor(
+            self.n, tuple(op(t) for t in self._re), tuple(op(t) for t in self._im), self._den
         )
 
     def coordinate_mul(self, i: int) -> "SpinorPoly":
         """x_i times each component, by exponent shifts."""
-        return SpinorPoly(self.n, [p.coordinate_mul(i) for p in self.components])
+        n = self.n
+        if not 0 <= i <= n:
+            raise IndexError(f"coordinate index {i} out of range for S^{n}")
+        if i:
+            return self._termwise(lambda t: shift_terms(t, i))
+        return self._termwise(lambda t: _kernel.reduce_terms(shift_terms(t, 0), n))
 
     def matrix_apply(self, mat) -> "SpinorPoly":
-        d = len(self.components)
-        out = []
-        for r in range(d):
-            acc = SpherePoly.zero(self.n)
-            row = mat[r]
-            for c in range(d):
-                coeff = row[c]
-                if coeff:
-                    acc = acc + self.components[c].scale(coeff)
-            out.append(acc)
-        return SpinorPoly(self.n, out)
+        """The matrix of Gaussian rationals ``mat`` applied slotwise."""
+        entries = [[z if type(z) is CRat else CRat(z) for z in row] for row in mat]
+        den = lcm(*(z._d for row in entries for z in row))
+        re_out, im_out = [], []
+        for row in entries:
+            re, im = {}, {}
+            for c, z in enumerate(row):
+                m = den // z._d
+                if z._a:
+                    re = _kernel.add_scaled_terms(re, self._re[c], z._a * m)
+                    im = _kernel.add_scaled_terms(im, self._im[c], z._a * m)
+                if z._b:
+                    re = _kernel.add_scaled_terms(re, self._im[c], -z._b * m)
+                    im = _kernel.add_scaled_terms(im, self._re[c], z._b * m)
+            re_out.append(re)
+            im_out.append(im)
+        return _spinor(self.n, tuple(re_out), tuple(im_out), self._den * den)
 
     @property
     def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.components)
+        return not any(self._re) and not any(self._im)
 
     def degree(self) -> int:
-        return max((p.degree() for p in self.components), default=-1)
+        return max((sum(e) for t in self._re + self._im for e in t), default=-1)
 
     def __eq__(self, other):
         if isinstance(other, SpinorPoly):
-            return self.n == other.n and self.components == other.components
+            return (
+                self.n == other.n
+                and self._den == other._den
+                and self._re == other._re
+                and self._im == other._im
+            )
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, self.components))
+            self._hash = hash(
+                (
+                    self.n,
+                    self._den,
+                    tuple(frozenset(t.items()) for t in self._re),
+                    tuple(frozenset(t.items()) for t in self._im),
+                )
+            )
         return self._hash
 
     def __repr__(self):
@@ -267,25 +395,24 @@ def clifford_x(psi: SpinorPoly) -> SpinorPoly:
     return out
 
 
-def _angular_scalar(p: SpherePoly, i: int, j: int) -> SpherePoly:
-    """x_i d_j - x_j d_i on one component (tangential, so well defined)."""
+def _angular_terms(terms: dict, i: int, j: int, n: int) -> dict:
+    """x_i d_j - x_j d_i on one term map (tangential, so well defined)."""
     raw = _kernel.add_scaled_terms(
-        shift_terms(deriv_terms(p.terms, j), i), shift_terms(deriv_terms(p.terms, i), j), -1
+        shift_terms(deriv_terms(terms, j), i), shift_terms(deriv_terms(terms, i), j), -1
     )
-    return SpherePoly(p.n, raw)
+    return _kernel.reduce_terms(raw, n)
 
 
 def angular_apply(psi: SpinorPoly) -> SpinorPoly:
     """The ambient angular operator - sum_{i<j} e_i e_j (x_i d_j - x_j d_i);
     acts by -k on restrictions of degree-k monogenics and by k+n on their
     Clifford-x images."""
-    alg = gamma_algebra(psi.n)
-    out = SpinorPoly.zero(psi.n)
-    for i in range(psi.n + 1):
-        for j in range(i + 1, psi.n + 1):
-            rotated = SpinorPoly(
-                psi.n, [_angular_scalar(p, i, j) for p in psi.components]
-            )
+    n = psi.n
+    alg = gamma_algebra(n)
+    out = SpinorPoly.zero(n)
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            rotated = psi._termwise(lambda t: _angular_terms(t, i, j, n))
             out = out + rotated.matrix_apply(alg.pair(i, j))
     return -out
 
@@ -294,9 +421,78 @@ def angular_apply(psi: SpinorPoly) -> SpinorPoly:
 # apply P to the same few spinors repeatedly.
 _DIRAC_CACHE: dict = {}
 # (n, slot, normal-form exponent) -> image under P of that unit spinor
-# monomial, one tuple of (exponent, coefficient) pairs per slot.
+# monomial, as a column (see ``_as_column``).
 _DIRAC_COLUMNS: dict = {}
+# (i, n, slot, exponent) -> image under U_i and under y_i, built from P.
+_U_COLUMNS: dict = {}
+_Y_COLUMNS: dict = {}
 _CACHE_LIMIT = 20000
+
+
+def _clear_operator_caches() -> None:
+    """Empty the column maps of P, U_i and y_i and the per-spinor results
+    of P together: the derived columns were built from the P columns."""
+    for table in (_DIRAC_CACHE, _DIRAC_COLUMNS, _U_COLUMNS, _Y_COLUMNS):
+        table.clear()
+
+
+def _unit(n: int, slot: int, e: tuple) -> SpinorPoly:
+    """The unit spinor monomial x^e in one slot."""
+    empty = ({},) * gamma_algebra(n).dim_spin
+    return _spinor(n, empty[:slot] + ({e: 1},) + empty[slot + 1 :], empty, 1)
+
+
+def _as_column(psi: SpinorPoly) -> tuple:
+    """``(den, ((re pairs, im pairs) per slot))``: the image of a unit
+    spinor monomial as int (exponent, numerator) pairs over den."""
+    return psi._den, tuple(
+        (tuple(re.items()), tuple(im.items())) for re, im in zip(psi._re, psi._im)
+    )
+
+
+def _apply_columns(psi: SpinorPoly, table: dict, head: tuple, build) -> SpinorPoly:
+    """A linear operator given by its columns: the sum over the terms of
+    psi of coefficient times the column of (slot, exponent).  The column
+    of key ``head + (slot, e)`` comes from ``table``, or from
+    ``build(*key)`` on a miss.  Columns are in normal form, hence so is
+    the sum."""
+    used = []
+    cols_den = 1
+    for slot, (re, im) in enumerate(zip(psi._re, psi._im)):
+        slot_head = head + (slot,)
+        for imag, terms in ((False, re), (True, im)):
+            for e, v in terms.items():
+                key = slot_head + (e,)
+                col = table.get(key)
+                if col is None:
+                    col = build(*key)
+                    if len(table) > _CACHE_LIMIT:
+                        table.clear()
+                    table[key] = col
+                if cols_den % col[0]:
+                    cols_den = cols_den // gcd(cols_den, col[0]) * col[0]
+                used.append((imag, v, col))
+    acc_re = [{} for _ in psi._re]
+    acc_im = [{} for _ in psi._re]
+    for imag, v, (den, parts) in used:
+        m = v * (cols_den // den)
+        for tr, ti, (cre, cim) in zip(acc_re, acc_im, parts):
+            if imag:  # m i (C + D i) = -m D + m C i
+                for f, c in cim:
+                    tr[f] = tr.get(f, 0) - m * c
+                for f, c in cre:
+                    ti[f] = ti.get(f, 0) + m * c
+            else:
+                for f, c in cre:
+                    tr[f] = tr.get(f, 0) + m * c
+                for f, c in cim:
+                    ti[f] = ti.get(f, 0) + m * c
+    return _spinor(
+        psi.n,
+        tuple({f: c for f, c in t.items() if c} for t in acc_re),
+        tuple({f: c for f, c in t.items() if c} for t in acc_im),
+        psi._den * cols_den,
+    )
 
 
 def dirac_reference(psi: SpinorPoly) -> SpinorPoly:
@@ -307,41 +503,26 @@ def dirac_reference(psi: SpinorPoly) -> SpinorPoly:
 
 def _dirac_column(n: int, slot: int, e: tuple) -> tuple:
     """Column of P at one unit spinor monomial, built by the reference route."""
-    unit = SpinorPoly.unit(n, slot, SpherePoly(n, {e: CRat(1)}, reduced=True))
-    return tuple(tuple(p.terms.items()) for p in dirac_reference(unit).components)
+    return tuple(tuple(p.terms.items()) for p in dirac_reference(_unit(n, slot, e)).components)
+
+
+def _p_column(n: int, slot: int, e: tuple) -> tuple:
+    """``_dirac_column``, with its CRat values converted once."""
+    col = _dirac_column(n, slot, e)
+    return _as_column(SpinorPoly(n, [SpherePoly(n, dict(t), reduced=True) for t in col]))
 
 
 def dirac_apply(psi: SpinorPoly) -> SpinorPoly:
     """The model Dirac operator P = x . (angular - n/2).
 
     P is linear, so P psi is the sum of coeff * column over the terms of
-    psi; each column is built once and kept in ``_DIRAC_COLUMNS``.  Columns
-    are in normal form, hence so is the sum.  Whole results are memoized
-    in ``_DIRAC_CACHE``.
+    psi; each column is built once and kept in ``_DIRAC_COLUMNS``.  Whole
+    results are memoized in ``_DIRAC_CACHE``.
     """
     hit = _DIRAC_CACHE.get(psi)
     if hit is not None:
         return hit
-    n = psi.n
-    acc = [{} for _ in psi.components]
-    for slot, comp in enumerate(psi.components):
-        for e, coeff in comp.terms.items():
-            key = (n, slot, e)
-            col = _DIRAC_COLUMNS.get(key)
-            if col is None:
-                col = _dirac_column(n, slot, e)
-                if len(_DIRAC_COLUMNS) > _CACHE_LIMIT:
-                    _DIRAC_COLUMNS.clear()
-                _DIRAC_COLUMNS[key] = col
-            for terms, image in zip(acc, col):
-                for f, v in image:
-                    c = coeff * v
-                    prev = terms.get(f)
-                    terms[f] = c if prev is None else prev + c
-    out = SpinorPoly(
-        n,
-        [SpherePoly(n, {f: c for f, c in t.items() if c}, reduced=True) for t in acc],
-    )
+    out = _apply_columns(psi, _DIRAC_COLUMNS, (psi.n,), _p_column)
     if len(_DIRAC_CACHE) > _CACHE_LIMIT:
         _DIRAC_CACHE.clear()
     _DIRAC_CACHE[psi] = out
@@ -352,16 +533,29 @@ def dirac_squared(psi: SpinorPoly) -> SpinorPoly:
     return dirac_apply(dirac_apply(psi))
 
 
+def _u_column(i: int, n: int, slot: int, e: tuple) -> tuple:
+    """Column of U_i by its definition (1/2)[P^2, x_i], through the
+    memoized P, so that a wrong column of P reaches U_i."""
+    unit = _unit(n, slot, e)
+    a = dirac_squared(unit.coordinate_mul(i))
+    b = dirac_squared(unit).coordinate_mul(i)
+    return _as_column((a - b).scale(Fraction(1, 2)))
+
+
+def _y_column(i: int, n: int, slot: int, e: tuple) -> tuple:
+    """Column of y_i by its definition [P, x_i], through the memoized P."""
+    unit = _unit(n, slot, e)
+    return _as_column(dirac_apply(unit.coordinate_mul(i)) - dirac_apply(unit).coordinate_mul(i))
+
+
 def U_spin(i: int, psi: SpinorPoly) -> SpinorPoly:
-    """U_i defined by the commutator (1/2)[P^2, x_i]."""
-    a = dirac_squared(psi.coordinate_mul(i))
-    b = dirac_squared(psi).coordinate_mul(i)
-    return (a - b).scale(Fraction(1, 2))
+    """U_i = (1/2)[P^2, x_i], applied by its memoized columns."""
+    return _apply_columns(psi, _U_COLUMNS, (i, psi.n), _u_column)
 
 
 def y_apply(i: int, psi: SpinorPoly) -> SpinorPoly:
-    """y_i defined by the commutator [P, x_i]."""
-    return dirac_apply(psi.coordinate_mul(i)) - dirac_apply(psi).coordinate_mul(i)
+    """y_i = [P, x_i], applied by its memoized columns."""
+    return _apply_columns(psi, _Y_COLUMNS, (i, psi.n), _y_column)
 
 
 def is_eigenspinor(psi: SpinorPoly, lam) -> bool:
@@ -386,9 +580,10 @@ def spinor_ladders(i: int, psi: SpinorPoly, lam, *, check: bool = True) -> tuple
     u = U_spin(i, psi)
     x = psi.coordinate_mul(i)
     y = y_apply(i, psi)
-    a = u + x.scale(lam) + y.scale(Fraction(1, 2))
-    s = u - x.scale(lam) - y.scale(Fraction(1, 2))
-    nn = u - x.scale(Fraction(1, 2)) - y.scale(lam)
+    half = Fraction(1, 2)
+    a = u.add_scaled(x, lam).add_scaled(y, half)
+    s = u.add_scaled(x, -lam).add_scaled(y, -half)
+    nn = u.add_scaled(x, -half).add_scaled(y, -lam)
     return a, s, nn
 
 
@@ -492,9 +687,9 @@ def eigenspinor_basis(n: int, j: int, sign: int) -> list:
 
 def _spinor_vector(psi: SpinorPoly, index: dict) -> list:
     vec = [CRat(0)] * len(index)
-    for c, p in enumerate(psi.components):
-        for e, coeff in p.terms.items():
-            vec[index[(c, e)]] = coeff
+    for c, (re, im) in enumerate(zip(psi._re, psi._im)):
+        for e, z in _crat_terms(re, im, psi._den).items():
+            vec[index[(c, e)]] = z
     return vec
 
 

@@ -426,11 +426,24 @@ def battery() -> list:
     return members
 
 
+# (quadrature order, projector jmax) -> (rule, its gate error, projector):
+# a session repeats the same --order and --cutoff.  Oldest dropped first;
+# two entries, since one projector at the order guard holds ~190 MB.
+_FIXED_COSTS: dict = {}
+_FIXED_COSTS_LIMIT = 2
+
+
 def entropy_report(cutoff: int = 25, quick: bool = False, order: int = 60) -> dict:
     """Run the battery and return the machine-readable report."""
-    rule = build_quadrature(max(order, 2 * cutoff + 8))
-    gate = rule.validate(min(rule.order, 12))
-    projector = SphereProjector(rule, cutoff + 1)
+    key = (max(order, 2 * cutoff + 8), cutoff + 1)
+    fixed = _FIXED_COSTS.get(key)
+    if fixed is None:
+        rule = build_quadrature(key[0])
+        fixed = (rule, rule.validate(min(rule.order, 12)), SphereProjector(rule, key[1]))
+        if len(_FIXED_COSTS) >= _FIXED_COSTS_LIMIT:
+            del _FIXED_COSTS[next(iter(_FIXED_COSTS))]
+        _FIXED_COSTS[key] = fixed
+    rule, gate, projector = fixed
     rows = []
     members = battery()
     if quick:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import _kernel
 from .linalg import rref
@@ -177,6 +178,7 @@ def is_eigenfunction(p: SpherePoly, lam: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def bottom_eigenvalue(n: int) -> Fraction:
     return Fraction(n * (n - 2), 4)
 
@@ -266,6 +268,7 @@ def generate_spectrum(n: int, count: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def _ladder_coeff(lam: Fraction, direction: str) -> Fraction:
     """The x_i coefficient (lam - lam^{-+}) / 2 of the ladder toward
     lam^{+-}; rational exactly on the half-integer discriminant lattice."""

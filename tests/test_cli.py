@@ -26,11 +26,14 @@ def run(capsys, *argv):
 
 
 def test_import_leaves_numpy_unloaded():
-    # only the entropy layer needs numpy; its names resolve on first use
+    # only the entropy layer needs numpy, and only spinor work the spinor
+    # layer; their names resolve on first use
     code = (
         "import sys, speclab, speclab.cli\n"
         "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "assert 'speclab.clifford' not in sys.modules, 'clifford imported'\n"
         "assert callable(speclab.entropy_report) and 'numpy' in sys.modules\n"
+        "assert callable(speclab.SpinorPoly) and 'speclab.clifford' in sys.modules\n"
     )
     src = str(Path(speclab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -366,6 +369,17 @@ def test_verify_entropy_quick(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["entropy"]["all_passed"] is True
+
+
+def test_entropy_output_is_byte_stable_across_the_fixed_cost_cache(capsys, monkeypatch):
+    # the second report reads the cached quadrature rule and projector
+    from speclab import entropy
+
+    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    cold = run(capsys, "entropy", "--order", "60")
+    warm = run(capsys, "entropy", "--order", "60")
+    assert cold[0] == 0 and cold[1]
+    assert warm == cold
 
 
 def test_verify_entropy_underresolved_quadrature_fails_honestly(capsys):

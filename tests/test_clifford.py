@@ -2,6 +2,7 @@
 models with certified spectra."""
 
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -451,6 +452,24 @@ def test_spinor_law_table_is_falsifiable():
     assert failed["u_square_sum_spinor"]["index"] is None
 
 
+def test_golden_failing_spinor_report():
+    # with P shifted by 1/3 on S^3 the report carries counterexamples, which
+    # print spinors with Gaussian-rational coefficients: pinned to the byte
+    n = 3
+    basis = [
+        SpinorPoly.unit(n, c, SpherePoly.monomial(n, e))
+        for c in range(4)
+        for e in normal_monomials(n, 1)
+    ]
+    rep = VerificationReport(scope="spinor", n=n, degree_cap=1)
+    shifted = {"P": lambda psi: dirac_apply(psi) + psi.scale(Fraction(1, 3))}
+    indexed = {"x": lambda i, psi: psi.coordinate_mul(i), "U": U_spin, "y": y_apply}
+    rep.check_laws(basis, spinor_laws(n, 1), shifted, indexed)
+    assert len(rep.failures()) == 7
+    digest = "cad35c507d66b7b024b6958f8675f1f3fc5e10daf504c013e012f5d6d4f4c42d"
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
+
 def test_verify_spinor_identities_refuses_cap_outside_one_to_two():
     # a cost guard refuses work; it never quietly shrinks it
     for N in (0, 3):
@@ -470,11 +489,9 @@ def cold_dirac_caches():
     for j in range(3):
         for sign in (1, -1):
             eigenspinor_basis(2, j, sign)
-    clifford._DIRAC_CACHE.clear()
-    clifford._DIRAC_COLUMNS.clear()
+    clifford._clear_operator_caches()
     yield
-    clifford._DIRAC_CACHE.clear()
-    clifford._DIRAC_COLUMNS.clear()
+    clifford._clear_operator_caches()
 
 
 def test_dirac_column_map_matches_reference(cold_dirac_caches):
@@ -548,7 +565,7 @@ def test_wrong_dirac_column_fails_the_suite(
     if check == "truncation_spectrum_lattice":
         # both spectrum checks pass exactly when the spectrum certifies
         assert failed["spectral_bound"] == failed[check]
-    clifford._DIRAC_CACHE.clear()
+    clifford._clear_operator_caches()
     assert main(["--jobs", "1", "verify", "spinor", "--n", "2", "--N", "1"]) == 1
     assert json.loads(capsys.readouterr().out)["all_passed"] is False
 
@@ -558,7 +575,9 @@ def test_wrong_dirac_column_model_is_refused_or_matches_kernels(monkeypatch, col
     # either refuses to certify or agrees with the kernel dimensions
     verify_spinor_identities(2, 1)
     keys = sorted(clifford._DIRAC_COLUMNS)
-    assert len(keys) == 50
+    # U_i and y_i are column maps built from P one unit monomial at a
+    # time, so P meets columns up to degree 5 that a summed route cancels
+    assert len(keys) == 72
     reasons = set()
     for bad_key in keys:
         clifford._DIRAC_CACHE.clear()
@@ -580,14 +599,34 @@ def test_wrong_dirac_column_model_is_refused_or_matches_kernels(monkeypatch, col
     }
 
 
+def test_wrong_dirac_column_scan_catches_every_column_up_to_degree_three(
+    monkeypatch, cold_dirac_caches
+):
+    # every column the n=2, N=1 suite builds, corrupted in turn with cold
+    # column maps: the suite fails for exactly the 32 columns of degree
+    # <= 3.  A wrong column of degree 4 or 5 still passes (the open gap of
+    # the degree-4 columns, and degree-5 errors that cancel by linearity).
+    verify_spinor_identities(2, 1)
+    keys = sorted(clifford._DIRAC_COLUMNS)
+    caught = []
+    for bad_key in keys:
+        clifford._clear_operator_caches()
+        with monkeypatch.context() as mp:
+            _corrupt_dirac_column(mp, bad_key)
+            if not verify_spinor_identities(2, 1).all_passed:
+                caught.append(bad_key)
+        clifford._clear_operator_caches()
+    assert caught == [key for key in keys if sum(key[2]) <= 3]
+    assert len(caught) == 32
+
+
 def test_wrong_dirac_column_with_cold_eigenbases_fails_the_suite(monkeypatch, capsys):
     # built under a wrong P, an eigenbasis fails its foothold check: called
     # directly that raises, but the suite reports it as failed checks (exit 1)
     from speclab.cli import main
 
     clifford._eigenspinor_basis_cached.cache_clear()
-    clifford._DIRAC_CACHE.clear()
-    clifford._DIRAC_COLUMNS.clear()
+    clifford._clear_operator_caches()
     _corrupt_dirac_column(monkeypatch, (2, 0, (0, 1, 0)))
     try:
         with pytest.raises(clifford.FootholdError):
@@ -608,8 +647,7 @@ def test_wrong_dirac_column_with_cold_eigenbases_fails_the_suite(monkeypatch, ca
             assert "foothold vector fails the eigen test" in failed[check]["error"]
     finally:
         clifford._eigenspinor_basis_cached.cache_clear()
-        clifford._DIRAC_CACHE.clear()
-        clifford._DIRAC_COLUMNS.clear()
+        clifford._clear_operator_caches()
 
 
 def test_basis_caches_stay_bounded(monkeypatch):

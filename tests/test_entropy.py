@@ -263,3 +263,28 @@ def test_entropy_report_quick():
             "gap",
             "status",
         }
+
+
+def test_entropy_report_reuses_its_rule_and_projector(monkeypatch):
+    # the quadrature rule, its gate and the projector are built once per
+    # (order, cutoff); a warm report equals the cold one bit for bit
+    from speclab import entropy
+
+    built = []
+    real = entropy.SphereProjector
+
+    def counting(rule, jmax):
+        built.append(jmax)
+        return real(rule, jmax)
+
+    monkeypatch.setattr(entropy, "SphereProjector", counting)
+    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    cold = entropy_report(order=20, cutoff=4, quick=True)
+    warm = entropy_report(order=20, cutoff=4, quick=True)
+    assert built == [5]
+    assert warm == cold
+    for cutoff in (5, 6, 4):
+        entropy_report(order=20, cutoff=cutoff, quick=True)
+    # bounded, oldest dropped first: (20, 5) was evicted before (20, 4) came back
+    assert built == [5, 6, 7, 5]
+    assert list(entropy._FIXED_COSTS) == [(20, 7), (20, 5)]

@@ -1,0 +1,331 @@
+"""Spinor fields (Gaussian-integer numerators over one shared denominator)
+against a plain ``CRat`` term-map reference.
+
+The reference below shares no code with ``SpinorPoly`` or the column
+maps: a spinor is a list of dicts ``exponent -> CRat``, one per slot, and
+x0^2 is rewritten one step at a time.  It builds P from its definition
+x . (G - n/2) with the angular operator G = -sum_{i<j} e_i e_j (x_i d_j -
+x_j d_i), U_i as (1/2)[P^2, x_i] and y_i as [P, x_i].  Every operation on
+the lane must give the reference's values, leave the field in normal form
+(no zero numerators, x0-exponents at most 1, gcd(denominator, numerators)
+= 1), compare and hash like the spinor built from the reference's CRat
+maps, and print the reference's text.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+from speclab import clifford
+from speclab.clifford import (
+    SpinorPoly,
+    U_spin,
+    clifford_x,
+    dirac_apply,
+    dirac_reference,
+    gamma_algebra,
+    y_apply,
+)
+from speclab.polynomial import SpherePoly, normal_monomials
+from speclab.scalars import CRat
+
+DENOMINATORS = (1, 2, 4, 3, 5)
+ZERO = CRat(0)
+
+# ---------------------------------------------------------------------------
+# the reference: lists of CRat term maps, textbook formulas
+# ---------------------------------------------------------------------------
+
+
+def ref_reduce(terms: dict, n: int) -> dict:
+    out: dict = {}
+    work = list(terms.items())
+    while work:
+        e, c = work.pop()
+        if e[0] >= 2:  # x0^2 -> 1 - x1^2 - ... - xn^2
+            rest = (e[0] - 2,) + e[1:]
+            work.append((rest, c))
+            for i in range(1, n + 1):
+                f = list(rest)
+                f[i] += 2
+                work.append((tuple(f), -c))
+        else:
+            out[e] = out.get(e, ZERO) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_add(a: list, b: list, c) -> list:
+    """Slotwise a + c b."""
+    out = []
+    for ta, tb in zip(a, b):
+        t = dict(ta)
+        for e, v in tb.items():
+            t[e] = t.get(e, ZERO) + c * v
+        out.append({e: v for e, v in t.items() if v})
+    return out
+
+
+def ref_scale(a: list, c) -> list:
+    return ref_add([{} for _ in a], a, c)
+
+
+def ref_shift(t: dict, i: int) -> dict:
+    return {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in t.items()}
+
+
+def ref_deriv(t: dict, i: int) -> dict:
+    out: dict = {}
+    for e, c in t.items():
+        if e[i]:
+            f = e[:i] + (e[i] - 1,) + e[i + 1 :]
+            out[f] = out.get(f, ZERO) + c * e[i]
+    return out
+
+
+def ref_coordinate_mul(a: list, i: int, n: int) -> list:
+    return [ref_reduce(ref_shift(t, i), n) for t in a]
+
+
+def ref_matrix(mat, a: list) -> list:
+    out = []
+    for row in mat:
+        acc = [{}]
+        for z, t in zip(row, a):
+            acc = ref_add(acc, [t], z)
+        out.append(acc[0])
+    return out
+
+
+def ref_dirac(a: list, n: int) -> list:
+    alg = gamma_algebra(n)
+    g = [{} for _ in a]
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            rotated = []
+            for t in a:
+                pair = ref_add([ref_shift(ref_deriv(t, j), i)], [ref_shift(ref_deriv(t, i), j)], -1)
+                rotated.append(ref_reduce(pair[0], n))
+            g = ref_add(g, ref_matrix(alg.pair(i, j), rotated), -1)
+    shifted = ref_add(g, a, Fraction(-n, 2))
+    out = [{} for _ in a]
+    for i in range(n + 1):
+        out = ref_add(out, ref_coordinate_mul(ref_matrix(alg.e(i), shifted), i, n), 1)
+    return out
+
+
+def ref_y(i: int, a: list, n: int) -> list:
+    left = ref_dirac(ref_coordinate_mul(a, i, n), n)
+    return ref_add(left, ref_coordinate_mul(ref_dirac(a, n), i, n), -1)
+
+
+def ref_u(i: int, a: list, n: int) -> list:
+    def p2(b):
+        return ref_dirac(ref_dirac(b, n), n)
+
+    diff = ref_add(p2(ref_coordinate_mul(a, i, n)), ref_coordinate_mul(p2(a), i, n), -1)
+    return ref_scale(diff, Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# strategies and checks
+# ---------------------------------------------------------------------------
+
+
+def ratio(draw):
+    return Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from(DENOMINATORS)))
+
+
+@st.composite
+def crats(draw, real=False):
+    return CRat(ratio(draw), 0 if real else ratio(draw))
+
+
+@st.composite
+def ref_spinors(draw, n, degree=2):
+    monos = normal_monomials(n, degree)
+    real = draw(st.booleans())
+    out = []
+    for _ in range(gamma_algebra(n).dim_spin):
+        keys = draw(st.lists(st.sampled_from(monos), max_size=4, unique=True))
+        t = {e: draw(crats(real=real)) for e in keys}
+        out.append({e: c for e, c in t.items() if c})
+    return out
+
+
+@st.composite
+def cancelling_pairs(draw, n):
+    """(a, b, c) with b = -a / c plus a small change half of the time, so
+    a + c b cancels most terms and often shrinks the denominator."""
+    a = draw(ref_spinors(n))
+    c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4), CRat(0, 1), CRat(1, -2)]))
+    if draw(st.booleans()):
+        inverse = CRat(-1) / (c if isinstance(c, CRat) else CRat(c))
+        b = ref_add(ref_scale(a, inverse), draw(ref_spinors(n, degree=1)), 1)
+    else:
+        b = draw(ref_spinors(n))
+    return a, b, c
+
+
+def build(n: int, a: list) -> SpinorPoly:
+    """The spinor of a reference value, from CRat components, or from
+    Fraction components where a slot is real."""
+    comps = []
+    for t in a:
+        if all(not c.im for c in t.values()):
+            t = {e: c.re for e, c in t.items()}
+        comps.append(SpherePoly(n, t, reduced=True))
+    return SpinorPoly(n, comps)
+
+
+def ref_str(n: int, a: list) -> str:
+    body = "; ".join(SpherePoly(n, t, reduced=True).canonical_str() for t in a)
+    return f"SpinorPoly(n={n}, [{body}])"
+
+
+def assert_matches(psi: SpinorPoly, a: list):
+    n = psi.n
+    assert [dict(p.terms) for p in psi.components] == a
+    for p in psi.components:
+        assert all(isinstance(c, CRat) for c in p.terms.values())
+    den = psi._den
+    assert den > 0
+    values = [v for t in psi._re + psi._im for v in t.values()]
+    assert all(values)
+    assert gcd(den, *values) == 1
+    assert all(e[0] <= 1 for t in psi._re + psi._im for e in t)
+    twin = build(n, a)
+    assert psi == twin and hash(psi) == hash(twin)
+    assert str(psi) == ref_str(n, a)
+    assert psi.is_zero == (not any(a))
+    assert psi.degree() == max((sum(e) for t in a for e in t), default=-1)
+
+
+# ---------------------------------------------------------------------------
+# the ring operations
+# ---------------------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(st.just(n), cancelling_pairs(n))))
+def test_linear_operations_match_the_crat_reference(case):
+    n, (a, b, c) = case
+    pa, pb = build(n, a), build(n, b)
+    assert_matches(pa, a)
+    assert_matches(pa + pb, ref_add(a, b, 1))
+    assert_matches(pa - pb, ref_add(a, b, -1))
+    assert_matches(-pa, ref_scale(a, -1))
+    assert_matches(pa.add_scaled(pb, c), ref_add(a, b, c))
+    assert_matches(pb.scale(c), ref_scale(b, c))
+    assert_matches(pa.scale(0), ref_scale(a, 0))
+    assert_matches(pa - pa, [{} for _ in a])
+    assert (pa - pa) == SpinorPoly.zero(n)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4]).flatmap(lambda n: st.tuples(st.just(n), ref_spinors(n))))
+def test_coordinate_and_clifford_multiplication_match_the_reference(case):
+    n, a = case
+    psi = build(n, a)
+    alg = gamma_algebra(n)
+    for i in range(n + 1):
+        assert_matches(psi.coordinate_mul(i), ref_coordinate_mul(a, i, n))
+        assert_matches(psi.matrix_apply(alg.e(i)), ref_matrix(alg.e(i), a))
+    want = [{} for _ in a]
+    for i in range(n + 1):
+        want = ref_add(want, ref_coordinate_mul(ref_matrix(alg.e(i), a), i, n), 1)
+    assert_matches(clifford_x(psi), want)
+
+
+# ---------------------------------------------------------------------------
+# P, U_i and y_i: column maps against their defining routes
+# ---------------------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(st.sampled_from([2, 3, 4]).flatmap(lambda n: st.tuples(st.just(n), ref_spinors(n))))
+def test_dirac_column_map_matches_the_reference_routes(case):
+    n, a = case
+    psi = build(n, a)
+    want = ref_dirac(a, n)
+    assert_matches(dirac_reference(psi), want)
+    assert_matches(dirac_apply(psi), want)
+    clifford._DIRAC_CACHE.clear()
+    assert_matches(dirac_apply(psi), want)  # warm columns only
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(st.just(n), ref_spinors(n, degree=1))))
+def test_u_and_y_column_maps_match_the_commutator_routes(case):
+    n, a = case
+    psi = build(n, a)
+    i = sum(len(t) for t in a) % (n + 1)
+    want_u, want_y = ref_u(i, a, n), ref_y(i, a, n)
+    try:
+        clifford._clear_operator_caches()
+        assert_matches(U_spin(i, psi), want_u)  # cold: columns built from P
+        assert_matches(y_apply(i, psi), want_y)
+        clifford._DIRAC_CACHE.clear()
+        assert_matches(U_spin(i, psi), want_u)  # warm columns
+        assert_matches(y_apply(i, psi), want_y)
+    finally:
+        clifford._clear_operator_caches()
+
+
+def test_equal_fields_from_different_coefficient_types_are_equal():
+    n = 2
+    e = normal_monomials(n, 1)[1]
+    zero = SpherePoly.zero(n)
+    as_crat = SpinorPoly(n, [SpherePoly(n, {e: CRat(Fraction(1, 2))}, reduced=True), zero])
+    as_fraction = SpinorPoly(n, [SpherePoly(n, {e: Fraction(1, 2)}, reduced=True), zero])
+    as_sum = SpinorPoly.unit(n, 0, SpherePoly.monomial(n, e)).scale(Fraction(3, 4)).add_scaled(
+        SpinorPoly.unit(n, 0, SpherePoly.monomial(n, e)), Fraction(-1, 4)
+    )
+    assert as_crat == as_fraction == as_sum
+    assert len({hash(as_crat), hash(as_fraction), hash(as_sum)}) == 1
+    assert as_sum._den == 2
+    assert as_sum != as_sum.scale(2) and as_sum != as_sum.scale(CRat(0, 1))
+    assert {as_crat: 1}[as_sum] == 1
+
+
+def test_columns_over_different_denominators_add_exactly(monkeypatch):
+    # every column of one operator has the same denominator at every n that
+    # the suites run, so halve one column of P to make the sum mix two
+    build_column = clifford._dirac_column
+    n, halved_key = 2, (2, 0, (0, 0, 0))
+
+    def halved(n, slot, e):
+        col = build_column(n, slot, e)
+        if (n, slot, e) != halved_key:
+            return col
+        return tuple(tuple((f, c * Fraction(1, 2)) for f, c in t) for t in col)
+
+    one = SpinorPoly.unit(n, 0)
+    x1 = SpinorPoly.unit(n, 0, SpherePoly.coordinate(n, 1))
+    want = dirac_reference(one).scale(Fraction(1, 2)) + dirac_reference(x1).scale(CRat(0, 3))
+    monkeypatch.setattr(clifford, "_dirac_column", halved)
+    try:
+        clifford._clear_operator_caches()
+        assert dirac_apply(one + x1.scale(CRat(0, 3))) == want
+    finally:
+        clifford._clear_operator_caches()
+
+
+def test_operator_column_maps_stay_bounded(monkeypatch):
+    n = 2
+    ones = SpherePoly(n, {e: 1 for e in normal_monomials(n, 2)}, reduced=True)
+    psi = SpinorPoly(n, [ones, ones.scale(Fraction(1, 3))])
+    want = (dirac_apply(psi), U_spin(1, psi), y_apply(1, psi))
+    monkeypatch.setattr(clifford, "_CACHE_LIMIT", 3)
+    tables = (
+        clifford._DIRAC_CACHE,
+        clifford._DIRAC_COLUMNS,
+        clifford._U_COLUMNS,
+        clifford._Y_COLUMNS,
+    )
+    try:
+        clifford._clear_operator_caches()
+        assert (dirac_apply(psi), U_spin(1, psi), y_apply(1, psi)) == want
+        assert all(len(table) <= 4 for table in tables)
+    finally:
+        clifford._clear_operator_caches()
