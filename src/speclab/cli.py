@@ -44,8 +44,10 @@ MAX_DIMENSION = 1000
 # this (the descent takes about sqrt(lambda) steps)
 MAX_REFUTE_HEIGHT = 10**6
 # ... and beyond this entropy quadrature order, max(--order, 2 --cutoff +
-# 8): the harmonic projector holds (cutoff + 2)^2 x (order/2 + 1)(order + 1)
-# floats twice, about 350 MB at this limit with the largest cutoff it admits
+# 8): the rule holds (order/2 + 1)(order + 1) nodes and the projector
+# (cutoff + 2)^2 (order/2 + 1) Legendre values; at this limit with the
+# largest cutoff it admits, `entropy --order 100 --cutoff 46` peaks at
+# about 32 MB and 0.3 s in a fresh process (2-vCPU x86_64, CPython 3.11)
 MAX_ENTROPY_ORDER = 100
 
 

@@ -227,6 +227,8 @@ def test_cost_guards_admit_their_limits(capsys):
         ["intertwinor", "dirac-odd", "--n", "3", "--k", str(MAX_ORDER)],
         ["intertwinor", "residue", "--n", str(MAX_DIMENSION), "--j0", str(MAX_ORDER), "--jmax", "500"],
         ["entropy", "--order", str(MAX_ENTROPY_ORDER), "--quick"],
+        # the largest cutoff the order guard admits
+        ["entropy", "--order", str(MAX_ENTROPY_ORDER), "--cutoff", str((MAX_ENTROPY_ORDER - 8) // 2), "--quick"],
     ):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv

@@ -1,6 +1,7 @@
 """Quadrature, conformal factors, harmonic projection, and the entropy
 and fractional-integral inequalities on S^2."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from speclab.entropy import (
     ConformalFactor,
     _entropy_eigen_floats,
+    _node_values,
     SphereProjector,
     apply_spectral_operator,
     battery,
@@ -18,7 +20,13 @@ from speclab.entropy import (
     entropy_sides,
     giveaway_sides,
 )
-from speclab.polynomial import SpherePoly, harmonic_decompose, integrate
+from speclab.polynomial import (
+    SpherePoly,
+    harmonic_decompose,
+    integrate,
+    moment_integral,
+    normal_monomials,
+)
 from speclab.spectral import entropy_operator_eigen, first_order_eigen
 
 
@@ -45,6 +53,48 @@ def test_quadrature_exactness_gate(rule):
     assert abs(rule.integrate(x0sq ** 2) - 1.0 / 5.0) < 1e-13
 
 
+def test_quadrature_rule_is_stored_ring_by_ring():
+    rule = build_quadrature(20)
+    nz, nphi = len(rule.heights), rule.nphi
+    assert (nz, nphi) == (11, 21) and rule.size == nz * nphi
+    assert abs(rule.ring_weights.sum() - 2.0) < 1e-14
+    k, p = np.divmod(np.arange(rule.size), nphi)
+    assert np.array_equal(rule.nodes[:, 2], rule.heights[k])
+    assert np.array_equal(rule.weights, rule.ring_weights[k] / (2.0 * nphi))
+    phi = np.arctan2(rule.nodes[:, 1], rule.nodes[:, 0]) % (2 * np.pi)
+    assert np.max(np.abs(phi - 2 * np.pi * (p + 0.5) / nphi)) < 1e-13
+
+
+def test_full_gate_reads_every_monomial_up_to_the_order():
+    # exact through the order, and the first degree past it is caught
+    for order in (10, 11, 20):
+        rule = build_quadrature(order)
+        assert rule.validate() < 1e-13
+        assert rule.validate(order + 1) > 1e-8
+    assert build_quadrature(60).validate() < 1e-13
+
+
+def _gate_by_monomial(rule, deg):
+    """The gate one monomial at a time: the reference for validate."""
+    x, y, z = rule.nodes[:, 0], rule.nodes[:, 1], rule.nodes[:, 2]
+    worst = 0.0
+    for e in normal_monomials(2, deg) + [(4, 0, 0)]:
+        vals = x ** e[0] * y ** e[1] * z ** e[2]
+        worst = max(worst, abs(rule.integrate(vals) - float(moment_integral(e, 2))))
+    return worst
+
+
+def test_gate_matches_the_monomial_loop_on_a_perturbed_rule():
+    # a broken rule must read the same worst error both ways
+    rng = np.random.default_rng(7)
+    rule = build_quadrature(16)
+    rule.weights = rule.weights * (1.0 + 1e-3 * rng.standard_normal(rule.size))
+    for deg in (4, 12, 16):
+        want = _gate_by_monomial(rule, deg)
+        assert want > 1e-6
+        assert abs(rule.validate(deg) - want) < 1e-14
+
+
 def test_conformal_factor_unit_mass():
     # the |a| = 0.6 factor has a harmonic tail decaying like 0.6^order,
     # so the 1e-10 certificate needs the production order (60)
@@ -66,6 +116,132 @@ def test_conformal_factor_needs_interior_point():
 
 def test_projector_orthonormality(projector):
     assert projector.gram_error() < 1e-12
+
+
+@pytest.mark.parametrize("order, jmax", [(48, 25), (20, 25), (21, 11)])
+def test_projector_refuses_a_level_too_high_for_its_rule(order, jmax):
+    # the sampled harmonics are orthonormal only for order >= 2 jmax;
+    # unguarded, (48, 25) and (20, 25) read Gram errors of 1.0 and 1.79
+    with pytest.raises(ValueError, match=rf"level {jmax}\b.*order {order}\b"):
+        SphereProjector(build_quadrature(order), jmax)
+
+
+def test_projector_admits_its_highest_level():
+    for order in (20, 21, 48):
+        assert SphereProjector(build_quadrature(order), order // 2).gram_error() < 1e-12
+
+
+def test_default_cutoff_on_a_low_order_rule_is_refused():
+    # entropy_sides projects a non-polynomial f at its default cutoff 25,
+    # which a rule of order 48 cannot resolve
+    with pytest.raises(ValueError, match="level 25"):
+        entropy_sides(ConformalFactor((0.0, 0.0, 0.6)), build_quadrature(48))
+
+
+def test_projector_at_the_cost_guard_is_small():
+    # the order guard of the CLI (100) with the largest cutoff it admits
+    # (46, so jmax 47): the tables, not a per-node basis
+    proj = SphereProjector(build_quadrature(100), 47)
+    held = sum(v.nbytes for v in vars(proj).values() if isinstance(v, np.ndarray))
+    assert held < 2_000_000
+
+
+# ---------------------------------------------------------------------------
+# the dense reference: every harmonic sampled at every node
+# ---------------------------------------------------------------------------
+
+
+def _legendre_by_order(z, m, jmax):
+    """Yield (l, P_l^m(z)) for l = m..jmax by the unnormalized recurrences
+    (no Condon-Shortley phase)."""
+    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    pmm = np.ones_like(z)
+    for t in range(1, m + 1):
+        pmm = pmm * (2 * t - 1) * s
+    yield m, pmm
+    if m + 1 > jmax:
+        return
+    prev2, prev1 = pmm, z * (2 * m + 1) * pmm
+    yield m + 1, prev1
+    for l in range(m + 2, jmax + 1):
+        cur = (z * (2 * l - 1) * prev1 - (l + m - 1) * prev2) / (l - m)
+        yield l, cur
+        prev2, prev1 = prev1, cur
+
+
+class DenseProjector:
+    """Reference for SphereProjector: each real spherical harmonic sampled
+    at each node, phi recovered by arctan2, P_l^m scaled by factorial
+    norms, and a coefficient the weighted sum over all nodes.  Rows are
+    formed one at a time, so memory stays linear in the nodes."""
+
+    def __init__(self, rule, jmax):
+        self.rule = rule
+        self.jmax = jmax
+        self._phi = np.arctan2(rule.nodes[:, 1], rule.nodes[:, 0])
+
+    def rows(self):
+        """(l, sampled harmonic) for every harmonic of level <= jmax."""
+        z = self.rule.nodes[:, 2]
+        for m in range(self.jmax + 1):
+            for l, plm in _legendre_by_order(z, m, self.jmax):
+                if m == 0:
+                    yield l, math.sqrt(2 * l + 1) * plm
+                    continue
+                norm = math.sqrt(2 * (2 * l + 1) * math.factorial(l - m) / math.factorial(l + m))
+                yield l, norm * plm * np.cos(m * self._phi)
+                yield l, norm * plm * np.sin(m * self._phi)
+
+    def level_norms_sq(self, f_nodes):
+        wf = self.rule.weights * f_nodes
+        out = np.zeros(self.jmax + 1)
+        for l, row in self.rows():
+            out[l] += float(row @ wf) ** 2
+        return out
+
+
+def _battery_agreement(order, jmax, members):
+    rule = build_quadrature(order)
+    fast, dense = SphereProjector(rule, jmax), DenseProjector(rule, jmax)
+    for name, _, f in members:
+        vals = _node_values(f, rule)
+        scale = rule.integrate(vals * vals)
+        diff = np.max(np.abs(fast.level_norms_sq(vals) - dense.level_norms_sq(vals)))
+        assert diff <= 1e-13 * scale, (order, jmax, name, diff)
+
+
+def test_dense_reference_is_orthonormal():
+    rule = build_quadrature(20)
+    dense = DenseProjector(rule, 10)
+    basis = np.array([row for _, row in dense.rows()])
+    assert basis.shape == (121, rule.size)
+    assert np.max(np.abs((basis * rule.weights) @ basis.T - np.eye(121))) < 1e-13
+
+
+def test_ring_projection_matches_the_dense_reference_on_the_battery():
+    _battery_agreement(60, 26, battery())
+
+
+@pytest.mark.parametrize("order, jmax", [(48, 22), (20, 10), (100, 47)])
+def test_ring_projection_matches_the_dense_reference_at_other_sizes(order, jmax):
+    members = battery()
+    _battery_agreement(order, jmax, [members[i] for i in (0, 6, 18, 23)])
+
+
+def test_entropy_report_matches_the_dense_reference(monkeypatch):
+    from speclab import entropy
+
+    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    fast = entropy_report(order=60)
+    monkeypatch.setattr(entropy, "SphereProjector", DenseProjector)
+    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    dense = entropy_report(order=60)
+    assert fast["all_passed"] and dense["all_passed"]
+    for a, b in zip(fast["rows"], dense["rows"]):
+        assert a["f_description"] == b["f_description"]
+        assert a["status"] == b["status"]
+        for key in ("lhs", "rhs", "gap"):
+            assert abs(a[key] - b[key]) < 1e-12, (a["f_description"], key)
 
 
 def test_projector_matches_exact_decomposition(rule, projector):
