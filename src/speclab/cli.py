@@ -2,9 +2,10 @@
 
 Subcommands: spectrum, intertwinor, verify, refute, entropy.  Exit codes:
 0 success / all checks pass, 1 verification failure, 2 usage or cost-guard
-error, 3 internal invariant failure: an ``AssertionError`` raised inside
-the library (a singular Gram matrix, a truncation spectrum off the
-lattice, ...), reported as one JSON line on stderr instead of a
+error (an unwritable ``--output`` path included), 3 internal invariant
+failure: an ``AssertionError`` raised inside the library (a ladder span
+whose rank is not the harmonic dimension, a monogenic kernel of the
+wrong dimension, ...), reported as one JSON line on stderr instead of a
 traceback.  Output is byte-deterministic for a fixed configuration (fixed
 orderings, floats at 17 significant digits); SPECLAB_PRECISION sets the
 working precision of the transcendental branch (decimal digits).
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -53,7 +55,8 @@ MAX_ENTROPY_ORDER = 100
 
 def parse_number(text: str):
     """'p/q' and integer literals become exact rationals; decimal-point
-    literals stay floats (the genuinely transcendental parameters)."""
+    literals stay floats (the genuinely transcendental parameters).  NaN
+    is refused: it compares false against every cost guard."""
     s = text.strip()
     if "/" in s:
         try:
@@ -63,7 +66,10 @@ def parse_number(text: str):
     try:
         return int(s)
     except ValueError:
-        return float(s)
+        value = float(s)
+    if math.isnan(value):
+        raise ValueError(f"{text!r} is not a number")
+    return value
 
 
 def _emit(args, text: str) -> None:
@@ -90,6 +96,14 @@ def _write_table(args, table: SpectrumTable) -> None:
         _emit(args, json.dumps(table.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
+def _sphere_dimension(n: int) -> int:
+    """--n of spectrum and intertwinor, refused below 2 as the suites and
+    refute refuse it."""
+    if n < 2:
+        raise ValueError("sphere dimension must be >= 2")
+    return n
+
+
 def _refuse(text: str) -> int:
     print(f"error: cost guard: {text}", file=sys.stderr)
     return 2
@@ -110,7 +124,7 @@ def _entropy_guard(order: int, cutoff: int):
 
 
 def cmd_spectrum(args) -> int:
-    n = args.n
+    n = _sphere_dimension(args.n)
     if args.count > MAX_LEVELS:
         return _refuse(f"--count {args.count} exceeds {MAX_LEVELS} levels")
     if args.kind == "scalar":
@@ -134,7 +148,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_intertwinor(args) -> int:
-    n = args.n
+    n = _sphere_dimension(args.n)
     fam = args.family
     order = None
     if fam in ("scalar", "scalar-normalized", "product"):
@@ -410,7 +424,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, TypeError, NotImplementedError) as exc:
+    except (ValueError, TypeError, NotImplementedError, OSError) as exc:
+        # OSError: an --output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -39,9 +39,10 @@ For odd n the ambient spinor space is two copies of the intrinsic bundle,
 so model multiplicities at odd n are doubled; eigenvalue positions and
 all operator identities are unaffected.
 
-Truncation models use no floats: one echelon pass, coordinates read at
-the pivots, and a spectrum certified on the lattice +-(n/2+j) by an
-annihilating product and trace moments (``TruncationModel.spectrum``).
+A truncation model is the matrix of P alone, with no floats: one
+echelon pass, coordinates read at the pivots, and a spectrum certified on
+the lattice +-(n/2+j) by an annihilating product and trace moments
+(``TruncationModel.spectrum``).
 
 Truncation-model cost grows like dim_spin times the count of normal-form
 monomials of degree <= N+1 (the Dirac closure adds one degree).  Model
@@ -54,7 +55,6 @@ takes 0.3 s (98 and 284 columns); n=3, N=2 2.4 s (560 and 1544); n=4
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -73,7 +73,6 @@ from .polynomial import (
     SpherePoly,
     _poly,
     deriv_terms,
-    integrate,
     monomials_of_degree,
     normal_monomials,
     shift_terms,
@@ -81,6 +80,7 @@ from .polynomial import (
 from .report import VerificationReport, covariance_terms, shifted_square_terms
 from .scalars import CRat, _norm
 from .scalar_ops import NotEigenfunctionError
+from .spectral import _odd_poly_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +501,9 @@ def dirac_reference(psi: SpinorPoly) -> SpinorPoly:
     return clifford_x(angular_apply(psi) - psi.scale(half_n))
 
 
-def _dirac_column(n: int, slot: int, e: tuple) -> tuple:
-    """Column of P at one unit spinor monomial, built by the reference route."""
-    return tuple(tuple(p.terms.items()) for p in dirac_reference(_unit(n, slot, e)).components)
-
-
 def _p_column(n: int, slot: int, e: tuple) -> tuple:
-    """``_dirac_column``, with its CRat values converted once."""
-    col = _dirac_column(n, slot, e)
-    return _as_column(SpinorPoly(n, [SpherePoly(n, dict(t), reduced=True) for t in col]))
+    """Column of P at one unit spinor monomial, built by the reference route."""
+    return _as_column(dirac_reference(_unit(n, slot, e)))
 
 
 def dirac_apply(psi: SpinorPoly) -> SpinorPoly:
@@ -739,14 +733,6 @@ def _level_parts(psis: list, jmax: int) -> list:
     return out
 
 
-def decompose_by_levels(psi: SpinorPoly, jmax: int) -> dict:
-    """Exact decomposition of psi into model eigenspinor components up to
-    level jmax (both signs).  Raises if psi lies outside that sum."""
-    parts = _level_parts([psi], jmax)[0]
-    if parts is None:
-        raise ValueError("spinor is outside the requested level range")
-    return parts
-
 # ---------------------------------------------------------------------------
 # finite truncation models
 # ---------------------------------------------------------------------------
@@ -764,73 +750,28 @@ class SpectrumError(AssertionError):
 
 @dataclass
 class TruncationModel:
-    """Exact matrices on the Dirac-closure of the degree<=N spinor monomials.
+    """The exact matrix of P on the Dirac closure of the degree<=N spinor
+    monomials.
 
     The model space is span(W union P W) with W the degree<=N monomial
-    spinors; it is P-invariant (certified during construction), since
-    P^2 = (G - n/2)^2 keeps the degree.  No finite
-    space is invariant under coordinate multiplication, so the x_i/U_i/y_i
-    matrices are exact L2-orthogonal compressions onto the model; between
-    eigenspaces fully contained in the model they agree with the true
-    compressions.
+    spinors; it is P-invariant, since P^2 = (G - n/2)^2 keeps the degree,
+    and ``truncation_matrices`` certifies that while it reads the
+    coordinates.  ``spectrum`` certifies the eigenvalues of ``p_matrix``
+    on the lattice +-(n/2+j).  No finite space is invariant under
+    coordinate multiplication, so x_i, U_i and y_i get no model matrix:
+    the suite applies them in the full polynomial space and checks their
+    compressions between eigenspaces by exact level decomposition
+    (``_level_parts``).
     """
 
     n: int
     N: int
     basis: list
-    index: dict
     p_matrix: list  # p_matrix[i][j] = coefficient of basis_i in P(basis_j)
-    _basis_rows: list
-    _gram_inv: list | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def _coords(self, psi: SpinorPoly) -> list:
-        coeffs = echelon_coords(self._basis_rows, [_spinor_vector(psi, self.index)])[0]
-        if coeffs is None:
-            raise ValueError("vector escapes the model space")
-        return coeffs
-
-    def operator_matrix(self, op) -> list:
-        """Exact matrix of an operator that preserves the model space."""
-        cols = [self._coords(op(b)) for b in self.basis]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
-    def _gram_inverse(self) -> list:
-        if self._gram_inv is None:
-            d = self.dim
-            gram = [
-                [_spinor_inner(self.basis[a], self.basis[b]) for b in range(d)]
-                for a in range(d)
-            ]
-            aug = [list(gram[i]) + [CRat(1) if k == i else CRat(0) for k in range(d)] for i in range(d)]
-            pivots = rref(aug)
-            if len(pivots) != d:
-                raise AssertionError("model Gram matrix is singular")
-            self._gram_inv = [row[d:] for row in aug]
-        return self._gram_inv
-
-    def compressed_matrix(self, op) -> list:
-        """Exact orthogonal compression of an operator onto the model."""
-        ginv = self._gram_inverse()
-        d = self.dim
-        cols = []
-        for b in self.basis:
-            img = op(b)
-            pairings = [_spinor_inner(self.basis[a], img) for a in range(d)]
-            cols.append([sum((ginv[i][k] * pairings[k] for k in range(d)), CRat(0)) for i in range(d)])
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-    def coordinate_matrix(self, i: int) -> list:
-        return self.compressed_matrix(lambda s: s.coordinate_mul(i))
-
-    def u_matrix(self, i: int) -> list:
-        return self.compressed_matrix(lambda s: U_spin(i, s))
-
-    def y_matrix(self, i: int) -> list:
-        return self.compressed_matrix(lambda s: y_apply(i, s))
 
     # -- spectrum ---------------------------------------------------------
 
@@ -874,45 +815,6 @@ class TruncationModel:
                 raise SpectrumError(f"trace moments give multiplicity {mult} at {lattice[k]}")
         return sorted((lam, m, True) for lam, m in zip(lattice, mults) if m)
 
-    def spectrum_csv(self) -> str:
-        lines = ["eigenvalue,multiplicity,certified"]
-        for lam, mult, cert in self.spectrum():
-            lines.append(f"{lam},{mult},{str(cert).lower()}")
-        return "\n".join(lines) + "\n"
-
-    def matrix_json(self, which: str = "dirac") -> str:
-        if which == "dirac":
-            mat = self.p_matrix
-        elif which.startswith("x"):
-            mat = self.coordinate_matrix(int(which[1:]))
-        elif which.startswith("u"):
-            mat = self.u_matrix(int(which[1:]))
-        elif which.startswith("y"):
-            mat = self.y_matrix(int(which[1:]))
-        else:
-            raise ValueError(f"unknown matrix {which!r}")
-        return json.dumps(
-            {
-                "dimension": self.n,
-                "cap": self.N,
-                "operator": which,
-                "shape": [self.dim, self.dim],
-                "field": "complex-rational",
-                "rows": [[str(v) for v in row] for row in mat],
-            },
-            sort_keys=True,
-        )
-
-
-def _spinor_inner(a: SpinorPoly, b: SpinorPoly) -> CRat:
-    """Exact L2 pairing integral of conj(a) . b over the sphere."""
-    acc = CRat(0)
-    for pa, pb in zip(a.components, b.components):
-        conj_terms = {e: c.conjugate() for e, c in pa.terms.items()}
-        prod = SpherePoly(a.n, conj_terms, reduced=True) * pb
-        acc = acc + integrate(prod)
-    return acc if isinstance(acc, CRat) else CRat(acc)
-
 
 def truncation_matrices(n: int, N: int) -> TruncationModel:
     """Build the exact Dirac matrix model on span(W union P W), W the
@@ -938,9 +840,7 @@ def truncation_matrices(n: int, N: int) -> TruncationModel:
         raise SpectrumError("model space is not P-invariant")
     dim = len(basis)
     p_matrix = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    return TruncationModel(
-        n=n, N=N, basis=basis, index=index, p_matrix=p_matrix, _basis_rows=rows
-    )
+    return TruncationModel(n=n, N=N, basis=basis, p_matrix=p_matrix)
 
 
 def _rows_to_spinors(rows: list, index: dict, n: int) -> list:
@@ -1025,13 +925,8 @@ def spinor_laws(n: int, k_max: int) -> list:
                 shifted_square_terms(a) + [(1, "P P"), (Fraction(n, 4), "")],
             )
         )
-    powers = [0, 1]  # coefficients of P^0, P^1, ... in the odd intertwinor
     for k in range(k_max + 1):
-        if k:
-            powers = [0, 0] + powers
-            for m in range(len(powers) - 2):
-                powers[m] -= k * k * powers[m + 2]
-        odd = [(c, " ".join(["P"] * m)) for m, c in enumerate(powers) if c]
+        odd = [(c, " ".join(["P"] * m)) for m, c in enumerate(_odd_poly_coeffs(k)) if c]
         laws.append(
             (
                 f"odd_intertwinor_k={k}",

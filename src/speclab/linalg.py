@@ -15,11 +15,6 @@ def rref(rows: list) -> list:
     return _kernel.rref(rows)
 
 
-def rank(rows: list) -> int:
-    work = [list(r) for r in rows]
-    return len(_kernel.rref(work))
-
-
 def nullspace(rows: list, ncols=None) -> list:
     """Basis of the right kernel of the matrix (rows = equations)."""
     if not rows:
@@ -112,10 +107,6 @@ def _dot(u, v):
     for x, y in it:
         acc = acc + x * y
     return acc
-
-
-def mat_vec(a: list, v: list) -> list:
-    return [_dot(row, v) for row in a]
 
 
 def mat_scale(a: list, c) -> list:

@@ -45,6 +45,9 @@ def test_parse_number():
     assert parse_number("3/4") == Fraction(3, 4)
     assert parse_number("5") == 5
     assert isinstance(parse_number("0.3"), float)
+    assert parse_number("inf") == float("inf")  # left to the cost guards
+    with pytest.raises(ValueError, match="not a number"):
+        parse_number("nan")
 
 
 def test_spectrum_scalar_values(capsys):
@@ -340,6 +343,16 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().startswith("level,value,kind")
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    # an OSError on the --output path escaped main with a traceback, exit 1
+    target = tmp_path / "missing" / "table.csv"
+    code, out, err = run(capsys, "--output", str(target), "spectrum", "scalar")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["spectrum", "nonsense"]) == 2
     assert main([]) == 2
@@ -351,7 +364,7 @@ def test_internal_invariant_failure_exit_code(capsys, monkeypatch):
     import speclab.cli as cli
 
     def broken(n, cap):
-        raise AssertionError("model Gram matrix is singular")
+        raise AssertionError("ladder span rank 3 != harmonic dimension 5")
 
     monkeypatch.setattr(cli, "verify_scalar_identities", broken)
     code, out, err = run(capsys, "verify", "scalar", "--n", "2", "--cap", "2")
@@ -362,7 +375,7 @@ def test_internal_invariant_failure_exit_code(capsys, monkeypatch):
     assert json.loads(lines[0]) == {
         "error": "internal invariant failure",
         "exception": "AssertionError",
-        "message": "model Gram matrix is singular",
+        "message": "ladder span rank 3 != harmonic dimension 5",
     }
 
 
@@ -520,6 +533,14 @@ def test_escaped_inputs_are_usage_errors(capsys):
         ["intertwinor", "scalar", "--n", "3", "--r", "1/0"],
         ["refute", "--n", "1", "--lambda", "5"],
         ["intertwinor", "entropy-derivative", "--n", "-4", "--jmax", "4"],
+        # NaN passed the order guards (abs(nan) > 100 is False) and printed
+        # a table of "nan" values with exit 0
+        ["intertwinor", "scalar", "--n", "2", "--r", "nan"],
+        ["intertwinor", "dirac", "--n", "2", "--k", "nan"],
+        # a lattice or a table for a sphere of dimension below 2, exit 0
+        ["spectrum", "dirac", "--n", "-1"],
+        ["spectrum", "scalar", "--n", "1"],
+        ["intertwinor", "scalar", "--n", "-2", "--r", "1"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv

@@ -15,7 +15,6 @@ from speclab.clifford import (
     U_spin,
     angular_apply,
     clifford_x,
-    decompose_by_levels,
     dirac_apply,
     dirac_eigenvalue,
     dirac_reference,
@@ -35,7 +34,7 @@ from speclab.clifford import (
 from speclab.linalg import nullspace
 from speclab.polynomial import SpherePoly, normal_monomials
 from speclab.report import VerificationReport
-from speclab.scalars import CRat, parse_crat
+from speclab.scalars import CRat
 
 
 def rand_spinor(rng, n, deg=2):
@@ -230,8 +229,7 @@ def test_level_decomposition_supports_compression_identity():
     lam = dirac_eigenvalue(n, j, sign)
     psi = eigenspinor_basis(n, j, sign)[0]
     for i in range(n + 1):
-        parts_x = decompose_by_levels(psi.coordinate_mul(i), j + 1)
-        parts_u = decompose_by_levels(U_spin(i, psi), j + 1)
+        parts_x, parts_u = clifford._level_parts([psi.coordinate_mul(i), U_spin(i, psi)], j + 1)
         for key in set(parts_x) | set(parts_u):
             mu = dirac_eigenvalue(n, key[0], key[1])
             cx = parts_x.get(key, SpinorPoly.zero(n))
@@ -324,62 +322,12 @@ def test_truncation_spectrum_runs_without_a_float_eigensolver(monkeypatch):
     ]
 
 
-def test_truncation_spectrum_csv():
-    m = truncation_matrices(2, 0)
-    lines = m.spectrum_csv().strip().splitlines()
-    assert lines[0] == "eigenvalue,multiplicity,certified"
-    assert lines[1] == "-1,2,true"
-
-
-def test_compressed_coordinate_matrix_between_contained_levels():
-    # inside the model, the compression of U_i equals the eigenvalue-gap
-    # factor times the compression of x_i on each eigenvector
-    from speclab.linalg import mat_vec
-
-    m = truncation_matrices(2, 0)
-    x0 = m.coordinate_matrix(0)
-    u0 = m.u_matrix(0)
-    # eigenvectors of the model at +-1
-    saw_nonzero_x = False
-    for lam in (Fraction(1), Fraction(-1)):
-        shifted = [
-            [m.p_matrix[i][j] - (CRat(lam) if i == j else CRat(0)) for j in range(m.dim)]
-            for i in range(m.dim)
-        ]
-        for vec in nullspace(shifted, ncols=m.dim):
-            xv = mat_vec(x0, vec)
-            uv = mat_vec(u0, vec)
-            # the only level inside the N=0 model besides lam is -lam, where
-            # the gap factor (mu^2 - lam^2)/2 vanishes: compressed U_i kills
-            # every eigenvector while compressed x_i generally does not
-            assert all(not u for u in uv)
-            saw_nonzero_x = saw_nonzero_x or any(bool(x) for x in xv)
-    assert saw_nonzero_x
-
-
-def test_operator_matrix_matches_stored_dirac():
-    m = truncation_matrices(2, 1)
-    assert m.operator_matrix(dirac_apply) == m.p_matrix
-    # no finite space is invariant under coordinate multiplication
-    with pytest.raises(ValueError, match="escapes the model space"):
-        m.operator_matrix(lambda s: s.coordinate_mul(0))
-
-
 def test_decompose_outside_range_raises():
+    # outside the requested levels there is no decomposition: the suite
+    # reads None as a U_i image that leaves the adjacent levels
     psi = eigenspinor_basis(2, 2, 1)[0]
-    with pytest.raises(ValueError):
-        decompose_by_levels(psi, 1)
-
-
-def test_matrix_json_roundtrip():
-    m = truncation_matrices(2, 0)
-    payload = json.loads(m.matrix_json("dirac"))
-    assert payload["shape"] == [4, 4]
-    for row in payload["rows"]:
-        for s in row:
-            parse_crat(s)
-    payload = json.loads(m.matrix_json("x0"))
-    assert payload["operator"] == "x0"
+    assert clifford._level_parts([psi], 1) == [None]
+    assert clifford._level_parts([psi], 2) == [{(2, 1): psi}]
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +460,15 @@ def test_dirac_column_map_matches_reference(cold_dirac_caches):
 
 def _corrupt_dirac_column(monkeypatch, bad_key):
     """Add 1 to the diagonal entry of one column of P."""
-    build = clifford._dirac_column
+    build = clifford._p_column
 
     def corrupted(n, slot, e):
-        col = build(n, slot, e)
         if (n, slot, e) != bad_key:
-            return col
-        image = [dict(terms) for terms in col]
-        image[slot][e] = image[slot].get(e, CRat(0)) + CRat(1)
-        return tuple(tuple((f, c) for f, c in t.items() if c) for t in image)
+            return build(n, slot, e)
+        unit = clifford._unit(n, slot, e)
+        return clifford._as_column(dirac_reference(unit) + unit)
 
-    monkeypatch.setattr(clifford, "_dirac_column", corrupted)
+    monkeypatch.setattr(clifford, "_p_column", corrupted)
 
 
 def test_dirac_column_map_is_falsifiable(monkeypatch, cold_dirac_caches):

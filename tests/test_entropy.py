@@ -1,6 +1,7 @@
 """Quadrature, conformal factors, harmonic projection, and the entropy
 and fractional-integral inequalities on S^2."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -464,3 +465,33 @@ def test_entropy_report_reuses_its_rule_and_projector(monkeypatch):
     # bounded, oldest dropped first: (20, 5) was evicted before (20, 4) came back
     assert built == [5, 6, 7, 5]
     assert list(entropy._FIXED_COSTS) == [(20, 7), (20, 5)]
+
+
+def test_entropy_report_gate_reads_every_degree_the_projector_uses(monkeypatch):
+    # a rule exact only through degree 12 but labelled order 60: a gate read
+    # only through degree 12 reported 1.7e-16 for it, while the projector
+    # integrates harmonic products up to degree 2 (cutoff + 1) = 52
+    from speclab import entropy
+
+    low = dataclasses.replace(build_quadrature(12), order=60)
+    monkeypatch.setattr(entropy, "build_quadrature", lambda order: low)
+    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    rep = entropy_report(order=60, quick=True)
+    assert rep["quadrature_gate_error"] > 1e-3
+    assert rep["all_passed"] is False
+
+
+def test_entropy_report_fails_on_its_gate_alone(monkeypatch):
+    # every row passes on a sound rule; a gate error above the tolerance
+    # still fails the report
+    from speclab import entropy
+
+    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    sound = entropy_report(order=40, cutoff=20, quick=True)
+    assert sound["all_passed"]
+    monkeypatch.setattr(entropy.QuadratureRule, "validate", lambda self, deg=None: 1e-9)
+    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    rep = entropy_report(order=40, cutoff=20, quick=True)
+    assert all(row["status"] == "pass" for row in rep["rows"])
+    assert rep["quadrature_gate_error"] == 1e-9
+    assert rep["all_passed"] is False

@@ -291,19 +291,19 @@ def test_equal_fields_from_different_coefficient_types_are_equal():
 def test_columns_over_different_denominators_add_exactly(monkeypatch):
     # every column of one operator has the same denominator at every n that
     # the suites run, so halve one column of P to make the sum mix two
-    build_column = clifford._dirac_column
+    build_column = clifford._p_column
     n, halved_key = 2, (2, 0, (0, 0, 0))
 
     def halved(n, slot, e):
-        col = build_column(n, slot, e)
         if (n, slot, e) != halved_key:
-            return col
-        return tuple(tuple((f, c * Fraction(1, 2)) for f, c in t) for t in col)
+            return build_column(n, slot, e)
+        image = dirac_reference(clifford._unit(n, slot, e))
+        return clifford._as_column(image.scale(Fraction(1, 2)))
 
     one = SpinorPoly.unit(n, 0)
     x1 = SpinorPoly.unit(n, 0, SpherePoly.coordinate(n, 1))
     want = dirac_reference(one).scale(Fraction(1, 2)) + dirac_reference(x1).scale(CRat(0, 3))
-    monkeypatch.setattr(clifford, "_dirac_column", halved)
+    monkeypatch.setattr(clifford, "_p_column", halved)
     try:
         clifford._clear_operator_caches()
         assert dirac_apply(one + x1.scale(CRat(0, 3))) == want
