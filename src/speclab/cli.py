@@ -2,13 +2,20 @@
 
 Subcommands: spectrum, intertwinor, verify, refute, entropy.  Exit codes:
 0 success / all checks pass, 1 verification failure, 2 usage or cost-guard
-error (an unwritable ``--output`` path included), 3 internal invariant
+error (an unwritable ``--output`` path, a ``--jobs`` below 1 and an empty
+level range included: a negative ``--jmax``, a ``spectrum --count`` below 1,
+a dirac ``--lambda-max`` below n/2), 3 internal invariant
 failure: an ``AssertionError`` raised inside the library (a ladder span
 whose rank is not the harmonic dimension, a monogenic kernel of the
 wrong dimension, ...), reported as one JSON line on stderr instead of a
 traceback.  Output is byte-deterministic for a fixed configuration (fixed
 orderings, floats at 17 significant digits); SPECLAB_PRECISION sets the
 working precision of the transcendental branch (decimal digits).
+
+``main(argv)`` can be called many times in one process, and answers each
+argv as a fresh process would.  It builds its parser on the first call and
+reuses it, and it looks up ``cmd_<command>`` when it dispatches, so a
+rebound ``cmd_*`` takes effect.  ``build_parser()`` returns a fresh parser.
 """
 
 from __future__ import annotations
@@ -125,6 +132,8 @@ def _entropy_guard(order: int, cutoff: int):
 
 def cmd_spectrum(args) -> int:
     n = _sphere_dimension(args.n)
+    if args.count < 1:
+        raise ValueError("count must be >= 1")
     if args.count > MAX_LEVELS:
         return _refuse(f"--count {args.count} exceeds {MAX_LEVELS} levels")
     if args.kind == "scalar":
@@ -149,6 +158,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_intertwinor(args) -> int:
     n = _sphere_dimension(args.n)
+    if args.jmax < 0:
+        raise ValueError(f"--jmax {args.jmax} is negative")
     fam = args.family
     order = None
     if fam in ("scalar", "scalar-normalized", "product"):
@@ -165,7 +176,10 @@ def cmd_intertwinor(args) -> int:
     if fam == "residue" and n > MAX_DIMENSION:
         return _refuse(f"--n {n} exceeds {MAX_DIMENSION} for the residue family")
     if fam in ("dirac", "dirac-odd"):
-        if parse_number(args.lambda_max) - Fraction(n, 2) > MAX_LEVELS:
+        lambda_max = parse_number(args.lambda_max)
+        if lambda_max < Fraction(n, 2):
+            raise ValueError(f"--lambda-max {args.lambda_max} is below n/2 = {Fraction(n, 2)}")
+        if lambda_max - Fraction(n, 2) > MAX_LEVELS:
             return _refuse(f"--lambda-max {args.lambda_max} spans more than {MAX_LEVELS} levels")
     elif fam != "adjacent" and args.jmax > MAX_LEVELS:
         return _refuse(f"--jmax {args.jmax} exceeds {MAX_LEVELS} levels")
@@ -185,9 +199,9 @@ def cmd_intertwinor(args) -> int:
         if args.k is None:
             print("error: --k is required for the dirac family", file=sys.stderr)
             return 2
-        table = SpectrumTable.dirac(n, parse_number(args.k), parse_number(args.lambda_max))
+        table = SpectrumTable.dirac(n, parse_number(args.k), lambda_max)
     elif fam == "dirac-odd":
-        table = SpectrumTable.dirac_odd(n, int(args.k), parse_number(args.lambda_max))
+        table = SpectrumTable.dirac_odd(n, int(args.k), lambda_max)
     elif fam == "adjacent":
         table = SpectrumTable.dirac_adjacent(n, parse_number(args.lam))
     else:  # pragma: no cover - argparse restricts choices
@@ -367,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--count", type=int, default=10)
     sp.add_argument("--operator", choices=("conformal", "laplacian"), default="conformal")
-    sp.set_defaults(func=cmd_spectrum)
 
     it = sub.add_parser("intertwinor", help="spectral functions of operator families")
     it.add_argument(
@@ -391,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     it.add_argument("--jmax", type=int, default=10)
     it.add_argument("--lambda-max", dest="lambda_max", default="5")
     it.add_argument("--lambda", dest="lam", default="3/2", help="eigenvalue for 'adjacent'")
-    it.set_defaults(func=cmd_intertwinor)
 
     vf = sub.add_parser("verify", help="run identity suites")
     vf.add_argument("scope", choices=("scalar", "spinor", "entropy", "all"))
@@ -401,29 +413,39 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--order", type=int, default=40, help="entropy quadrature order")
     vf.add_argument("--cutoff", type=int, default=25, help="entropy projection cutoff")
     vf.add_argument("--quick", action="store_true", help="entropy: first 6 battery members")
-    vf.set_defaults(func=cmd_verify)
 
     rf = sub.add_parser("refute", help="descent certificate for an off-spectrum candidate")
     rf.add_argument("--n", type=int, default=3)
     rf.add_argument("--lambda", dest="lam", required=True)
-    rf.set_defaults(func=cmd_refute)
 
     en = sub.add_parser("entropy", help="entropy inequality report on S^2")
     en.add_argument("--order", type=int, default=60)
     en.add_argument("--cutoff", type=int, default=25)
     en.add_argument("--quick", action="store_true")
-    en.set_defaults(func=cmd_entropy)
     return ap
 
 
+# Built by the first main call, not at import, and reused by every later
+# call: parse_args leaves the parser as it found it, and building it costs
+# more than a light request's whole computation.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.jobs < 1:
+        print(f"error: --jobs {args.jobs} must be >= 1", file=sys.stderr)
+        return 2
+    # looked up at call time, so a rebound cmd_* is the one that runs
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, TypeError, NotImplementedError, OSError) as exc:
         # OSError: an --output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import speclab
 from speclab import scalar_ops
-from speclab.cli import MAX_DIMENSION, MAX_ENTROPY_ORDER, MAX_ORDER, main, parse_number
+from speclab.cli import MAX_DIMENSION, MAX_ENTROPY_ORDER, MAX_ORDER, build_parser, main, parse_number
 from fractions import Fraction
 
 
@@ -222,6 +222,10 @@ def test_cost_guards_admit_their_limits(capsys):
         ["spectrum", "dirac", "--n", "3", "--count", "500"],
         ["intertwinor", "first-order", "--n", "3", "--jmax", "500"],
         ["intertwinor", "dirac-odd", "--n", "3", "--k", "2", "--lambda-max", "1003/2"],
+        # the lower ends of the level ranges
+        ["spectrum", "dirac", "--n", "3", "--count", "1"],
+        ["intertwinor", "first-order", "--n", "3", "--jmax", "0"],
+        ["intertwinor", "dirac", "--n", "3", "--k", "1/3", "--lambda-max", "3/2"],
         ["refute", "--n", "3", "--lambda", "1000000/3"],
         ["intertwinor", "scalar", "--n", "3", "--r", str(MAX_ORDER), "--jmax", "2"],
         ["intertwinor", "scalar", "--n", "3", f"--r={-MAX_ORDER}", "--jmax", "2"],
@@ -541,7 +545,112 @@ def test_escaped_inputs_are_usage_errors(capsys):
         ["spectrum", "dirac", "--n", "-1"],
         ["spectrum", "scalar", "--n", "1"],
         ["intertwinor", "scalar", "--n", "-2", "--r", "1"],
+        # empty level ranges: an empty table or lattice, exit 0
+        ["intertwinor", "scalar", "--n", "3", "--r", "1", "--jmax", "-3"],
+        ["intertwinor", "first-order", "--n", "3", "--jmax", "-1"],
+        ["spectrum", "dirac", "--n", "3", "--count", "0"],
+        ["spectrum", "dirac", "--n", "2", "--count", "-4"],
+        ["intertwinor", "dirac", "--n", "2", "--k", "1/3", "--lambda-max", "-5"],
+        ["intertwinor", "dirac-odd", "--n", "3", "--k", "1", "--lambda-max", "1"],
     ):
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2, argv
+        assert out == ""
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    # accepted silently before, and the scopes ran serially
+    code, out, err = run(capsys, "--jobs", jobs, "verify", "scalar", "--n", "2", "--cap", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --jobs {jobs} must be >= 1\n"
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    import speclab.cli as cli
+
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for count in range(1, 6):
+        assert run(capsys, "spectrum", "scalar", "--count", str(count))[0] == 0
+    assert run(capsys, "spectrum", "nonsense")[0] == 2
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "intertwinor", "scalar", "--r", "1", "--jmax", "2")[0] == 0
+    assert len(built) == 1
+    # build_parser itself still returns a fresh parser
+    assert build_parser() is not build_parser()
+
+
+def test_import_builds_no_parser():
+    # the first main call builds it, so importing costs nothing extra
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import speclab, speclab.cli\n"
+        "assert not built and speclab.cli._PARSER is None, 'parser built at import'\n"
+        "assert speclab.cli.main(['spectrum', 'scalar', '--count', '2']) == 0\n"
+        "assert built and speclab.cli._PARSER is not None, 'main built no parser'\n"
+    )
+    src = str(Path(speclab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# one long-lived interpreter must answer each of these as a fresh process does
+_STREAM = [
+    ["spectrum", "nonsense"],
+    ["--help"],
+    ["--format", "xml", "spectrum", "scalar"],
+    ["--format", "csv", "spectrum", "scalar", "--n", "4", "--count", "3"],
+    ["intertwinor", "scalar", "--n", "3", "--r", "1/2", "--jmax", "4"],
+    ["verify", "scalar", "--n", "2", "--cap", "2"],
+    ["spectrum", "nonsense"],
+    ["--format", "text", "spectrum", "dirac", "--n", "2", "--count", "2"],
+]
+
+
+def test_in_process_stream_matches_fresh_processes(capsys, monkeypatch):
+    # help and usage text wrap at the terminal width: fix it on both sides
+    import speclab.cli as cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_PARSER", None)
+    src = str(Path(speclab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    for argv in _STREAM:
+        in_process = run(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "speclab.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert in_process == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+def test_rebound_command_is_dispatched(capsys, monkeypatch):
+    # main looks the subcommand up when it runs, so a patch or a tracer
+    # that rebinds cmd_spectrum after the parser exists is still used
+    import speclab.cli as cli
+
+    assert run(capsys, "spectrum", "scalar", "--count", "2")[0] == 0
+    seen = []
+
+    def fake_spectrum(args):
+        seen.append(args.count)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_spectrum", fake_spectrum)
+    assert run(capsys, "spectrum", "scalar", "--count", "3") == (7, "", "")
+    assert seen == [3]
