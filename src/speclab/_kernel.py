@@ -1,8 +1,10 @@
 """Hot kernels: sparse term-map arithmetic and row echelon.
 
 These are the inner loops everything else reduces to: merging sparse
-exponent-keyed term maps, rewriting even powers of x0 through the sphere
-relation, and exact Gaussian elimination.  They are pure Python and
+exponent-keyed term maps (``combine_terms`` sums any number of scaled maps
+in one pass), rewriting even powers of x0 through the sphere relation, and
+exact Gaussian elimination, which touches only the nonzero entries of each
+pivot row.  They are pure Python and
 coefficient-generic: anything with field arithmetic works (Fraction,
 CRat, float), and CRat maps run on CRat's own int arithmetic.  Callers
 look the functions up on this module at call time
@@ -71,6 +73,57 @@ def add_scaled_terms(a: dict, b: dict, c) -> dict:
                     out[e] = s
                 else:
                     del out[e]
+    return out
+
+
+def combine_terms(pairs) -> dict:
+    """Return the sum of c * m over the ``(c, m)`` pairs as one fresh term
+    map (zero coefficients dropped).
+
+    One accumulator for all pairs: it starts as ``scale_terms`` of the
+    first nonzero map, and every later map is merged into it in one pass,
+    with one merge loop per case as in ``add_scaled_terms``."""
+    out: dict = {}
+    for c, m in pairs:
+        if not c or not m:
+            continue
+        if not out:
+            out = scale_terms(m, c)
+            continue
+        sign = _unit_sign(c, next(iter(m.values())))
+        if sign == 1:
+            for e, v in m.items():
+                prev = out.get(e)
+                if prev is None:
+                    out[e] = v
+                else:
+                    s = prev + v
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        elif sign == -1:
+            for e, v in m.items():
+                prev = out.get(e)
+                if prev is None:
+                    out[e] = -v
+                else:
+                    s = prev - v
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        else:
+            for e, v in m.items():
+                prev = out.get(e)
+                if prev is None:
+                    out[e] = c * v
+                else:
+                    s = prev + c * v
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
     return out
 
 
@@ -182,10 +235,15 @@ def reduce_terms(terms: dict, n: int) -> dict:
 
 
 def rref(rows: list) -> list:
-    """In-place reduced row echelon form; returns the pivot column list.
+    """Reduced row echelon form; returns the pivot column list.
 
-    Works over any exact field.  Deterministic: scans columns left to
-    right, takes the first nonzero entry as pivot.
+    The list ``rows`` is reduced in place, but the row lists it held are
+    never written to: a row is copied before it changes.  Works over any
+    exact field.  Deterministic: scans columns left to right, takes the
+    first nonzero entry as pivot.  The rows are sparse, so each pivot row
+    is divided at its nonzero entries only, and each other row is updated
+    at those entries only.  Left of its pivot a pivot row is zero, since
+    every column there is a pivot column or had no pivot candidate.
     """
     if not rows:
         return []
@@ -205,17 +263,21 @@ def rref(rows: list) -> list:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
+        support = [k for k in range(col, ncols) if prow[k]]
         inv = prow[col]
         if inv != 1:
-            rows[r] = prow = [v / inv for v in prow]
+            rows[r] = prow = list(prow)
+            for k in support:
+                prow[k] = prow[k] / inv
+        entries = [(k, prow[k]) for k in support]
         for i in range(nrows):
             if i == r:
                 continue
             f = rows[i][col]
             if f:
-                ri = rows[i]
-                rows[i] = [x - f * y if y else x for x, y in zip(ri, prow)]
+                rows[i] = ri = list(rows[i])
+                for k, y in entries:
+                    ri[k] = ri[k] - f * y
         pivots.append(col)
         r += 1
     return pivots
-

@@ -2,15 +2,16 @@
 
 Subcommands: spectrum, intertwinor, verify, refute, entropy.  Exit codes:
 0 success / all checks pass, 1 verification failure, 2 usage or cost-guard
-error (an unwritable ``--output`` path, a ``--jobs`` below 1 and an empty
-level range included: a negative ``--jmax``, a ``spectrum --count`` below 1,
-a dirac ``--lambda-max`` below n/2), 3 internal invariant
-failure: an ``AssertionError`` raised inside the library (a ladder span
-whose rank is not the harmonic dimension, a monogenic kernel of the
-wrong dimension, ...), reported as one JSON line on stderr instead of a
-traceback.  Output is byte-deterministic for a fixed configuration (fixed
-orderings, floats at 17 significant digits); SPECLAB_PRECISION sets the
-working precision of the transcendental branch (decimal digits).
+error (an unwritable ``--output`` path, a ``--jobs`` below 1, an entropy
+``--order`` below 2 and an empty level range included: a negative
+``--jmax``, a ``spectrum --count`` below 1, a dirac ``--lambda-max`` below
+n/2), 3 internal invariant failure: an ``AssertionError`` raised inside the
+library (a ladder span whose rank is not the harmonic dimension, a
+monogenic kernel of the wrong dimension, ...), reported as one JSON line
+on stderr instead of a traceback.  Output is byte-deterministic for a
+fixed configuration (fixed orderings, floats at 17 significant digits);
+SPECLAB_PRECISION sets the working precision of the transcendental branch
+(decimal digits).
 
 ``main(argv)`` can be called many times in one process, and answers each
 argv as a fresh process would.  It builds its parser on the first call and
@@ -118,9 +119,12 @@ def _refuse(text: str) -> int:
 
 def _entropy_guard(order: int, cutoff: int):
     """Exit code 2 with a refusal for an entropy request past its cost guard,
-    else None."""
+    else None; ValueError (a usage error) for an order below the least one
+    ``build_quadrature`` accepts."""
     if cutoff < 0:
         return _refuse(f"--cutoff {cutoff} is negative")
+    if order < 2:
+        raise ValueError(f"--order {order} must be >= 2")
     effective = max(order, 2 * cutoff + 8)
     if effective > MAX_ENTROPY_ORDER:
         return _refuse(

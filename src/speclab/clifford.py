@@ -318,6 +318,37 @@ class SpinorPoly:
             re, im = _add_maps(re, other._im, -m * q), _add_maps(im, other._re, m * q)
         return _spinor(self.n, re, im, den)
 
+    @classmethod
+    def combination(cls, pairs) -> "SpinorPoly":
+        """The sum of c * psi over the nonempty ``(c, psi)`` pairs, c a
+        Gaussian rational, in one accumulation per slot over the least
+        common denominator, with the content divided out once."""
+        pairs = [(_gaussian(c), psi) for c, psi in pairs]
+        n = pairs[0][1].n
+        den = 1
+        for (p, q, r), psi in pairs:
+            if psi.n != n:
+                raise ValueError(f"dimension mismatch: S^{n} vs S^{psi.n}")
+            rb = r * psi._den
+            if (p or q) and den % rb:
+                den = den // gcd(den, rb) * rb
+        slots = range(len(pairs[0][1]._re))
+        re = [[] for _ in slots]
+        im = [[] for _ in slots]
+        # (p + q i) m (B + C i) = m (p B - q C) + m (p C + q B) i
+        for (p, q, r), psi in pairs:
+            m = den // (r * psi._den)
+            if p:
+                for s in slots:
+                    re[s].append((m * p, psi._re[s]))
+                    im[s].append((m * p, psi._im[s]))
+            if q:
+                for s in slots:
+                    re[s].append((-m * q, psi._im[s]))
+                    im[s].append((m * q, psi._re[s]))
+        combine = _kernel.combine_terms
+        return _spinor(n, tuple(map(combine, re)), tuple(map(combine, im)), den)
+
     def _termwise(self, op) -> "SpinorPoly":
         """An int-linear map of term maps applied to every numerator map."""
         return _spinor(
@@ -339,17 +370,18 @@ class SpinorPoly:
         den = lcm(*(z._d for row in entries for z in row))
         re_out, im_out = [], []
         for row in entries:
-            re, im = {}, {}
+            # (a + b i) m (B + C i) = m (a B - b C) + m (a C + b B) i
+            re, im = [], []
             for c, z in enumerate(row):
                 m = den // z._d
                 if z._a:
-                    re = _kernel.add_scaled_terms(re, self._re[c], z._a * m)
-                    im = _kernel.add_scaled_terms(im, self._im[c], z._a * m)
+                    re.append((z._a * m, self._re[c]))
+                    im.append((z._a * m, self._im[c]))
                 if z._b:
-                    re = _kernel.add_scaled_terms(re, self._im[c], -z._b * m)
-                    im = _kernel.add_scaled_terms(im, self._re[c], z._b * m)
-            re_out.append(re)
-            im_out.append(im)
+                    re.append((-z._b * m, self._im[c]))
+                    im.append((z._b * m, self._re[c]))
+            re_out.append(_kernel.combine_terms(re))
+            im_out.append(_kernel.combine_terms(im))
         return _spinor(self.n, tuple(re_out), tuple(im_out), self._den * den)
 
     @property
@@ -389,10 +421,9 @@ class SpinorPoly:
 def clifford_x(psi: SpinorPoly) -> SpinorPoly:
     """Clifford multiplication by the vector variable sum_i x_i e_i."""
     alg = gamma_algebra(psi.n)
-    out = SpinorPoly.zero(psi.n)
-    for i in range(psi.n + 1):
-        out = out + psi.matrix_apply(alg.e(i)).coordinate_mul(i)
-    return out
+    return SpinorPoly.combination(
+        (1, psi.matrix_apply(alg.e(i)).coordinate_mul(i)) for i in range(psi.n + 1)
+    )
 
 
 def _angular_terms(terms: dict, i: int, j: int, n: int) -> dict:
@@ -409,12 +440,11 @@ def angular_apply(psi: SpinorPoly) -> SpinorPoly:
     Clifford-x images."""
     n = psi.n
     alg = gamma_algebra(n)
-    out = SpinorPoly.zero(n)
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            rotated = psi._termwise(lambda t: _angular_terms(t, i, j, n))
-            out = out + rotated.matrix_apply(alg.pair(i, j))
-    return -out
+    return SpinorPoly.combination(
+        (-1, psi._termwise(lambda t: _angular_terms(t, i, j, n)).matrix_apply(alg.pair(i, j)))
+        for i in range(n + 1)
+        for j in range(i + 1, n + 1)
+    )
 
 
 # Per-spinor results of P, in front of the column map: identity sweeps
@@ -497,8 +527,7 @@ def _apply_columns(psi: SpinorPoly, table: dict, head: tuple, build) -> SpinorPo
 
 def dirac_reference(psi: SpinorPoly) -> SpinorPoly:
     """P psi by its defining route x . (angular - n/2) psi."""
-    half_n = Fraction(psi.n, 2)
-    return clifford_x(angular_apply(psi) - psi.scale(half_n))
+    return clifford_x(SpinorPoly.combination([(1, angular_apply(psi)), (Fraction(-psi.n, 2), psi)]))
 
 
 def _p_column(n: int, slot: int, e: tuple) -> tuple:
@@ -533,7 +562,7 @@ def _u_column(i: int, n: int, slot: int, e: tuple) -> tuple:
     unit = _unit(n, slot, e)
     a = dirac_squared(unit.coordinate_mul(i))
     b = dirac_squared(unit).coordinate_mul(i)
-    return _as_column((a - b).scale(Fraction(1, 2)))
+    return _as_column(SpinorPoly.combination([(Fraction(1, 2), a), (Fraction(-1, 2), b)]))
 
 
 def _y_column(i: int, n: int, slot: int, e: tuple) -> tuple:
@@ -553,8 +582,7 @@ def y_apply(i: int, psi: SpinorPoly) -> SpinorPoly:
 
 
 def is_eigenspinor(psi: SpinorPoly, lam) -> bool:
-    lam = Fraction(lam)
-    return (dirac_apply(psi) - psi.scale(lam)).is_zero
+    return SpinorPoly.combination([(1, dirac_apply(psi)), (-Fraction(lam), psi)]).is_zero
 
 
 def dirac_eigenvalue(n: int, j: int, sign: int) -> Fraction:
@@ -575,9 +603,9 @@ def spinor_ladders(i: int, psi: SpinorPoly, lam, *, check: bool = True) -> tuple
     x = psi.coordinate_mul(i)
     y = y_apply(i, psi)
     half = Fraction(1, 2)
-    a = u.add_scaled(x, lam).add_scaled(y, half)
-    s = u.add_scaled(x, -lam).add_scaled(y, -half)
-    nn = u.add_scaled(x, -half).add_scaled(y, -lam)
+    a = SpinorPoly.combination([(1, u), (lam, x), (half, y)])
+    s = SpinorPoly.combination([(1, u), (-lam, x), (-half, y)])
+    nn = SpinorPoly.combination([(1, u), (-half, x), (-lam, y)])
     return a, s, nn
 
 
@@ -719,16 +747,14 @@ def _level_parts(psis: list, jmax: int) -> list:
         pos = 0
         for j in range(jmax + 1):
             for sign in (1, -1):
-                acc = SpinorPoly.zero(n)
-                nonzero = False
+                terms = []
                 for b in _eigenspinor_basis_cached(n, j, sign):
                     c = coeffs[pos]
                     pos += 1
                     if c:
-                        acc = acc + b.scale(c)
-                        nonzero = True
-                if nonzero:
-                    parts[(j, sign)] = acc
+                        terms.append((c, b))
+                if terms:
+                    parts[(j, sign)] = SpinorPoly.combination(terms)
         out.append(parts)
     return out
 
@@ -860,33 +886,6 @@ def _rows_to_spinors(rows: list, index: dict, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# cubic-descent refutation for the Dirac lattice
-# ---------------------------------------------------------------------------
-
-
-def refute_dirac_candidate(n: int, lam) -> list:
-    """Descend from an off-lattice Dirac eigenvalue candidate through the
-    lam - 1 branch until the spectral bound lam^2 >= n(n-1)/4 fails.
-
-    Works on |lam| (the spectrum is symmetric); the forbidden band has
-    width sqrt(n(n-1)) > 1, so unit steps cannot jump over it.
-    """
-    lam = abs(Fraction(lam))
-    t = lam - Fraction(n, 2)
-    if t.denominator == 1 and t >= 0:
-        raise ValueError(f"{lam} is the level-{int(t)} Dirac eigenvalue on S^{n}")
-    bound = Fraction(n * (n - 1), 4)
-    chain = [lam]
-    cur = lam
-    for _ in range(int(lam) + 2):
-        cur = cur - 1
-        chain.append(cur)
-        if cur * cur < bound:
-            return chain
-    raise AssertionError("descent failed to violate the bound")
-
-
-# ---------------------------------------------------------------------------
 # identity verification suite
 # ---------------------------------------------------------------------------
 
@@ -985,9 +984,10 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
             lam = dirac_eigenvalue(n, j, sign)
             ok = broken is None
             for psi in eigenspinor_basis(n, j, sign) if ok else ():
-                sa = SpinorPoly.zero(n)
-                as_ = SpinorPoly.zero(n)
-                nn_ = SpinorPoly.zero(n)
+                # each summed composition minus its factor times psi
+                sa = [(2 * (lam + Fraction(n, 2)) * (lam + half), psi)]
+                as_ = [(2 * (lam - Fraction(n, 2)) * (lam - half), psi)]
+                nn_ = [(-(n - 1) * (lam + half) * (lam - half), psi)]
                 for i in range(n + 1):
                     A, S, Nv = spinor_ladders(i, psi, lam, check=False)
                     if not (
@@ -997,16 +997,12 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
                     ):
                         ok = False
                     _, S2, _ = spinor_ladders(i, A, lam + 1, check=False)
-                    sa = sa + S2
+                    sa.append((1, S2))
                     A3, _, _ = spinor_ladders(i, S, lam - 1, check=False)
-                    as_ = as_ + A3
+                    as_.append((1, A3))
                     _, _, N4 = spinor_ladders(i, Nv, -lam, check=False)
-                    nn_ = nn_ + N4
-                ok = ok and (
-                    (sa - psi.scale(-2 * (lam + Fraction(n, 2)) * (lam + half))).is_zero
-                    and (as_ - psi.scale(-2 * (lam - Fraction(n, 2)) * (lam - half))).is_zero
-                    and (nn_ - psi.scale((n - 1) * (lam + half) * (lam - half))).is_zero
-                )
+                    nn_.append((1, N4))
+                ok = ok and all(SpinorPoly.combination(t).is_zero for t in (sa, as_, nn_))
                 if not ok:
                     break
             report.add(
@@ -1056,7 +1052,7 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
                     cu = parts_u.get((jj, ss), SpinorPoly.zero(n))
                     cxp = parts_x.get((jj, ss), SpinorPoly.zero(n))
                     factor = (mu * mu - lam * lam) / 2
-                    if not (cu - cxp.scale(factor)).is_zero:
+                    if not SpinorPoly.combination([(1, cu), (-factor, cxp)]).is_zero:
                         comp_ok = False
                         comp_cx = comp_cx or {
                             "level": j, "sign": sign, "index": i, "target": str(mu)

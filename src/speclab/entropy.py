@@ -255,11 +255,10 @@ def apply_spectral_operator(f: SpherePoly, eigen) -> SpherePoly:
     Exact when eigen returns rationals; float eigenvalues produce a
     float-coefficient polynomial.
     """
-    out = SpherePoly.zero(f.n)
     decomp = harmonic_decompose(f)
-    for k, _ in decomp:
-        out = out + decomp.restricted(k).scale(eigen(k))
-    return out
+    if not decomp.parts:
+        return SpherePoly.zero(f.n)
+    return SpherePoly.combination((eigen(k), decomp.restricted(k)) for k, _ in decomp)
 
 
 def _node_values(f, rule: QuadratureRule) -> np.ndarray:

@@ -304,6 +304,32 @@ class SpherePoly:
         raw = _kernel.add_scaled_terms(num, other._num, c.numerator * (den // qb))
         return _poly(self.n, raw, den)
 
+    @classmethod
+    def combination(cls, pairs) -> "SpherePoly":
+        """The sum of c * p over the nonempty ``(c, p)`` pairs, in one
+        accumulation: rational terms go over their least common denominator
+        and the content is divided out once."""
+        pairs = list(pairs)
+        n = pairs[0][1].n
+        den = 1
+        for c, p in pairs:
+            if p.n != n:
+                raise ValueError(f"dimension mismatch: S^{n} vs S^{p.n}")
+            if den is not None:
+                if p._den is None or not isinstance(c, (int, Fraction)):
+                    den = None
+                    continue
+                q = c.denominator * p._den
+                if den % q:
+                    den = den // gcd(den, q) * q
+        if den is None:
+            raw = _kernel.combine_terms([(c, p._values()) for c, p in pairs])
+        else:
+            raw = _kernel.combine_terms(
+                [(c.numerator * (den // (c.denominator * p._den)), p._num) for c, p in pairs]
+            )
+        return _poly(n, raw, den)
+
     def coordinate_mul(self, i: int) -> "SpherePoly":
         """x_i times self by an exponent shift.  Only x0 can leave normal form
         (as x0^2), so only i = 0 reduces."""
@@ -386,19 +412,6 @@ class SpherePoly:
         return " + ".join(chunks)
 
     # -- evaluation ---------------------------------------------------------
-
-    def eval_exact(self, point):
-        """Evaluate at an exact point (sequence of n+1 Fractions)."""
-        total = None
-        for e, c in self.terms.items():
-            v = c
-            for xi, k in zip(point, e):
-                for _ in range(k):
-                    v = v * xi
-            total = v if total is None else total + v
-        if total is None:
-            return Fraction(0)
-        return total
 
     def eval_array(self, points):
         """Vectorized float evaluation; points is an (K, n+1) ndarray."""
@@ -510,10 +523,9 @@ class HarmonicDecomposition:
         return SpherePoly(self.n, dict(self.part(degree)))
 
     def reassemble(self) -> SpherePoly:
-        total = SpherePoly.zero(self.n)
-        for _, h in self.parts:
-            total = total + SpherePoly(self.n, dict(h))
-        return total
+        if not self.parts:
+            return SpherePoly.zero(self.n)
+        return SpherePoly.combination((1, SpherePoly(self.n, dict(h))) for _, h in self.parts)
 
     def __iter__(self):
         return iter(self.parts)
@@ -594,23 +606,3 @@ def harmonic_dimension(n: int, j: int) -> int:
     if j < 0:
         return 0
     return comb(n + j, n) - (comb(n + j - 2, n) if j >= 2 else 0)
-
-
-def harmonic_dimension_by_rank(n: int, j: int) -> int:
-    """Independent oracle: kernel dimension of the ambient Laplacian on
-    degree-j homogeneous polynomials, by exact rank of its matrix."""
-    if j < 0:
-        return 0
-    dom = list(monomials_of_degree(n + 1, j))
-    if j < 2:
-        return len(dom)
-    cod = {e: idx for idx, e in enumerate(monomials_of_degree(n + 1, j - 2))}
-    rows = []
-    for e in dom:
-        img = ambient_laplacian_terms({e: Fraction(1)})
-        row = [Fraction(0)] * len(cod)
-        for f, c in img.items():
-            row[cod[f]] = c
-        rows.append(row)
-    pivots = _kernel.rref(rows)
-    return len(dom) - len(pivots)

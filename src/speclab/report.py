@@ -82,11 +82,15 @@ class VerificationReport:
         words without i, so laws share subwords; the i-sum of an indexed
         word is memoized too, by (word, "sum"), so every summed law holding
         that word reuses it.  Whether a word is indexed is decided once per
-        word.  Each law's difference is accumulated in one pass,
-        ``acc = acc.add_scaled(image, coefficient)``, so vectors need
-        ``scale`` (for the zero) and ``add_scaled``.  The first failing
-        vector of a law becomes its counterexample ``{"basis_vector",
-        "index", "difference"}``.
+        word.  A law's terms are merged per word first, and a word whose
+        coefficients cancel is not evaluated: its images would cancel
+        exactly, so a law whose coefficients all cancel (the shifted square
+        sum at a = 0) holds on every vector.  Each law's difference, and
+        each i-sum, is then one linear combination,
+        ``type(vector).combination(pairs)`` over ``(coefficient, image)``
+        pairs, so vectors need the classmethod ``combination`` and
+        ``is_zero``.  The first failing vector of a law becomes its
+        counterexample ``{"basis_vector", "index", "difference"}``.
         """
         indexed = {"": False}
 
@@ -96,14 +100,19 @@ class VerificationReport:
                 indexed[word] = mark(rest) or head in indexed_ops
             return indexed[word]
 
-        for _, _, _, terms in laws:
-            for _, word in terms:
+        merged = []  # (identity_id, per_index, nonzero (coefficient, word) terms)
+        for identity_id, _, per_index, terms in laws:
+            coeffs = {}
+            for c, word in terms:
+                coeffs[word] = coeffs.get(word, 0) + c
                 mark(word)
+            merged.append((identity_id, per_index, [(c, w) for w, c in coeffs.items() if c]))
 
         indices = range(self.n + 1)
         failed = {}
         for vector in basis:
             memo = {}
+            combination = type(vector).combination
 
             def image(word, i):
                 if not word:
@@ -124,23 +133,18 @@ class VerificationReport:
                 key = (word, "sum")
                 hit = memo.get(key)
                 if hit is None:
-                    hit = image(word, 0)
-                    for i in indices[1:]:
-                        hit = hit + image(word, i)
+                    hit = combination((1, image(word, i)) for i in indices)
                     memo[key] = hit
                 return hit
 
-            zero = vector.scale(0)
-            for identity_id, _, per_index, terms in laws:
-                if identity_id in failed:
+            for identity_id, per_index, terms in merged:
+                if identity_id in failed or not terms:
                     continue
                 for i in indices if per_index else (None,):
-                    diff = zero
-                    for coeff, word in terms:
-                        if per_index or not indexed[word]:
-                            diff = diff.add_scaled(image(word, i), coeff)
-                        else:
-                            diff = diff.add_scaled(summed(word), coeff)
+                    diff = combination(
+                        (c, image(w, i) if per_index or not indexed[w] else summed(w))
+                        for c, w in terms
+                    )
                     if not diff.is_zero:
                         failed[identity_id] = {
                             "basis_vector": str(vector),

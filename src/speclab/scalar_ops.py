@@ -155,11 +155,7 @@ def laplacian(p: SpherePoly) -> SpherePoly:
 
 def laplacian_via_conformal_fields(p: SpherePoly) -> SpherePoly:
     """Independent route: minus the sum of squared conformal fields."""
-    n = p.n
-    out = SpherePoly.zero(n)
-    for i in range(n + 1):
-        out = out + T(i, T(i, p))
-    return -out
+    return SpherePoly.combination((-1, T(i, T(i, p))) for i in range(p.n + 1))
 
 
 def conformal_laplacian(p: SpherePoly) -> SpherePoly:
@@ -170,7 +166,7 @@ def conformal_laplacian(p: SpherePoly) -> SpherePoly:
 def is_eigenfunction(p: SpherePoly, lam: Fraction) -> bool:
     """Exact test for membership in the lam-eigenspace of the conformal
     Laplacian (the zero polynomial counts)."""
-    return (conformal_laplacian(p) - p * as_rat(lam)).is_zero
+    return SpherePoly.combination([(1, conformal_laplacian(p)), (-as_rat(lam), p)]).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +282,7 @@ def ladder_plus(i: int, phi: SpherePoly, lam, *, check: bool = True) -> SpherePo
     if check and not is_eigenfunction(phi, lam):
         raise NotEigenfunctionError(f"input is not a {lam}-eigenfunction")
     c = _ladder_coeff(lam, "+")
-    return U(i, phi) + coordinate_mul(i, phi) * c
+    return SpherePoly.combination([(1, U(i, phi)), (c, coordinate_mul(i, phi))])
 
 
 def ladder_minus(i: int, phi: SpherePoly, lam, *, check: bool = True) -> SpherePoly:
@@ -295,7 +291,7 @@ def ladder_minus(i: int, phi: SpherePoly, lam, *, check: bool = True) -> SphereP
     if check and not is_eigenfunction(phi, lam):
         raise NotEigenfunctionError(f"input is not a {lam}-eigenfunction")
     c = _ladder_coeff(lam, "-")
-    return U(i, phi) + coordinate_mul(i, phi) * c
+    return SpherePoly.combination([(1, U(i, phi)), (c, coordinate_mul(i, phi))])
 
 
 def ladder_sums(phi: SpherePoly, lam) -> tuple:
@@ -319,16 +315,17 @@ def ladder_sums(phi: SpherePoly, lam) -> tuple:
 
     lam_plus = eigenvalue_step(lam, "+")
     lam_minus = eigenvalue_step(lam, "-")
-    mp = SpherePoly.zero(n)
-    pm = SpherePoly.zero(n)
+    # each summed composition minus its factor times phi
+    mp = [(-mp_factor, phi)]
+    pm = [(-pm_factor, phi)]
     for i in range(n + 1):
         up = ladder_plus(i, phi, lam, check=False)
-        mp = mp + ladder_minus(i, up, lam_plus, check=False)
+        mp.append((1, ladder_minus(i, up, lam_plus, check=False)))
         down = ladder_minus(i, phi, lam, check=False)
-        pm = pm + ladder_plus(i, down, lam_minus, check=False)
-    if not (mp - phi * mp_factor).is_zero:
+        pm.append((1, ladder_plus(i, down, lam_minus, check=False)))
+    if not SpherePoly.combination(mp).is_zero:
         raise AssertionError("down-up ladder sum disagrees with its factor")
-    if not (pm - phi * pm_factor).is_zero:
+    if not SpherePoly.combination(pm).is_zero:
         raise AssertionError("up-down ladder sum disagrees with its factor")
     return mp_factor, pm_factor
 

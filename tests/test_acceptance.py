@@ -28,7 +28,6 @@ from speclab.polynomial import (
     SpherePoly,
     ambient_laplacian_terms,
     harmonic_decompose,
-    harmonic_dimension_by_rank,
     normal_monomials,
 )
 from speclab.scalar_ops import (
@@ -55,6 +54,8 @@ from speclab.spectral import (
     recurrence_check,
     SpectrumTable,
 )
+
+from oracles import harmonic_dimension_by_rank
 
 
 def _line(num, ok, detail):

@@ -234,6 +234,7 @@ def test_cost_guards_admit_their_limits(capsys):
         ["intertwinor", "dirac-odd", "--n", "3", "--k", str(MAX_ORDER)],
         ["intertwinor", "residue", "--n", str(MAX_DIMENSION), "--j0", str(MAX_ORDER), "--jmax", "500"],
         ["entropy", "--order", str(MAX_ENTROPY_ORDER), "--quick"],
+        ["entropy", "--order", "2", "--quick"],
         # the largest cutoff the order guard admits
         ["entropy", "--order", str(MAX_ENTROPY_ORDER), "--cutoff", str((MAX_ENTROPY_ORDER - 8) // 2), "--quick"],
     ):
@@ -552,6 +553,9 @@ def test_escaped_inputs_are_usage_errors(capsys):
         ["spectrum", "dirac", "--n", "2", "--count", "-4"],
         ["intertwinor", "dirac", "--n", "2", "--k", "1/3", "--lambda-max", "-5"],
         ["intertwinor", "dirac-odd", "--n", "3", "--k", "1", "--lambda-max", "1"],
+        # an entropy order below 2 ran silently at max(--order, 2 --cutoff + 8)
+        ["entropy", "--order", "-5", "--quick"],
+        ["verify", "entropy", "--order", "0", "--quick"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

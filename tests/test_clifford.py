@@ -24,7 +24,6 @@ from speclab.clifford import (
     is_eigenspinor,
     monogenic_basis,
     monogenic_dimension,
-    refute_dirac_candidate,
     spinor_ladders,
     spinor_laws,
     truncation_matrices,
@@ -35,6 +34,8 @@ from speclab.linalg import nullspace
 from speclab.polynomial import SpherePoly, normal_monomials
 from speclab.report import VerificationReport
 from speclab.scalars import CRat
+
+from oracles import refute_dirac_candidate
 
 
 def rand_spinor(rng, n, deg=2):

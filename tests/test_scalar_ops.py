@@ -32,6 +32,7 @@ from speclab.scalar_ops import (
 )
 from speclab.surd import Quad
 
+from oracles import eval_exact
 from test_polynomial import rational_sphere_points
 
 
@@ -77,11 +78,11 @@ def test_T_cross_coordinate_with_curve_oracle():
         def along(t):
             rho = math.acos(ci) + t
             q = [math.cos(rho) * u[k] + math.sin(rho) * w[k] for k in range(3)]
-            return float(f.eval_exact([Fraction(v).limit_denominator(10**12) for v in q]))
+            return float(eval_exact(f, [Fraction(v).limit_denominator(10**12) for v in q]))
 
         deriv = (along(h) - along(-h)) / (2 * h)
         want = s * deriv
-        have = float(got.eval_exact(pt))
+        have = float(eval_exact(got, pt))
         assert abs(want - have) < 1e-5
 
 
