@@ -193,13 +193,14 @@ def eigenvalue_step(lam, direction: str):
     lambda -> lambda + 1 +- sqrt(4 lambda + 1).
 
     Returns a Fraction when the step stays rational, else an exact Quad.
-    Quad inputs are supported when the discriminant is a perfect square in
-    their field, which covers every descent chain (the radicand never
-    changes along a chain).
+    A rational lam whose discriminant 4 lam + 1 is a perfect square (every
+    lattice step of ``generate_spectrum`` and the ladders) is stepped in
+    Fractions and builds no Quad.  Quad inputs are supported when the
+    discriminant is a perfect square in their field, which covers every
+    descent chain (the radicand never changes along a chain).
     """
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
-    sign = 1 if direction == "+" else -1
     if isinstance(lam, Quad) and not lam.is_rational:
         disc = lam * 4 + 1
         if disc.sign() < 0:
@@ -212,11 +213,12 @@ def eigenvalue_step(lam, direction: str):
         disc = 4 * lam + 1
         if disc < 0:
             raise ValueError("negative discriminant")
+        root = rational_sqrt(disc)
+        if root is not None:
+            return lam + 1 + root if direction == "+" else lam + 1 - root
         root = Quad.sqrt(disc)
-    res = Quad(1) * lam + 1 + (root if sign > 0 else -root)
-    if isinstance(res, Quad) and res.is_rational:
-        return res.as_fraction()
-    return res
+    res = (root if direction == "+" else -root) + lam + 1
+    return res.as_fraction() if res.is_rational else res
 
 
 def spectrum_level_of(n: int, lam) -> int | None:

@@ -3,13 +3,18 @@
 Each one recomputes something the package does by a different route:
 exact evaluation at a point, harmonic dimensions by the rank of the
 ambient Laplacian, the unit-step descent of an off-lattice Dirac
-candidate, and a dense row reduction to compare ``_kernel.rref`` with.
+candidate, a dense row reduction to compare ``_kernel.rref`` with, and
+the two-Fraction quadratic surd (with the eigenvalue step and the scalar
+refutation on it) to compare ``speclab.surd.Quad`` with.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from speclab import _kernel
 from speclab.polynomial import ambient_laplacian_terms, monomials_of_degree
+from speclab.scalars import as_rat
+from speclab.surd import rational_sqrt, squarefree_split
 
 
 def eval_exact(p, point):
@@ -87,3 +92,246 @@ def dense_rref(rows: list) -> tuple:
         pivots.append(col)
         r += 1
     return work, pivots
+
+
+class RefQuad:
+    """Reference quadratic surd: a + b*sqrt(d) kept as two Fractions and
+    a squarefree integer d > 1, every result rebuilt by the public
+    constructor (which factors d again).  The package's ``Quad`` keeps the
+    same values as ints; this is the form it replaced.
+
+    Values that collapse to rationals are normalized to b == 0, d == 1.
+    Comparisons are exact sign determinations, no floating point.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b=0, d=1):
+        a, b = as_rat(a), as_rat(b)
+        if d < 0:
+            raise ValueError("radicand must be nonnegative")
+        if d in (0, 1) or b == 0:
+            a, b, d = a + b * isqrt(d), Fraction(0), 1
+        else:
+            s, d0 = squarefree_split(d)
+            if d0 == 1:
+                a, b, d = a + b * s, Fraction(0), 1
+            else:
+                b, d = b * s, d0
+        self.a, self.b, self.d = a, b, d
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def sqrt(cls, q) -> "RefQuad":
+        """Exact square root of a nonnegative rational."""
+        q = as_rat(q)
+        r = rational_sqrt(q)
+        if r is not None:
+            return cls(r)
+        # sqrt(p/q) = sqrt(p*q)/q
+        return cls(0, Fraction(1, q.denominator), q.numerator * q.denominator)
+
+    @property
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def as_fraction(self) -> Fraction:
+        if not self.is_rational:
+            raise ValueError(f"{self} is irrational")
+        return self.a
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _join(self, other):
+        if isinstance(other, RefQuad):
+            if self.d != other.d and self.b and other.b:
+                raise ValueError("mixed radicands")
+            return other
+        return RefQuad(as_rat(other))
+
+    def __add__(self, other):
+        o = self._join(other)
+        d = self.d if self.b else o.d
+        return RefQuad(self.a + o.a, self.b + o.b, d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._join(other)
+        d = self.d if self.b else o.d
+        return RefQuad(self.a - o.a, self.b - o.b, d)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return RefQuad(-self.a, -self.b, self.d)
+
+    def __mul__(self, other):
+        o = self._join(other)
+        if self.b and o.b:
+            return RefQuad(
+                self.a * o.a + self.b * o.b * self.d,
+                self.a * o.b + self.b * o.a,
+                self.d,
+            )
+        d = self.d if self.b else o.d
+        return RefQuad(self.a * o.a, self.a * o.b + self.b * o.a, d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._join(other)
+        # multiply by the conjugate of o
+        norm = o.a * o.a - o.b * o.b * o.d
+        if not norm:
+            raise ZeroDivisionError("division by zero in Q[sqrt(d)]")
+        conj = RefQuad(o.a, -o.b, o.d)
+        prod = self * conj
+        return RefQuad(prod.a / norm, prod.b / norm, prod.d)
+
+    # -- exact ordering --------------------------------------------------------
+
+    def sign(self) -> int:
+        a, b, d = self.a, self.b, self.d
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return (b > 0) - (b < 0)
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        # opposite signs: compare a^2 with b^2 d, decided by the sign of a
+        lhs, rhs = a * a, b * b * d
+        if lhs == rhs:
+            return 0
+        bigger_rational = lhs > rhs
+        return (1 if bigger_rational else -1) * (1 if a > 0 else -1)
+
+    def _cmp(self, other) -> int:
+        return (self - other).sign()
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __eq__(self, other):
+        if isinstance(other, (RefQuad, Fraction, int)):
+            return self._cmp(other) == 0
+        return NotImplemented
+
+    def __hash__(self):
+        if self.is_rational:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * self.d ** 0.5
+
+    def __repr__(self):
+        if self.is_rational:
+            return str(self.a)
+        op = "+" if self.b > 0 else "-"
+        babs = f"{abs(self.b)}*" if abs(self.b) != 1 else ""
+        if self.a == 0:
+            return f"{'-' if self.b < 0 else ''}{babs}sqrt({self.d})"
+        return f"{self.a}{op}{babs}sqrt({self.d})"
+
+    def to_json(self):
+        if self.is_rational:
+            return str(self.a)
+        return {"a": str(self.a), "b": str(self.b), "d": self.d}
+
+
+def ref_sqrt_in_field(x) -> "RefQuad | None":
+    """Square root of x inside its own field Q[sqrt(d)], if one exists.
+
+    For rational x this is the usual perfect-square test (possibly landing
+    in a fresh Q[sqrt(d)]); for irrational x = a + b sqrt(d) it solves
+    (p + q sqrt(d))^2 = x exactly.
+    """
+    if isinstance(x, (Fraction, int)):
+        return RefQuad.sqrt(as_rat(x))
+    if x.sign() < 0:
+        return None
+    if x.is_rational:
+        return RefQuad.sqrt(x.a)
+    a, b, d = x.a, x.b, x.d
+    # p^2 + q^2 d = a, 2 p q = b  =>  t = p^2 solves t^2 - a t + b^2 d / 4 = 0
+    disc = a * a - b * b * d
+    rd = rational_sqrt(disc) if disc >= 0 else None
+    if rd is None:
+        return None
+    for t in ((a + rd) / 2, (a - rd) / 2):
+        if t < 0:
+            continue
+        p = rational_sqrt(t)
+        if p is None or p == 0:
+            continue
+        q = b / (2 * p)
+        cand = RefQuad(p, q, d)
+        if cand.sign() >= 0 and cand * cand == x:
+            return cand
+        cand = -cand
+        if cand.sign() >= 0 and cand * cand == x:
+            return cand
+    return None
+
+
+def ref_eigenvalue_step(lam, direction: str):
+    """lambda -> lambda + 1 +- sqrt(4 lambda + 1) on RefQuad, with no
+    rational shortcut: a Fraction when the result is rational, else a
+    RefQuad."""
+    sign = 1 if direction == "+" else -1
+    if isinstance(lam, RefQuad) and not lam.is_rational:
+        disc = lam * 4 + 1
+        if disc.sign() < 0:
+            raise ValueError("negative discriminant")
+        root = ref_sqrt_in_field(disc)
+        if root is None:
+            raise ValueError("step leaves the quadratic field Q[sqrt(d)]")
+    else:
+        lam = lam.as_fraction() if isinstance(lam, RefQuad) else Fraction(lam)
+        disc = 4 * lam + 1
+        if disc < 0:
+            raise ValueError("negative discriminant")
+        root = RefQuad.sqrt(disc)
+    res = RefQuad(1) * lam + 1 + (root if sign > 0 else -root)
+    if res.is_rational:
+        return res.as_fraction()
+    return res
+
+
+def ref_refutation(n: int, lam) -> dict:
+    """``RefutationChain.to_dict()`` of an off-spectrum candidate lam at or
+    above n(n-2)/4, recomputed on RefQuad: nu = sqrt(4 lam + 1) steps to
+    |nu - 2| until (nu^2 - 1)/4 falls below the bound."""
+    lam = Fraction(lam)
+    bound = Fraction(n * (n - 2), 4)
+    nu = RefQuad.sqrt(4 * lam + 1)
+    steps = []
+    for _ in range(10**4):
+        nu = abs(nu - 2)
+        step = (nu * nu - 1) * Fraction(1, 4)
+        steps.append(step.to_json())
+        if step < bound:
+            return {
+                "start": str(lam),
+                "steps": steps,
+                "violated_bound": str(bound),
+                "final_below_bound": True,
+            }
+    raise AssertionError("descent did not reach the bound")

@@ -318,6 +318,55 @@ def test_golden_verify_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# off-spectrum candidates with irrational, perfect-square and rational
+# descents (999995/999983 sits at the refute height guard), and one on the
+# spectrum; spectrum levels up to 60
+_GOLDEN_REFUTE = [
+    (2, "1"), (2, "7/3"), (2, "35/4"), (2, "999995/999983"),
+    (3, "2"), (3, "10/9"), (3, "41/5"), (3, "1000/7"), (3, "15/4"),
+    (4, "3"), (4, "22/7"), (4, "12"), (4, "48"),
+    (5, "13/2"), (5, "300/11"), (5, "7"),
+    (6, "10"), (6, "97/3"), (6, "5000/13"), (6, "999999/1000"),
+]
+_REFUTE_ARGVS = [["refute", "--n", str(n), "--lambda", lam] for n, lam in _GOLDEN_REFUTE]
+_SPECTRUM_ARGVS = [
+    ["spectrum", "scalar", "--n", str(n), "--count", str(c)] for n in range(2, 7) for c in (1, 7, 60)
+]
+
+
+@pytest.mark.parametrize(
+    "head, argvs, digest",
+    [
+        ([], _REFUTE_ARGVS, "3dd3438790f9f5613c4e699ba02f9f9ba2002126b9d7c7041729944b276bd042"),
+        (
+            ["--format", "text"],
+            _REFUTE_ARGVS,
+            "903b5f979a3961c790bc43c64fed7c9ae87f3a1952d7ec3a9c25b471d8e993b3",
+        ),
+        (
+            [],
+            [a + ["--operator", "conformal"] for a in _SPECTRUM_ARGVS],
+            "911ae42c43ad7220e575c054084fe0c4a6cfadac04da781d3bbe41a10bd14e24",
+        ),
+        (
+            [],
+            [a + ["--operator", "laplacian"] for a in _SPECTRUM_ARGVS],
+            "ba3f260c7e9b64737aa625f7cbe8a5baf4fd0606a4feb0c0df630902eb17d5d0",
+        ),
+    ],
+    ids=["refute-json", "refute-text", "spectrum-conformal", "spectrum-laplacian"],
+)
+def test_golden_refute_and_spectrum_output(capsys, head, argvs, digest):
+    # the quadratic-surd and lattice-step arithmetic behind these requests
+    # prints exact values, so their concatenated stdout is pinned to the byte
+    h = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run(capsys, *head, *argv)
+        assert (code, err) == (0, "")
+        h.update(out.encode())
+    assert h.hexdigest() == digest
+
+
 def test_golden_failing_scalar_report(monkeypatch):
     # with D shifted by 1 the report carries counterexamples, which print
     # polynomials: their coefficient text is pinned to the byte
