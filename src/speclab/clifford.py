@@ -18,13 +18,15 @@ That route is kept as ``dirac_reference``.  ``dirac_apply`` treats P as a
 sparse linear map over the unit spinor monomials: the column of
 (slot, normal-form exponent) is built once by the reference route and
 memoized, and P psi is the sum of coefficient times column, accumulated
-per slot (already in normal form).  Whole results are memoized per spinor
-in front of the columns.  U_i = (1/2)[P^2, x_i] and y_i = [P, x_i] are
-column maps of the same kind, keyed by (i, n, slot, exponent); each of
-their columns is built by that commutator through ``dirac_apply``, so a
-wrong column of P reaches them.  One accumulation (``_apply_columns``)
-applies all three, on ints.  Every operator built from P (P^2, U_i, y_i,
-the truncation models) goes through the columns.
+per slot (already in normal form).  U_i = (1/2)[P^2, x_i] and
+y_i = [P, x_i] are column maps of the same kind, keyed by
+(i, n, slot, exponent); each of their columns is built by that
+commutator through ``dirac_apply``, so a wrong column of P reaches them.
+One accumulation (``_apply_columns``) applies all three, on ints, and
+memoizes whole results in front of the columns, per spinor for P and per
+(i, spinor) for U_i and y_i, so a warm suite builds no column and sums
+nothing.  Every operator built from P (P^2, U_i, y_i, the truncation
+models) goes through the columns.
 
 On restrictions of degree-k monogenic polynomials M (harmonic,
 annihilated by the Euclidean Dirac operator) one has G M = -k M and
@@ -47,10 +49,17 @@ the lattice +-(n/2+j) by an annihilating product and trace moments
 Truncation-model cost grows like dim_spin times the count of normal-form
 monomials of degree <= N+1 (the Dirac closure adds one degree).  Model
 dimensions: n=2 gives 4/12/24 at N=0/1/2; n=3 gives 8/32/80.  Identity
-suite cost (CPython 3.11, one core of a 2-vCPU VM, cold caches, single
-runs), with the columns of P and of U_i and y_i it builds: n=2, N=2
-takes 0.3 s (98 and 284 columns); n=3, N=2 2.4 s (560 and 1544); n=4
-2.3 s at N=1 (780 and 1456) and 6.2 s at N=2 (1344 and 3392).
+suite cost at N=2 (CPython 3.11.7, one core of a 2-vCPU x86_64 VM, a
+fresh process after ``import speclab.cli``, cold caches, two runs), with
+the columns of P and of U_i and y_i it builds, the results of P, U_i and
+y_i it memoizes, and the peak RSS of the process:
+
+    n   time         columns P, U+y   results P / U / y    peak RSS
+    2   0.14-0.15 s    98,  284         835 /  605 /  455    22 MB
+    3   1.2-1.4 s     560, 1544        3461 / 2602 / 1930    40 MB
+    4   2.8-2.9 s    1344, 3392        6355 / 4743 / 3543    66 MB
+
+The U_i and y_i results take about 1, 9 and 20 MB of those peaks.
 """
 
 from __future__ import annotations
@@ -447,22 +456,26 @@ def angular_apply(psi: SpinorPoly) -> SpinorPoly:
     )
 
 
-# Per-spinor results of P, in front of the column map: identity sweeps
-# apply P to the same few spinors repeatedly.
-_DIRAC_CACHE: dict = {}
 # (n, slot, normal-form exponent) -> image under P of that unit spinor
 # monomial, as a column (see ``_as_column``).
 _DIRAC_COLUMNS: dict = {}
 # (i, n, slot, exponent) -> image under U_i and under y_i, built from P.
 _U_COLUMNS: dict = {}
 _Y_COLUMNS: dict = {}
+# Per-spinor results in front of each column map, keyed by (psi,) for P
+# and by (i, psi) for U_i and y_i: identity sweeps apply the operators to
+# the same spinors repeatedly, and a warm suite applies them to the same
+# ones again.
+_DIRAC_CACHE: dict = {}
+_U_CACHE: dict = {}
+_Y_CACHE: dict = {}
 _CACHE_LIMIT = 20000
 
 
 def _clear_operator_caches() -> None:
-    """Empty the column maps of P, U_i and y_i and the per-spinor results
-    of P together: the derived columns were built from the P columns."""
-    for table in (_DIRAC_CACHE, _DIRAC_COLUMNS, _U_COLUMNS, _Y_COLUMNS):
+    """Empty the column maps of P, U_i and y_i and their per-spinor
+    results together: the derived columns were built from the P columns."""
+    for table in (_DIRAC_CACHE, _U_CACHE, _Y_CACHE, _DIRAC_COLUMNS, _U_COLUMNS, _Y_COLUMNS):
         table.clear()
 
 
@@ -480,25 +493,35 @@ def _as_column(psi: SpinorPoly) -> tuple:
     )
 
 
-def _apply_columns(psi: SpinorPoly, table: dict, head: tuple, build) -> SpinorPoly:
+def _apply_columns(psi: SpinorPoly, index: tuple, results: dict, table: dict, build) -> SpinorPoly:
     """A linear operator given by its columns: the sum over the terms of
-    psi of coefficient times the column of (slot, exponent).  The column
-    of key ``head + (slot, e)`` comes from ``table``, or from
-    ``build(*key)`` on a miss.  Columns are in normal form, hence so is
-    the sum."""
+    psi of coefficient times the column of (slot, exponent).
+
+    ``index`` is () for P and (i,) for U_i and y_i.  The result is read
+    from ``results`` at ``index + (psi,)``, or accumulated and stored
+    there on a miss.  The column of key ``index + (n, slot, e)`` comes
+    from ``table``, or from ``build(*key)`` on a miss.  Both tables are
+    emptied when they pass ``_CACHE_LIMIT`` entries.  Columns are in
+    normal form, hence so is the sum.
+    """
+    key = index + (psi,)
+    hit = results.get(key)
+    if hit is not None:
+        return hit
+    head = index + (psi.n,)
     used = []
     cols_den = 1
     for slot, (re, im) in enumerate(zip(psi._re, psi._im)):
         slot_head = head + (slot,)
         for imag, terms in ((False, re), (True, im)):
             for e, v in terms.items():
-                key = slot_head + (e,)
-                col = table.get(key)
+                col_key = slot_head + (e,)
+                col = table.get(col_key)
                 if col is None:
-                    col = build(*key)
+                    col = build(*col_key)
                     if len(table) > _CACHE_LIMIT:
                         table.clear()
-                    table[key] = col
+                    table[col_key] = col
                 if cols_den % col[0]:
                     cols_den = cols_den // gcd(cols_den, col[0]) * col[0]
                 used.append((imag, v, col))
@@ -517,12 +540,16 @@ def _apply_columns(psi: SpinorPoly, table: dict, head: tuple, build) -> SpinorPo
                     tr[f] = tr.get(f, 0) + m * c
                 for f, c in cim:
                     ti[f] = ti.get(f, 0) + m * c
-    return _spinor(
+    out = _spinor(
         psi.n,
         tuple({f: c for f, c in t.items() if c} for t in acc_re),
         tuple({f: c for f, c in t.items() if c} for t in acc_im),
         psi._den * cols_den,
     )
+    if len(results) > _CACHE_LIMIT:
+        results.clear()
+    results[key] = out
+    return out
 
 
 def dirac_reference(psi: SpinorPoly) -> SpinorPoly:
@@ -539,17 +566,10 @@ def dirac_apply(psi: SpinorPoly) -> SpinorPoly:
     """The model Dirac operator P = x . (angular - n/2).
 
     P is linear, so P psi is the sum of coeff * column over the terms of
-    psi; each column is built once and kept in ``_DIRAC_COLUMNS``.  Whole
-    results are memoized in ``_DIRAC_CACHE``.
+    psi; each column is built once and kept in ``_DIRAC_COLUMNS``, and
+    whole results are memoized in ``_DIRAC_CACHE``.
     """
-    hit = _DIRAC_CACHE.get(psi)
-    if hit is not None:
-        return hit
-    out = _apply_columns(psi, _DIRAC_COLUMNS, (psi.n,), _p_column)
-    if len(_DIRAC_CACHE) > _CACHE_LIMIT:
-        _DIRAC_CACHE.clear()
-    _DIRAC_CACHE[psi] = out
-    return out
+    return _apply_columns(psi, (), _DIRAC_CACHE, _DIRAC_COLUMNS, _p_column)
 
 
 def dirac_squared(psi: SpinorPoly) -> SpinorPoly:
@@ -573,12 +593,12 @@ def _y_column(i: int, n: int, slot: int, e: tuple) -> tuple:
 
 def U_spin(i: int, psi: SpinorPoly) -> SpinorPoly:
     """U_i = (1/2)[P^2, x_i], applied by its memoized columns."""
-    return _apply_columns(psi, _U_COLUMNS, (i, psi.n), _u_column)
+    return _apply_columns(psi, (i,), _U_CACHE, _U_COLUMNS, _u_column)
 
 
 def y_apply(i: int, psi: SpinorPoly) -> SpinorPoly:
     """y_i = [P, x_i], applied by its memoized columns."""
-    return _apply_columns(psi, _Y_COLUMNS, (i, psi.n), _y_column)
+    return _apply_columns(psi, (i,), _Y_CACHE, _Y_COLUMNS, _y_column)
 
 
 def is_eigenspinor(psi: SpinorPoly, lam) -> bool:
@@ -984,7 +1004,9 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
             lam = dirac_eigenvalue(n, j, sign)
             ok = broken is None
             for psi in eigenspinor_basis(n, j, sign) if ok else ():
-                # each summed composition minus its factor times psi
+                # each summed composition minus its factor times psi: the
+                # terms of S_i A_i psi, A_i S_i psi and N_i N_i psi, each
+                # second ladder taken at the eigenvalue of the first
                 sa = [(2 * (lam + Fraction(n, 2)) * (lam + half), psi)]
                 as_ = [(2 * (lam - Fraction(n, 2)) * (lam - half), psi)]
                 nn_ = [(-(n - 1) * (lam + half) * (lam - half), psi)]
@@ -996,12 +1018,21 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
                         and is_eigenspinor(Nv, -lam)
                     ):
                         ok = False
-                    _, S2, _ = spinor_ladders(i, A, lam + 1, check=False)
-                    sa.append((1, S2))
-                    A3, _, _ = spinor_ladders(i, S, lam - 1, check=False)
-                    as_.append((1, A3))
-                    _, _, N4 = spinor_ladders(i, Nv, -lam, check=False)
-                    nn_.append((1, N4))
+                    sa += [
+                        (1, U_spin(i, A)),
+                        (-(lam + 1), A.coordinate_mul(i)),
+                        (-half, y_apply(i, A)),
+                    ]
+                    as_ += [
+                        (1, U_spin(i, S)),
+                        (lam - 1, S.coordinate_mul(i)),
+                        (half, y_apply(i, S)),
+                    ]
+                    nn_ += [
+                        (1, U_spin(i, Nv)),
+                        (-half, Nv.coordinate_mul(i)),
+                        (lam, y_apply(i, Nv)),
+                    ]
                 ok = ok and all(SpinorPoly.combination(t).is_zero for t in (sa, as_, nn_))
                 if not ok:
                     break
@@ -1012,51 +1043,57 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
                 broken or {"level": j, "sign": sign},
             )
 
-    # compression and adjacency through exact level decomposition
-    near = range(min(N, 1) + 1) if broken is None else ()
+    # compression and adjacency through exact level decomposition, of every
+    # target at once up to level jmax; a level-j target leaves levels
+    # 0..j+1 when it has no decomposition or a part above j+1 (coordinates
+    # are unique, so the parts below are those of a decomposition up to j+1)
+    jmax = min(N, 1) + 1
+    near = range(jmax) if broken is None else ()
     comp_ok = adj_ok = span_ok = broken is None
     comp_cx = broken
+    cases = []
+    targets = []
     for j in near:
         for sign in (1, -1):
             lam = dirac_eigenvalue(n, j, sign)
-            cases = []
-            targets = []
             for psi in eigenspinor_basis(n, j, sign)[:2]:
                 for i in range(n + 1):
-                    cases.append(i)
+                    cases.append((j, sign, lam, i))
                     targets.append(psi.coordinate_mul(i))
                     targets.append(U_spin(i, psi))
-            decomposed = _level_parts(targets, j + 1)
-            for t in range(len(cases)):
-                i = cases[t]
-                parts_x = decomposed[2 * t]
-                parts_u = decomposed[2 * t + 1]
-                if parts_x is None or parts_u is None:
-                    # a wrong P: x_i or U_i leaves the adjacent levels
-                    adj_ok = adj_ok and parts_x is not None
-                    comp_ok = False
-                    comp_cx = comp_cx or {
-                        "level": j,
-                        "sign": sign,
-                        "index": i,
-                        "target": f"outside levels 0..{j + 1}",
-                    }
-                    continue
-                allowed = {lam + 1, lam - 1, -lam}
-                for (jj, ss), comp in parts_x.items():
-                    mu = dirac_eigenvalue(n, jj, ss)
-                    if mu not in allowed and not comp.is_zero:
-                        adj_ok = False
-                for (jj, ss) in set(parts_x) | set(parts_u):
-                    mu = dirac_eigenvalue(n, jj, ss)
-                    cu = parts_u.get((jj, ss), SpinorPoly.zero(n))
-                    cxp = parts_x.get((jj, ss), SpinorPoly.zero(n))
-                    factor = (mu * mu - lam * lam) / 2
-                    if not SpinorPoly.combination([(1, cu), (-factor, cxp)]).is_zero:
-                        comp_ok = False
-                        comp_cx = comp_cx or {
-                            "level": j, "sign": sign, "index": i, "target": str(mu)
-                        }
+    decomposed = _level_parts(targets, jmax)
+    for t, (j, sign, lam, i) in enumerate(cases):
+        parts_x = decomposed[2 * t]
+        parts_u = decomposed[2 * t + 1]
+        x_out, u_out = (
+            parts is None or any(jj > j + 1 for jj, _ in parts) for parts in (parts_x, parts_u)
+        )
+        if x_out or u_out:
+            # a wrong P: x_i or U_i leaves the adjacent levels
+            adj_ok = adj_ok and not x_out
+            comp_ok = False
+            comp_cx = comp_cx or {
+                "level": j,
+                "sign": sign,
+                "index": i,
+                "target": f"outside levels 0..{j + 1}",
+            }
+            continue
+        allowed = {lam + 1, lam - 1, -lam}
+        for (jj, ss), comp in parts_x.items():
+            mu = dirac_eigenvalue(n, jj, ss)
+            if mu not in allowed and not comp.is_zero:
+                adj_ok = False
+        for (jj, ss) in set(parts_x) | set(parts_u):
+            mu = dirac_eigenvalue(n, jj, ss)
+            cu = parts_u.get((jj, ss), SpinorPoly.zero(n))
+            cxp = parts_x.get((jj, ss), SpinorPoly.zero(n))
+            factor = (mu * mu - lam * lam) / 2
+            if not SpinorPoly.combination([(1, cu), (-factor, cxp)]).is_zero:
+                comp_ok = False
+                comp_cx = comp_cx or {
+                    "level": j, "sign": sign, "index": i, "target": str(mu)
+                }
     report.add(
         "compressed_u_is_gap_times_x",
         "U_i between eigenspaces = ((mu^2-lam^2)/2) x_i",

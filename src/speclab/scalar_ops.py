@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from . import _kernel
 from .linalg import rref
@@ -427,6 +428,19 @@ class RefutationChain:
         }
 
 
+def _gap_index(n: int, lam: Fraction) -> int:
+    """The level whose eigenvalue sits just below lam: the largest j with
+    lambda_j < lam, or 0 when lambda_0 >= lam.  For lam > -1/4.
+
+    lambda_j = ((n - 1 + 2j)^2 - 1)/4, so lambda_j < lam exactly when
+    (n - 1 + 2j)^2 < 4 lam + 1 = p/q, that is when the integer n - 1 + 2j
+    is at most isqrt((p - 1) // q).
+    """
+    v = 4 * lam + 1
+    k = isqrt((v.numerator - 1) // v.denominator)
+    return max(0, (k - n + 1) // 2)
+
+
 def refute_candidate(n: int, lam) -> RefutationChain:
     """Descend from an off-spectrum candidate through the minus branch
     until the bottom bound n(n-2)/4 is violated.
@@ -447,11 +461,7 @@ def refute_candidate(n: int, lam) -> RefutationChain:
     if level is not None:
         raise OnSpectrumError(n, level)
 
-    # gap index: the level whose eigenvalue sits just below the candidate
-    gap = 0
-    while scalar_eigenvalue(n, gap + 1) < lam:
-        gap += 1
-
+    gap = _gap_index(n, lam)
     nu = Quad.sqrt(4 * lam + 1)
     steps = []
     current = Quad(lam)

@@ -459,6 +459,63 @@ def test_dirac_column_map_matches_reference(cold_dirac_caches):
                 assert all(e[0] <= 1 for e in comp.terms)
 
 
+def test_u_and_y_column_maps_match_reference(cold_dirac_caches):
+    # U_i = (1/2)[P^2, x_i] and y_i = [P, x_i] through the reference route
+    # of P, against the memoized U_i and y_i: cold, on per-spinor result
+    # hits, and from the columns alone once the results are dropped
+    def p2(psi):
+        return dirac_reference(dirac_reference(psi))
+
+    half = Fraction(1, 2)
+    rng = random.Random(20261019)
+    for n in (2, 3, 4):
+        psis = [rand_spinor(rng, n) for _ in range(3)]
+        cases = [(rng.randrange(n + 1), psi) for psi in psis]
+        want = [
+            (
+                SpinorPoly.combination(
+                    [(half, p2(psi.coordinate_mul(i))), (-half, p2(psi).coordinate_mul(i))]
+                ),
+                dirac_reference(psi.coordinate_mul(i)) - dirac_reference(psi).coordinate_mul(i),
+            )
+            for i, psi in cases
+        ]
+
+        def images():
+            return [(U_spin(i, psi), y_apply(i, psi)) for i, psi in cases]
+
+        assert images() == want  # cold
+        assert images() == want  # per-spinor result hits
+        for table in (clifford._DIRAC_CACHE, clifford._U_CACHE, clifford._Y_CACHE):
+            table.clear()
+        assert images() == want  # warm columns only
+
+
+def test_warm_suite_builds_no_column_and_grows_no_table(monkeypatch):
+    # a second run of the suite in one process reads every image of P, U_i
+    # and y_i from the per-spinor results: no column is built and no
+    # operator table changes size
+    names = ("_DIRAC_CACHE", "_U_CACHE", "_Y_CACHE", "_DIRAC_COLUMNS", "_U_COLUMNS", "_Y_COLUMNS")
+    tables = {name: getattr(clifford, name) for name in names}
+    assert verify_spinor_identities(2, 1).all_passed
+    sizes = {name: len(table) for name, table in tables.items()}
+    assert all(sizes.values())
+    built = []
+
+    def counted(build):
+        def column(*key):
+            built.append(key)
+            return build(*key)
+
+        return column
+
+    for name in ("_p_column", "_u_column", "_y_column"):
+        monkeypatch.setattr(clifford, name, counted(getattr(clifford, name)))
+    assert verify_spinor_identities(2, 1).all_passed
+    assert built == []
+    assert {name: len(table) for name, table in tables.items()} == sizes
+
+
 def _corrupt_dirac_column(monkeypatch, bad_key):
     """Add 1 to the diagonal entry of one column of P."""
     build = clifford._p_column
@@ -486,6 +543,22 @@ def test_dirac_column_map_is_falsifiable(monkeypatch, cold_dirac_caches):
     assert bad_key in clifford._DIRAC_COLUMNS
 
 
+def test_cleared_warm_caches_see_a_corrupted_column(monkeypatch, cold_dirac_caches):
+    # after a passing run, a wrong column of P and a cleared cache give the
+    # report of a cold run under that column: no image of P, U_i or y_i
+    # built from the true P survives the clear
+    bad_key = (2, 0, (0, 1, 0))
+    with monkeypatch.context() as mp:
+        _corrupt_dirac_column(mp, bad_key)
+        cold = verify_spinor_identities(2, 1)
+    assert not cold.all_passed
+    clifford._clear_operator_caches()
+    assert verify_spinor_identities(2, 1).all_passed
+    _corrupt_dirac_column(monkeypatch, bad_key)
+    clifford._clear_operator_caches()
+    assert verify_spinor_identities(2, 1).to_json() == cold.to_json()
+
+
 @pytest.mark.parametrize(
     "bad_key, check, detail",
     [
@@ -495,6 +568,9 @@ def test_dirac_column_map_is_falsifiable(monkeypatch, cold_dirac_caches):
         ((2, 0, (0, 1, 0)), "compressed_u_is_gap_times_x", "'target': '1'"),
         # the truncation spectrum leaves the half-integer lattice
         ((2, 0, (0, 0, 0)), "truncation_spectrum_lattice", "off the lattice"),
+        # a level-0 image with a part at level 2, which the one decomposition
+        # of every target covers
+        ((2, 0, (0, 0, 1)), "compressed_u_is_gap_times_x", "outside levels 0..1"),
     ],
 )
 def test_wrong_dirac_column_fails_the_suite(

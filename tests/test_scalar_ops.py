@@ -384,6 +384,35 @@ def test_refutation_guards():
     assert spectrum_level_of(3, Fraction(2)) is None
 
 
+def _gap_by_levels(n, lam):
+    """The gap index by walking up the levels: the reference for
+    ``scalar_ops._gap_index``."""
+    gap = 0
+    while scalar_eigenvalue(n, gap + 1) < lam:
+        gap += 1
+    return gap
+
+
+def test_gap_index_matches_the_level_walk():
+    # seeded candidates of every size, and every lattice value and its
+    # neighbours 1e-9 away, where lambda_j < lam turns
+    rng = random.Random(1701)
+    eps = Fraction(1, 10**9)
+    checked = 0
+    for n in range(2, 9):
+        cands = []
+        for _ in range(400):
+            num = rng.randint(0, 10 ** rng.randint(1, 5))
+            cands.append(Fraction(num, rng.randint(1, 10 ** rng.randint(0, 3))))
+        for j in range(40):
+            lam = scalar_eigenvalue(n, j)
+            cands += [lam - eps, lam, lam + eps]
+        for lam in cands:
+            assert scalar_ops._gap_index(n, lam) == _gap_by_levels(n, lam), (n, lam)
+            checked += 1
+    assert checked == 7 * (400 + 120)
+
+
 def test_refutation_random_candidates():
     rng = random.Random(99)
     for n in (2, 3, 4, 5):

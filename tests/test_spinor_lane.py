@@ -265,8 +265,11 @@ def test_u_and_y_column_maps_match_the_commutator_routes(case):
         clifford._clear_operator_caches()
         assert_matches(U_spin(i, psi), want_u)  # cold: columns built from P
         assert_matches(y_apply(i, psi), want_y)
-        clifford._DIRAC_CACHE.clear()
-        assert_matches(U_spin(i, psi), want_u)  # warm columns
+        assert_matches(U_spin(i, psi), want_u)  # per-spinor result hits
+        assert_matches(y_apply(i, psi), want_y)
+        for table in (clifford._DIRAC_CACHE, clifford._U_CACHE, clifford._Y_CACHE):
+            table.clear()
+        assert_matches(U_spin(i, psi), want_u)  # warm columns only
         assert_matches(y_apply(i, psi), want_y)
     finally:
         clifford._clear_operator_caches()
@@ -315,17 +318,22 @@ def test_operator_column_maps_stay_bounded(monkeypatch):
     n = 2
     ones = SpherePoly(n, {e: 1 for e in normal_monomials(n, 2)}, reduced=True)
     psi = SpinorPoly(n, [ones, ones.scale(Fraction(1, 3))])
-    want = (dirac_apply(psi), U_spin(1, psi), y_apply(1, psi))
+    others = [psi.coordinate_mul(i) for i in range(n + 1)]
+    want = [(dirac_apply(p), U_spin(1, p), y_apply(1, p)) for p in [psi] + others]
     monkeypatch.setattr(clifford, "_CACHE_LIMIT", 3)
     tables = (
         clifford._DIRAC_CACHE,
+        clifford._U_CACHE,
+        clifford._Y_CACHE,
         clifford._DIRAC_COLUMNS,
         clifford._U_COLUMNS,
         clifford._Y_COLUMNS,
     )
     try:
         clifford._clear_operator_caches()
-        assert (dirac_apply(psi), U_spin(1, psi), y_apply(1, psi)) == want
-        assert all(len(table) <= 4 for table in tables)
+        for _ in range(2):  # the second pass mixes result hits and misses
+            got = [(dirac_apply(p), U_spin(1, p), y_apply(1, p)) for p in [psi] + others]
+            assert got == want
+            assert all(len(table) <= 4 for table in tables)
     finally:
         clifford._clear_operator_caches()
