@@ -55,9 +55,9 @@ the columns of P and of U_i and y_i it builds, the results of P, U_i and
 y_i it memoizes, and the peak RSS of the process:
 
     n   time         columns P, U+y   results P / U / y    peak RSS
-    2   0.14-0.15 s    98,  284         835 /  605 /  455    22 MB
-    3   1.2-1.4 s     560, 1544        3461 / 2602 / 1930    40 MB
-    4   2.8-2.9 s    1344, 3392        6355 / 4743 / 3543    66 MB
+    2   0.14-0.15 s    98,  284         898 /  476 /  490    22 MB
+    3   1.2-1.4 s     560, 1544        3812 / 1972 / 2088    37 MB
+    4   2.8-2.9 s    1344, 3392        7048 / 3524 / 3768    60 MB
 
 The U_i and y_i results take about 1, 9 and 20 MB of those peaks.
 """
@@ -86,7 +86,7 @@ from .polynomial import (
     normal_monomials,
     shift_terms,
 )
-from .report import VerificationReport, covariance_terms, shifted_square_terms
+from .report import VerificationReport, compose, covariance_terms, shifted_square_terms
 from .scalars import CRat, _norm
 from .scalar_ops import NotEigenfunctionError
 from .spectral import _odd_poly_coeffs
@@ -916,6 +916,15 @@ def spinor_laws(n: int, k_max: int) -> list:
     Symbols: ``x``, ``U`` and ``y`` (indexed) and the Dirac operator ``P``.
     The odd intertwinor of order 2k+1 is P (P^2 - 1^2) ... (P^2 - k^2),
     expanded into powers of P.
+
+    The ladders of ``spinor_ladders`` read lam as P applied first, so they
+    are the words A_i = U_i + x_i P + y_i/2, S_i = U_i - x_i P - y_i/2 and
+    N_i = U_i - x_i/2 - y_i P, and their eigenvalue moves and summed
+    factors are laws of P.  On a lam-eigenspinor a ladder row reads as the
+    ladder statement at lam.  P is diagonalizable on polynomial spinors,
+    with the model spectrum that ``truncation_matrices`` certifies, so a
+    law that holds on every eigenspace holds on their sum: the rows hold
+    on the whole space, and the monomial basis checks them.
     """
     laws = [
         (
@@ -954,6 +963,32 @@ def spinor_laws(n: int, k_max: int) -> list:
                 covariance_terms(odd, Fraction(2 * k + 1, 2)),
             )
         )
+    half = Fraction(1, 2)
+    p = [(1, "P")]
+    a = [(1, "U"), (1, "x P"), (half, "y")]
+    s = [(1, "U"), (-1, "x P"), (-half, "y")]
+    nn = [(1, "U"), (-half, "x"), (-1, "y P")]
+
+    def lin(c1, c0):  # c1 P + c0
+        return [(c1, "P"), (c0, "")]
+
+    # each ladder law is left = right, each side the product of two factors
+    for identity_id, law, per_index, left, right in [
+        ("ladder_a_raises", "P A_i = A_i (P + 1), A_i = U_i + x_i P + y_i/2",
+         True, (p, a), (a, lin(1, 1))),
+        ("ladder_s_lowers", "P S_i = S_i (P - 1), S_i = U_i - x_i P - y_i/2",
+         True, (p, s), (s, lin(1, -1))),
+        ("ladder_n_flips", "P N_i = -N_i P, N_i = U_i - x_i/2 - y_i P",
+         True, (p, nn), (nn, [(-1, "P")])),
+        ("ladder_sum_sa", "sum_i S_i A_i = -2 (P + n/2)(P + 1/2)",
+         False, (s, a), (lin(-2, -n), lin(1, half))),
+        ("ladder_sum_as", "sum_i A_i S_i = -2 (P - n/2)(P - 1/2)",
+         False, (a, s), (lin(-2, n), lin(1, -half))),
+        ("ladder_sum_nn", "sum_i N_i N_i = (n - 1)(P + 1/2)(P - 1/2)",
+         False, (nn, nn), (lin(n - 1, (n - 1) * half), lin(1, -half))),
+    ]:
+        terms = compose(*left) + [(-c, w) for c, w in compose(*right)]
+        laws.append((identity_id, law, per_index, terms))
     return laws
 
 
@@ -961,87 +996,44 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
     """Exact verification of every spinor operator identity, with the odd
     intertwinors of order 2k+1 for k = 0..N.
 
-    Operator identities are applied exactly to the full spinor monomial
-    basis of degree <= N (no truncation artifacts); eigenspace statements
-    run on the exact model eigenbases; the spectrum statements run on the
+    The operator identities, the ladder rows included, are applied exactly
+    to the full spinor monomial basis of degree <= N (no truncation
+    artifacts).  ``dirac_anticommutes_with_x``, x. P + P x. = 0, runs on
+    the normal-form unit spinors of degree <= N + 3, so it reads every
+    column of P that the suite builds (degree <= N + 4).  It holds because
+    P = x.(G - n/2) and (x.)^2 = -1 give x. P = -(G - n/2), and x.
+    anticommutes with G - n/2, so P x. = x.(G - n/2) x. = G - n/2.  The
+    compression, adjacency and span statements run on the exact model
+    eigenbases of levels 0..1; the spectrum statements run on the
     certified truncation model.  A wrong P is reported, not raised: an
     eigenbasis whose foothold fails the eigen test fails every eigenspace
-    check (``ladder_suite_*``, ``compressed_u_is_gap_times_x``,
-    ``coordinate_adjacency``, ``adjacent_span_rank``), a U_i image outside
-    the decomposed levels fails ``compressed_u_is_gap_times_x``, and a
-    truncation spectrum that cannot be certified fails
-    ``truncation_spectrum_lattice`` and ``spectral_bound``.  Those two pass
-    exactly when ``truncation_matrices(n, N).spectrum()`` certifies: every
-    certified row lies on +-(n/2+j) by construction, and
-    (n/2)^2 >= n(n-1)/4.
+    check (``compressed_u_is_gap_times_x``, ``coordinate_adjacency``,
+    ``adjacent_span_rank``), a U_i image outside the decomposed levels
+    fails ``compressed_u_is_gap_times_x``, and a truncation spectrum that
+    cannot be certified fails ``truncation_spectrum_lattice`` and
+    ``spectral_bound``.  Those two pass exactly when
+    ``truncation_matrices(n, N).spectrum()`` certifies: every certified row
+    lies on +-(n/2+j) by construction, and (n/2)^2 >= n(n-1)/4.
     """
     if not 1 <= N <= 2:
         raise ValueError("N must be 1 or 2")
     report = VerificationReport(scope="spinor", n=n, degree_cap=N)
     alg = gamma_algebra(n)
-    report.add(
-        "clifford_relations",
-        "e_i e_j + e_j e_i = -2 delta_ij",
-        alg.check_relations(),
-    )
+    report.add("clifford_relations", "e_i e_j + e_j e_i = -2 delta_ij", alg.check_relations())
 
-    d = alg.dim_spin
-    basis = [
-        SpinorPoly.unit(n, c, SpherePoly.monomial(n, e))
-        for c in range(d)
-        for e in normal_monomials(n, N)
-    ]
+    def units(degree):  # the normal-form unit spinors of degree <= degree
+        return [_unit(n, c, e) for c in range(alg.dim_spin) for e in normal_monomials(n, degree)]
+
     # built per call, so that a rebound module-level name (a patch, a tracer) is used
+    ops = {"P": dirac_apply, "X": clifford_x}
     indexed_ops = {"x": lambda i, psi: psi.coordinate_mul(i), "U": U_spin, "y": y_apply}
-    report.check_laws(basis, spinor_laws(n, N), {"P": dirac_apply}, indexed_ops)
-    half = Fraction(1, 2)
+    report.check_laws(units(N), spinor_laws(n, N), ops, indexed_ops)
+    x_law = ("dirac_anticommutes_with_x", "x. P + P x. = 0", False, [(1, "X P"), (1, "P X")])
+    report.check_laws(units(N + 3), [x_law], ops, indexed_ops)
 
-    # eigenspace statements, on the exact bases of levels 0..N (ladders) and
-    # 0..2 (compression, adjacency, span); without them all of these fail
-    broken = _foothold_failure(n, max(N, 2))
-    for j in range(N + 1):
-        for sign in (1, -1):
-            lam = dirac_eigenvalue(n, j, sign)
-            ok = broken is None
-            for psi in eigenspinor_basis(n, j, sign) if ok else ():
-                # each summed composition minus its factor times psi: the
-                # terms of S_i A_i psi, A_i S_i psi and N_i N_i psi, each
-                # second ladder taken at the eigenvalue of the first
-                sa = [(2 * (lam + Fraction(n, 2)) * (lam + half), psi)]
-                as_ = [(2 * (lam - Fraction(n, 2)) * (lam - half), psi)]
-                nn_ = [(-(n - 1) * (lam + half) * (lam - half), psi)]
-                for i in range(n + 1):
-                    A, S, Nv = spinor_ladders(i, psi, lam, check=False)
-                    if not (
-                        is_eigenspinor(A, lam + 1)
-                        and is_eigenspinor(S, lam - 1)
-                        and is_eigenspinor(Nv, -lam)
-                    ):
-                        ok = False
-                    sa += [
-                        (1, U_spin(i, A)),
-                        (-(lam + 1), A.coordinate_mul(i)),
-                        (-half, y_apply(i, A)),
-                    ]
-                    as_ += [
-                        (1, U_spin(i, S)),
-                        (lam - 1, S.coordinate_mul(i)),
-                        (half, y_apply(i, S)),
-                    ]
-                    nn_ += [
-                        (1, U_spin(i, Nv)),
-                        (-half, Nv.coordinate_mul(i)),
-                        (lam, y_apply(i, Nv)),
-                    ]
-                ok = ok and all(SpinorPoly.combination(t).is_zero for t in (sa, as_, nn_))
-                if not ok:
-                    break
-            report.add(
-                f"ladder_suite_j={j}_sign={sign}",
-                "ladder targets and the three summed factors",
-                ok,
-                broken or {"level": j, "sign": sign},
-            )
+    # eigenspace statements, on the exact bases of levels 0..2; without them
+    # all of these fail
+    broken = _foothold_failure(n, 2)
 
     # compression and adjacency through exact level decomposition, of every
     # target at once up to level jmax; a level-j target leaves levels

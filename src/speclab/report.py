@@ -84,8 +84,8 @@ class VerificationReport:
         that word reuses it.  Whether a word is indexed is decided once per
         word.  A law's terms are merged per word first, and a word whose
         coefficients cancel is not evaluated: its images would cancel
-        exactly, so a law whose coefficients all cancel (the shifted square
-        sum at a = 0) holds on every vector.  Each law's difference, and
+        exactly.  A law whose coefficients all cancel would hold for any
+        operators, so it raises ``AssertionError``.  Each law's difference, and
         each i-sum, is then one linear combination,
         ``type(vector).combination(pairs)`` over ``(coefficient, image)``
         pairs, so vectors need the classmethod ``combination`` and
@@ -106,7 +106,10 @@ class VerificationReport:
             for c, word in terms:
                 coeffs[word] = coeffs.get(word, 0) + c
                 mark(word)
-            merged.append((identity_id, per_index, [(c, w) for w, c in coeffs.items() if c]))
+            nonzero = [(c, w) for w, c in coeffs.items() if c]
+            if not nonzero:
+                raise AssertionError(f"law {identity_id} merges to no terms: it tests nothing")
+            merged.append((identity_id, per_index, nonzero))
 
         indices = range(self.n + 1)
         failed = {}
@@ -138,7 +141,7 @@ class VerificationReport:
                 return hit
 
             for identity_id, per_index, terms in merged:
-                if identity_id in failed or not terms:
+                if identity_id in failed:
                     continue
                 for i in indices if per_index else (None,):
                     diff = combination(
@@ -156,15 +159,19 @@ class VerificationReport:
             self.add(identity_id, law, identity_id not in failed, failed.get(identity_id))
 
 
+def compose(a: list, b: list) -> list:
+    """Terms of the product A B of two ``(coefficient, word)`` lists: B is
+    applied first, so each word of A is written left of each word of B."""
+    return [(c * d, f"{v} {w}".strip()) for c, v in a for d, w in b]
+
+
 def covariance_terms(polynomial: list, s) -> list:
     """Terms of Q (U_i - s x_i) - (U_i + s x_i) Q, for Q given as
     ``(coefficient, word)`` pairs."""
-    terms = []
-    for c, w in polynomial:
-        terms += [(c, f"{w} U"), (-s * c, f"{w} x"), (-c, f"U {w}"), (-s * c, f"x {w}")]
-    return terms
+    return compose(polynomial, [(1, "U"), (-s, "x")]) + compose([(-1, "U"), (-s, "x")], polynomial)
 
 
 def shifted_square_terms(a) -> list:
     """Terms of sum_i (U_i + a x_i)^2 - a^2."""
-    return [(1, "U U"), (a, "U x"), (a, "x U"), (a * a, "x x"), (-a * a, "")]
+    shifted = [(1, "U"), (a, "x")]
+    return compose(shifted, shifted) + [(-a * a, "")]

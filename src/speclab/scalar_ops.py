@@ -526,7 +526,7 @@ def scalar_laws(n: int) -> list:
             [(1, "U U"), (1, "D"), (Fraction(n, 2), "")],
         ),
     ]
-    for a in (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-3, 2)):
+    for a in (Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-3, 2)):
         laws.append(
             (
                 f"shifted_square_sum_a={a}",

@@ -298,15 +298,15 @@ def test_byte_determinism(capsys):
     [
         (
             "--jobs 1 verify spinor --n 2 --N 2",
-            "f1a4515af61ab34a342f3bdb95d524ec094514f9e8ebd6246aaff21d89d29b1f",
+            "fce6cfe9214808630b12313302408abbc0fa36fd2384ac9191e7dc18af276904",
         ),
         (
             "verify scalar --n 3 --cap 4",
-            "38483832b2ecb4ac946fd1c1adb21c6fcf01f5cba11422e443adf59fe8af2c1c",
+            "7415fb86e520245267df5abed8952ca1e792501d9af1a1cad7e82c47a5dc4e4c",
         ),
         (
             "verify scalar --n 5 --cap 6",
-            "4bf201a3145787aa060e1c6457451cffcc984cd290a97a92b990847b6f7358b5",
+            "f2bb42c029758de88f69db678a573dd94180e7edcbaccd2dff347ea1d7a55509",
         ),
     ],
 )
@@ -373,7 +373,7 @@ def test_golden_failing_scalar_report(monkeypatch):
     real = scalar_ops.conformal_laplacian
     monkeypatch.setattr(scalar_ops, "conformal_laplacian", lambda p: real(p) + p * Fraction(1))
     rep = scalar_ops.verify_scalar_identities(3, 3)
-    digest = "9fc6fdd1280203c54ca6e1743be273a03e8e27219e0029bc7708f841de81fc31"
+    digest = "f755ac5336aa22838907a34fdadf9f8c1512ffd7d64b8bb1301c5b40104d5dfb"
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
 
 

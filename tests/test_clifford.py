@@ -352,7 +352,6 @@ def test_verify_spinor_identities_n2():
     assert rep.all_passed
     shifted = "sum_i (U_i + a x_i)^2 = a^2 - P^2 - n/4"
     odd = "P_(2k+1) (U_i - (k+1/2) x_i) = (U_i + (k+1/2) x_i) P_(2k+1)"
-    ladder = "ladder targets and the three summed factors"
     assert [(c.identity_id, c.law) for c in rep.checks] == [
         ("clifford_relations", "e_i e_j + e_j e_i = -2 delta_ij"),
         ("dirac_conformal_covariance", "P (U_i - x_i/2) = (U_i + x_i/2) P"),
@@ -366,10 +365,13 @@ def test_verify_spinor_identities_n2():
         ("shifted_square_sum_spinor_a=3/2", shifted),
         ("odd_intertwinor_k=0", odd),
         ("odd_intertwinor_k=1", odd),
-        ("ladder_suite_j=0_sign=1", ladder),
-        ("ladder_suite_j=0_sign=-1", ladder),
-        ("ladder_suite_j=1_sign=1", ladder),
-        ("ladder_suite_j=1_sign=-1", ladder),
+        ("ladder_a_raises", "P A_i = A_i (P + 1), A_i = U_i + x_i P + y_i/2"),
+        ("ladder_s_lowers", "P S_i = S_i (P - 1), S_i = U_i - x_i P - y_i/2"),
+        ("ladder_n_flips", "P N_i = -N_i P, N_i = U_i - x_i/2 - y_i P"),
+        ("ladder_sum_sa", "sum_i S_i A_i = -2 (P + n/2)(P + 1/2)"),
+        ("ladder_sum_as", "sum_i A_i S_i = -2 (P - n/2)(P - 1/2)"),
+        ("ladder_sum_nn", "sum_i N_i N_i = (n - 1)(P + 1/2)(P - 1/2)"),
+        ("dirac_anticommutes_with_x", "x. P + P x. = 0"),
         ("compressed_u_is_gap_times_x", "U_i between eigenspaces = ((mu^2-lam^2)/2) x_i"),
         ("coordinate_adjacency", "x_i E(lam) lies in E(lam+1) + E(lam-1) + E(-lam)"),
         (
@@ -381,7 +383,17 @@ def test_verify_spinor_identities_n2():
     ]
 
 
-def test_spinor_law_table_is_falsifiable():
+LADDER_ROWS = (
+    "ladder_a_raises",
+    "ladder_s_lowers",
+    "ladder_n_flips",
+    "ladder_sum_sa",
+    "ladder_sum_as",
+    "ladder_sum_nn",
+)
+
+
+def test_spinor_law_table_is_falsifiable(monkeypatch, cold_dirac_caches):
     # the spinor table checked with its P shifted by a constant must fail
     n = 2
     basis = [
@@ -394,11 +406,43 @@ def test_spinor_law_table_is_falsifiable():
     indexed = {"x": lambda i, psi: psi.coordinate_mul(i), "U": U_spin, "y": y_apply}
     rep.check_laws(basis, spinor_laws(n, 1), shifted, indexed)
     failed = {c.identity_id: c.counterexample for c in rep.failures()}
-    assert {"dirac_conformal_covariance", "u_square_sum_spinor"} <= set(failed)
+    assert {"dirac_conformal_covariance", "u_square_sum_spinor", *LADDER_ROWS} <= set(failed)
     for cx in failed.values():
         assert set(cx) == {"basis_vector", "index", "difference"}
     assert failed["dirac_conformal_covariance"]["index"] == 0
     assert failed["u_square_sum_spinor"]["index"] is None
+    assert failed["ladder_a_raises"]["index"] == 0
+    assert failed["ladder_sum_sa"]["index"] is None
+
+    # the ladder rows once more, under P + 1 rebound at module level with
+    # cold caches, so that U_i and y_i are built from the shifted P too:
+    # sum_i A_i S_i + 2 (P - n/2)(P - 1/2) is blind to that shift, the
+    # other five rows fail
+    real = clifford.dirac_apply
+    monkeypatch.setattr(clifford, "dirac_apply", lambda psi: real(psi) + psi)
+    clifford._clear_operator_caches()
+    ladders = [law for law in spinor_laws(n, 1) if law[0] in LADDER_ROWS]
+    rep = VerificationReport(scope="spinor", n=n, degree_cap=1)
+    rep.check_laws(basis, ladders, {"P": clifford.dirac_apply}, indexed)
+    assert [c.identity_id for c in rep.failures()] == [
+        row for row in LADDER_ROWS if row != "ladder_sum_as"
+    ]
+
+
+@pytest.mark.parametrize("n, js", [(2, range(4)), (3, range(3))])
+def test_ladder_rows_hold_on_exact_eigenbases(n, js):
+    # the suite checks the ladder rows on the monomials of degree <= N,
+    # which span level N only through sums of its two signs; each
+    # eigenbasis alone, up to level 3 at n = 2 and N = 2 at n = 3, passes
+    # the rows too
+    ladders = [law for law in spinor_laws(n, 2) if law[0] in LADDER_ROWS]
+    indexed = {"x": lambda i, psi: psi.coordinate_mul(i), "U": U_spin, "y": y_apply}
+    for j in js:
+        for sign in (1, -1):
+            rep = VerificationReport(scope="spinor", n=n, degree_cap=j)
+            rep.check_laws(eigenspinor_basis(n, j, sign), ladders, {"P": dirac_apply}, indexed)
+            assert [c.identity_id for c in rep.checks] == list(LADDER_ROWS)
+            assert rep.all_passed, (j, sign, rep.failures())
 
 
 def test_golden_failing_spinor_report():
@@ -414,8 +458,8 @@ def test_golden_failing_spinor_report():
     shifted = {"P": lambda psi: dirac_apply(psi) + psi.scale(Fraction(1, 3))}
     indexed = {"x": lambda i, psi: psi.coordinate_mul(i), "U": U_spin, "y": y_apply}
     rep.check_laws(basis, spinor_laws(n, 1), shifted, indexed)
-    assert len(rep.failures()) == 7
-    digest = "cad35c507d66b7b024b6958f8675f1f3fc5e10daf504c013e012f5d6d4f4c42d"
+    assert len(rep.failures()) == 13
+    digest = "e6df900c2c9624e1d157faed3a3a2345bbbe601a9c3e003573f3e6c97184d991"
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
 
 
@@ -622,25 +666,42 @@ def test_wrong_dirac_column_model_is_refused_or_matches_kernels(monkeypatch, col
     }
 
 
-def test_wrong_dirac_column_scan_catches_every_column_up_to_degree_three(
-    monkeypatch, cold_dirac_caches
-):
+def test_wrong_dirac_column_scan_catches_every_column(monkeypatch, cold_dirac_caches):
     # every column the n=2, N=1 suite builds, corrupted in turn with cold
-    # column maps: the suite fails for exactly the 32 columns of degree
-    # <= 3.  A wrong column of degree 4 or 5 still passes (the open gap of
-    # the degree-4 columns, and degree-5 errors that cancel by linearity).
+    # column maps: the suite fails for all 72.  The other checks see the
+    # 32 columns of degree <= 3; x. P + P x. = 0 on the units of degree
+    # <= 4 also reads the columns of degree 4 and 5.
     verify_spinor_identities(2, 1)
     keys = sorted(clifford._DIRAC_COLUMNS)
     caught = []
+    caught_without_x_law = []
     for bad_key in keys:
         clifford._clear_operator_caches()
         with monkeypatch.context() as mp:
             _corrupt_dirac_column(mp, bad_key)
-            if not verify_spinor_identities(2, 1).all_passed:
+            failed = {c.identity_id for c in verify_spinor_identities(2, 1).failures()}
+            if failed:
                 caught.append(bad_key)
+            if failed - {"dirac_anticommutes_with_x"}:
+                caught_without_x_law.append(bad_key)
         clifford._clear_operator_caches()
-    assert caught == [key for key in keys if sum(key[2]) <= 3]
-    assert len(caught) == 32
+    assert len(keys) == 72
+    assert caught == keys
+    assert caught_without_x_law == [key for key in keys if sum(key[2]) <= 3]
+
+
+@pytest.mark.parametrize("n, N", [(2, 1), (2, 2), (3, 1)])
+def test_cold_suite_builds_p_columns_up_to_degree_n_plus_four(n, N):
+    # dirac_anticommutes_with_x runs on the units of degree <= N + 3, so
+    # that P x. reads the top columns: the suite builds none above N + 4
+    clifford._eigenspinor_basis_cached.cache_clear()
+    clifford._clear_operator_caches()
+    try:
+        assert verify_spinor_identities(n, N).all_passed
+        degrees = {sum(e) for (_, _, e) in clifford._DIRAC_COLUMNS}
+        assert max(degrees) == N + 4
+    finally:
+        clifford._clear_operator_caches()
 
 
 def test_wrong_dirac_column_with_cold_eigenbases_fails_the_suite(monkeypatch, capsys):
@@ -661,13 +722,12 @@ def test_wrong_dirac_column_with_cold_eigenbases_fails_the_suite(monkeypatch, ca
             for c in payload["spinor"]["checks"]
             if c["status"] == "fail"
         }
-        for check in (
-            "ladder_suite_j=0_sign=1",
-            "compressed_u_is_gap_times_x",
-            "coordinate_adjacency",
-            "adjacent_span_rank",
-        ):
+        for check in ("compressed_u_is_gap_times_x", "coordinate_adjacency", "adjacent_span_rank"):
             assert "foothold vector fails the eigen test" in failed[check]["error"]
+        # the ladder rows need no eigenbasis: they fail on the monomial
+        # basis with a counterexample of their own
+        for check in LADDER_ROWS:
+            assert set(failed[check]) == {"basis_vector", "index", "difference"}
     finally:
         clifford._eigenspinor_basis_cached.cache_clear()
         clifford._clear_operator_caches()

@@ -27,9 +27,11 @@ from speclab.scalar_ops import (
     laplacian_via_conformal_fields,
     refute_candidate,
     scalar_eigenvalue,
+    scalar_laws,
     spectrum_level_of,
     verify_scalar_identities,
 )
+from speclab.report import shifted_square_terms
 from speclab.surd import Quad
 
 from oracles import eval_exact
@@ -447,7 +449,6 @@ def test_verify_scalar_identities_pass():
         ("coordinate_commutator", "sum_i [U_i, x_i] = -n"),
         ("laplacian_two_routes", "-sum_i T_i^2 = Laplacian (homogeneous-degree route)"),
         ("u_square_sum", "sum_i U_i^2 = -D - n/2"),
-        ("shifted_square_sum_a=0", shifted),
         ("shifted_square_sum_a=1", shifted),
         ("shifted_square_sum_a=-1", shifted),
         ("shifted_square_sum_a=3/2", shifted),
@@ -519,6 +520,34 @@ def test_commutator_on_constant_gives_n_coordinate():
             comm = conformal_laplacian(xi * one) - xi * conformal_laplacian(one)
             assert comm == xi * Fraction(n)
             assert U(i, one) * 2 == xi * Fraction(n)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_every_law_row_merges_to_terms(n):
+    # a row whose coefficients cancel word by word holds for any operators
+    from speclab.clifford import spinor_laws
+
+    for laws in [scalar_laws(n)] + [spinor_laws(n, k) for k in range(3)]:
+        for identity_id, _, _, terms in laws:
+            merged = {}
+            for c, word in terms:
+                merged[word] = merged.get(word, 0) + c
+            assert any(merged.values()), identity_id
+
+
+def test_a_row_that_merges_to_nothing_is_an_internal_failure(capsys, monkeypatch):
+    # sum_i (U_i + 0 x_i)^2 = sum_i U_i^2 merges to U U - U U: a suite
+    # holding it stops with exit 3 instead of reporting a check that
+    # cannot fail
+    from speclab.cli import main
+
+    real = scalar_ops.scalar_laws
+    vacuous = ("shifted_square_sum_a=0", "", False, shifted_square_terms(0) + [(-1, "U U")])
+    monkeypatch.setattr(scalar_ops, "scalar_laws", lambda n: real(n) + [vacuous])
+    assert main(["verify", "scalar", "--n", "2", "--cap", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "shifted_square_sum_a=0 merges to no terms" in captured.err
 
 
 def test_report_serialization():
