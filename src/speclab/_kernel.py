@@ -31,48 +31,50 @@ def _unit_sign(c, v) -> int:
     return 0
 
 
-def add_scaled_terms(a: dict, b: dict, c) -> dict:
-    """Return a + c*b as a fresh term map (zero coefficients dropped).
-
-    One merge loop per case, so c = +-1 costs no multiply and no extra
-    pass over b."""
-    out = dict(a)
-    if not c or not b:
-        return out
-    sign = _unit_sign(c, next(iter(b.values())))
+def _merge(out: dict, m: dict, c) -> None:
+    """Add c*m into ``out`` in place (zero coefficients dropped); c and m
+    nonzero.  One merge loop per case, so c = +-1 costs no multiply."""
+    sign = _unit_sign(c, next(iter(m.values())))
     if sign == 1:
-        for e, cb in b.items():
+        for e, v in m.items():
             prev = out.get(e)
             if prev is None:
-                out[e] = cb
+                out[e] = v
             else:
-                s = prev + cb
+                s = prev + v
                 if s:
                     out[e] = s
                 else:
                     del out[e]
     elif sign == -1:
-        for e, cb in b.items():
+        for e, v in m.items():
             prev = out.get(e)
             if prev is None:
-                out[e] = -cb
+                out[e] = -v
             else:
-                s = prev - cb
+                s = prev - v
                 if s:
                     out[e] = s
                 else:
                     del out[e]
     else:
-        for e, cb in b.items():
+        for e, v in m.items():
             prev = out.get(e)
             if prev is None:
-                out[e] = c * cb
+                out[e] = c * v
             else:
-                s = prev + c * cb
+                s = prev + c * v
                 if s:
                     out[e] = s
                 else:
                     del out[e]
+
+
+def add_scaled_terms(a: dict, b: dict, c) -> dict:
+    """Return a + c*b as a fresh term map (zero coefficients dropped)."""
+    out = dict(a)
+    if c and b:
+        _merge(out, b, c)
     return out
 
 
@@ -81,49 +83,15 @@ def combine_terms(pairs) -> dict:
     map (zero coefficients dropped).
 
     One accumulator for all pairs: it starts as ``scale_terms`` of the
-    first nonzero map, and every later map is merged into it in one pass,
-    with one merge loop per case as in ``add_scaled_terms``."""
+    first nonzero map, and every later map is merged into it in one pass."""
     out: dict = {}
     for c, m in pairs:
         if not c or not m:
             continue
-        if not out:
-            out = scale_terms(m, c)
-            continue
-        sign = _unit_sign(c, next(iter(m.values())))
-        if sign == 1:
-            for e, v in m.items():
-                prev = out.get(e)
-                if prev is None:
-                    out[e] = v
-                else:
-                    s = prev + v
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        elif sign == -1:
-            for e, v in m.items():
-                prev = out.get(e)
-                if prev is None:
-                    out[e] = -v
-                else:
-                    s = prev - v
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
+        if out:
+            _merge(out, m, c)
         else:
-            for e, v in m.items():
-                prev = out.get(e)
-                if prev is None:
-                    out[e] = c * v
-                else:
-                    s = prev + c * v
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
+            out = scale_terms(m, c)
     return out
 
 

@@ -3,15 +3,14 @@
 Subcommands: spectrum, intertwinor, verify, refute, entropy.  Exit codes:
 0 success / all checks pass, 1 verification failure, 2 usage or cost-guard
 error (an unwritable ``--output`` path, a ``--jobs`` below 1, an entropy
-``--order`` below 2 and an empty level range included: a negative
-``--jmax``, a ``spectrum --count`` below 1, a dirac ``--lambda-max`` below
-n/2), 3 internal invariant failure: an ``AssertionError`` raised inside the
+``--order`` below 2, a ``product --r`` or ``dirac-odd --k`` that is not an
+integer, and an empty level range included: a negative ``--jmax``, a
+``spectrum --count`` below 1, a dirac ``--lambda-max`` below n/2), 3
+internal invariant failure: an ``AssertionError`` raised inside the
 library (a ladder span whose rank is not the harmonic dimension, a
 monogenic kernel of the wrong dimension, ...), reported as one JSON line
 on stderr instead of a traceback.  Output is byte-deterministic for a
-fixed configuration (fixed orderings, floats at 17 significant digits);
-SPECLAB_PRECISION sets the working precision of the transcendental branch
-(decimal digits).
+fixed configuration (fixed orderings, floats at 17 significant digits).
 
 ``main(argv)`` can be called many times in one process, and answers each
 argv as a fresh process would.  It builds its parser on the first call and
@@ -40,7 +39,6 @@ from .spectral import SpectrumTable, finite, fmt_value
 
 # cost guards: refuse exact computations beyond these basis sizes
 MAX_SCALAR_BASIS = 4000
-MAX_SPINOR_DIM = 400
 # ... beyond this many spectrum levels (spectrum --count, intertwinor
 # --jmax, and --lambda-max - n/2 for the dirac families) ...
 MAX_LEVELS = 500
@@ -187,6 +185,8 @@ def cmd_intertwinor(args) -> int:
             return _refuse(f"--lambda-max {args.lambda_max} spans more than {MAX_LEVELS} levels")
     elif fam != "adjacent" and args.jmax > MAX_LEVELS:
         return _refuse(f"--jmax {args.jmax} exceeds {MAX_LEVELS} levels")
+    if fam in ("product", "dirac-odd") and order is not None and order != int(order):
+        raise ValueError(f"{flag} {order} must be an integer for the {fam} family")
     if fam == "scalar":
         table = SpectrumTable.scalar(n, order, args.jmax)
     elif fam == "scalar-normalized":
@@ -199,15 +199,15 @@ def cmd_intertwinor(args) -> int:
         table = SpectrumTable.entropy_derivative(n, args.jmax)
     elif fam == "first-order":
         table = SpectrumTable.first_order(n, args.jmax)
-    elif fam == "dirac":
-        if args.k is None:
-            print("error: --k is required for the dirac family", file=sys.stderr)
-            return 2
-        table = SpectrumTable.dirac(n, parse_number(args.k), lambda_max)
-    elif fam == "dirac-odd":
-        table = SpectrumTable.dirac_odd(n, int(args.k), lambda_max)
     elif fam == "adjacent":
         table = SpectrumTable.dirac_adjacent(n, parse_number(args.lam))
+    elif order is None:  # a dirac family without --k
+        print(f"error: --k is required for the {fam} family", file=sys.stderr)
+        return 2
+    elif fam == "dirac":
+        table = SpectrumTable.dirac(n, order, lambda_max)
+    elif fam == "dirac-odd":
+        table = SpectrumTable.dirac_odd(n, int(order), lambda_max)
     else:  # pragma: no cover - argparse restricts choices
         return 2
     _write_table(args, table)
@@ -249,13 +249,7 @@ def cmd_verify(args) -> int:
         if n > 4 or args.N > 2:
             print("error: spinor model guard: need n <= 4 and N <= 2", file=sys.stderr)
             return 2
-        dim = gamma_algebra(n).dim_spin * count_normal_monomials(n, args.N)
-        if dim > MAX_SPINOR_DIM:
-            print(
-                f"error: spinor model dimension {dim} exceeds {MAX_SPINOR_DIM}",
-                file=sys.stderr,
-            )
-            return 2
+        gamma_algebra(n)  # refuses n < 2 before any work starts
     if "entropy" in scopes:
         refused = _entropy_guard(args.order, args.cutoff)
         if refused is not None:

@@ -674,15 +674,7 @@ def _monogenic_basis_cached(n: int, k: int) -> tuple:
         raise AssertionError(
             f"monogenic kernel dimension {len(basis_vecs)} != {expected}"
         )
-    out = []
-    for vec in basis_vecs:
-        comps = [dict() for _ in range(d)]
-        for idx, coeff in enumerate(vec):
-            if coeff:
-                c, e = cols[idx]
-                comps[c][e] = coeff
-        out.append(SpinorPoly(n, [SpherePoly(n, t) for t in comps]))
-    return tuple(out)
+    return tuple(_rows_to_spinors(basis_vecs, cols, n))
 
 
 def monogenic_basis(n: int, k: int) -> list:
@@ -870,16 +862,12 @@ def truncation_matrices(n: int, N: int) -> TruncationModel:
         raise ValueError("N must be >= 0")
     d = gamma_algebra(n).dim_spin
     index = _spinor_index(n, N + 2)
-    seed = [
-        SpinorPoly.unit(n, c, SpherePoly.monomial(n, e))
-        for c in range(d)
-        for e in normal_monomials(n, N)
-    ]
+    seed = [_unit(n, c, e) for c in range(d) for e in normal_monomials(n, N)]
     rows = [_spinor_vector(s, index) for s in seed]
     rows += [_spinor_vector(dirac_apply(s), index) for s in seed]
     rref(rows)
     rows = [row for row in rows if any(row)]
-    basis = _rows_to_spinors(rows, index, n)
+    basis = _rows_to_spinors(rows, list(index), n)  # the index lists keys in position order
     images = [_spinor_vector(dirac_apply(b), index) for b in basis]
     cols = echelon_coords(rows, images)
     if any(c is None for c in cols):
@@ -889,19 +877,18 @@ def truncation_matrices(n: int, N: int) -> TruncationModel:
     return TruncationModel(n=n, N=N, basis=basis, p_matrix=p_matrix)
 
 
-def _rows_to_spinors(rows: list, index: dict, n: int) -> list:
-    rev = {}
-    for (c, e), pos in index.items():
-        rev[pos] = (c, e)
+def _rows_to_spinors(rows: list, keys: list, n: int) -> list:
+    """The spinors with coordinate rows ``rows``, where position p holds
+    the coefficient of the slot-and-exponent pair ``keys[p]``; each slot
+    is reduced to normal form, so the exponents may be raw."""
     d = gamma_algebra(n).dim_spin
     out = []
     for row in rows:
         comps = [dict() for _ in range(d)]
-        for pos, coeff in enumerate(row):
+        for (c, e), coeff in zip(keys, row):
             if coeff:
-                c, e = rev[pos]
                 comps[c][e] = coeff
-        out.append(SpinorPoly(n, [SpherePoly(n, t, reduced=True) for t in comps]))
+        out.append(SpinorPoly(n, [SpherePoly(n, t) for t in comps]))
     return out
 
 
@@ -1036,11 +1023,10 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
     broken = _foothold_failure(n, 2)
 
     # compression and adjacency through exact level decomposition, of every
-    # target at once up to level jmax; a level-j target leaves levels
+    # target at once up to level 2; a level-j target leaves levels
     # 0..j+1 when it has no decomposition or a part above j+1 (coordinates
     # are unique, so the parts below are those of a decomposition up to j+1)
-    jmax = min(N, 1) + 1
-    near = range(jmax) if broken is None else ()
+    near = range(2) if broken is None else ()
     comp_ok = adj_ok = span_ok = broken is None
     comp_cx = broken
     cases = []
@@ -1053,7 +1039,7 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
                     cases.append((j, sign, lam, i))
                     targets.append(psi.coordinate_mul(i))
                     targets.append(U_spin(i, psi))
-    decomposed = _level_parts(targets, jmax)
+    decomposed = _level_parts(targets, 2)
     for t, (j, sign, lam, i) in enumerate(cases):
         parts_x = decomposed[2 * t]
         parts_u = decomposed[2 * t + 1]

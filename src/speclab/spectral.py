@@ -6,9 +6,8 @@ the signed Dirac eigenvalue).  Two evaluation regimes:
 
 * exact rationals whenever the gamma arguments differ by integers (the
   half-integral parameter lattice: closed product forms, residues), and
-* high precision floats through mpmath elsewhere, with the working
-  precision taken from the SPECLAB_PRECISION environment variable
-  (decimal digits, default 64).
+* high precision floats through mpmath elsewhere, at a working
+  precision of 64 decimal digits.
 
 Poles and residues are first-class values, not exceptions: the raw gamma
 ratio genuinely blows up on the excluded parameter lattice, and the
@@ -18,7 +17,6 @@ residue family is the object that satisfies the recurrence there.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,12 +27,15 @@ class ExcludedParameterError(ValueError):
     """Parameter combination outside a family's hypotheses."""
 
 
+_DPS = 64  # mpmath working precision of the transcendental branch, in digits
+
+
 def _workdps():
-    """Scoped mpmath working precision from SPECLAB_PRECISION (decimal
-    digits); the global ``mpmath.mp.dps`` is restored on exit."""
+    """Scoped mpmath working precision of ``_DPS`` decimal digits; the
+    global ``mpmath.mp.dps`` is restored on exit."""
     import mpmath
 
-    return mpmath.workdps(int(os.environ.get("SPECLAB_PRECISION", "64")))
+    return mpmath.workdps(_DPS)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,7 @@ def odd_intertwinor_eigen(k: int, lam) -> Fraction:
     return out
 
 
-# -- tiny dense univariate polynomials over Q, for the symbolic transfer check
+# -- the odd family's coefficients in lam, for the spinor law table
 
 def _poly_mul(a: list, b: list) -> list:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -292,33 +293,6 @@ def _poly_mul(a: list, b: list) -> list:
     return out
 
 
-def _poly_add(a: list, b: list) -> list:
-    m = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(m)
-    ]
-
-
-def _poly_scale(a: list, c) -> list:
-    return [c * x for x in a]
-
-
-def _poly_compose_affine(a: list, u, v) -> list:
-    """a(u*x + v) by Horner."""
-    out = [Fraction(0)]
-    lin = [as_rat(v), as_rat(u)]
-    for c in reversed(a):
-        out = _poly_add(_poly_mul(out, lin), [c])
-    return out
-
-
-def _poly_trim(a: list) -> list:
-    while a and not a[-1]:
-        a = a[:-1]
-    return a
-
-
 def _odd_poly_coeffs(k: int) -> list:
     out = [Fraction(0), Fraction(1)]  # lam
     for q in range(1, k + 1):
@@ -327,25 +301,22 @@ def _odd_poly_coeffs(k: int) -> list:
 
 
 def odd_intertwinor_transfer_identity(k: int) -> bool:
-    """Symbolic check, coefficientwise over Q[lam], that the polynomial
-    family passes eigenvalue transfer across every adjacent move
-    mu in {lam+1, lam-1, -lam}:
+    """Check, as an identity in lam, that the polynomial family passes
+    eigenvalue transfer across every adjacent move mu in {-lam, lam-1,
+    lam+1}:
 
         alpha(mu) ((mu^2-lam^2)/2 - (k+1/2)) = alpha(lam) ((mu^2-lam^2)/2 + (k+1/2))
+
+    alpha has degree 2k + 1 and (mu^2 - lam^2)/2 degree <= 1, so both
+    sides are polynomials in lam of degree <= 2k + 2: holding exactly at
+    the 2k + 3 points lam = 0, 1, ..., 2k + 2 decides the identity.
     """
-    alpha = _odd_poly_coeffs(k)
-    half = Fraction(2 * k + 1, 2)
-    cases = [
-        # (alpha composed with mu(lam), (mu^2 - lam^2)/2 as a polynomial)
-        (_poly_compose_affine(alpha, 1, 1), [Fraction(1, 2), Fraction(1)]),
-        (_poly_compose_affine(alpha, 1, -1), [Fraction(1, 2), Fraction(-1)]),
-        (_poly_compose_affine(alpha, -1, 0), [Fraction(0)]),
-    ]
-    for alpha_mu, gap in cases:
-        lhs = _poly_mul(alpha_mu, _poly_add(gap, [-half]))
-        rhs = _poly_mul(alpha, _poly_add(gap, [half]))
-        if _poly_trim(_poly_add(lhs, _poly_scale(rhs, Fraction(-1)))):
-            return False
+    alpha = lambda lam: odd_intertwinor_eigen(k, lam)
+    for t in range(2 * k + 3):
+        lam = Fraction(t)
+        for mu in dirac_step_candidates(lam):
+            if not dirac_transfer_holds(alpha, lam, mu, k):
+                return False
     return True
 
 
@@ -431,6 +402,17 @@ def dirac_transfer_holds(alpha, lam, mu, k, rel_tol: float | None = None) -> boo
 # tables
 # ---------------------------------------------------------------------------
 
+def _dirac_levels(n: int, lam_max):
+    """The Dirac eigenvalues n/2 + j, -(n/2 + j) for j = 0, 1, ... while
+    n/2 + j <= lam_max."""
+    top = as_rat(lam_max)
+    lam = Fraction(n, 2)
+    while lam <= top:
+        yield lam
+        yield -lam
+        lam += 1
+
+
 def fmt_value(v) -> str:
     if v is None:
         return "pole"
@@ -504,24 +486,12 @@ class SpectrumTable:
 
     @classmethod
     def dirac(cls, n: int, k, lam_max) -> "SpectrumTable":
-        rows = []
-        j = 0
-        while Fraction(n, 2) + j <= as_rat(lam_max):
-            lam = Fraction(n, 2) + j
-            for s in (lam, -lam):
-                rows.append((s, dirac_intertwinor_eigen(n, k, s)))
-            j += 1
+        rows = [(s, dirac_intertwinor_eigen(n, k, s)) for s in _dirac_levels(n, lam_max)]
         return cls(n=n, family="dirac_gamma_ratio", parameter=k, rows=rows)
 
     @classmethod
     def dirac_odd(cls, n: int, k: int, lam_max) -> "SpectrumTable":
-        rows = []
-        j = 0
-        while Fraction(n, 2) + j <= as_rat(lam_max):
-            lam = Fraction(n, 2) + j
-            for s in (lam, -lam):
-                rows.append((s, finite(odd_intertwinor_eigen(k, s))))
-            j += 1
+        rows = [(s, finite(odd_intertwinor_eigen(k, s))) for s in _dirac_levels(n, lam_max)]
         return cls(n=n, family="dirac_odd_poly", parameter=k, rows=rows)
 
     @classmethod

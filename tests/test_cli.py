@@ -276,6 +276,12 @@ def test_verify_spinor_refuses_cap_above_two(capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("scope", ["spinor", "all"])
+def test_verify_spinor_refuses_n_below_two_before_any_scope_runs(capsys, scope):
+    code, out, err = run(capsys, "verify", scope, "--n", "1")
+    assert (code, out, err) == (2, "", "error: n must be >= 2\n")
+
+
 def test_normalized_intertwinor_float_order_on_excluded_lattice(capsys):
     for r in ("1.0", "2.0", "2"):
         code, out, err = run(
@@ -316,6 +322,38 @@ def test_golden_verify_output(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "--jobs 1 --format text verify all --n 2 --cap 4 --N 2",
+            "1121509246e383d3313080185cd1aff54ae9b84182302198dd5ba92c714cd425",
+        ),
+        (
+            "--format text entropy --quick",
+            "309d536177cd8a93e639ab9fba2dc1533885526598488178941227fd78dc2e3c",
+        ),
+    ],
+)
+def test_golden_text_output(capsys, argv, digest):
+    # the text renderings of verify (all three scopes) and of entropy
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_precision_variable_changes_nothing(capsys, monkeypatch):
+    # SPECLAB_PRECISION used to set the mpmath working precision, and 0 or
+    # -3 printed wrong values (3 or 1 at level 2) with exit 0; the
+    # precision is a fixed 64 digits
+    argv = ("--format", "csv", "intertwinor", "scalar", "--n", "3", "--r", "0.3")
+    want = run(capsys, *argv)
+    assert want[0] == 0 and "\n2,1.9365680924901567,finite\n" in want[1]
+    for value in ("0", "-3", "20", "200"):
+        monkeypatch.setenv("SPECLAB_PRECISION", value)
+        assert run(capsys, *argv) == want
 
 
 # off-spectrum candidates with irrational, perfect-square and rational
@@ -610,6 +648,33 @@ def test_escaped_inputs_are_usage_errors(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # product printed the r = 2 table, labelled "parameter": "2", with exit 0
+        (["product", "--r", "5/2"], "--r 5/2 must be an integer for the product family"),
+        (["product", "--r", "2.7"], "--r 2.7 must be an integer for the product family"),
+        # dirac-odd printed the text of the int() error
+        (["dirac-odd", "--k", "5/2"], "--k 5/2 must be an integer for the dirac-odd family"),
+        (["dirac-odd", "--k", "2.7"], "--k 2.7 must be an integer for the dirac-odd family"),
+        (["dirac-odd"], "--k is required for the dirac-odd family"),
+        (["dirac"], "--k is required for the dirac family"),
+    ],
+    ids=["product-5_2", "product-2.7", "dirac-odd-5_2", "dirac-odd-2.7", "dirac-odd-no-k", "dirac-no-k"],
+)
+def test_integer_order_families_refuse_other_orders(capsys, argv, message):
+    code, out, err = run(capsys, "intertwinor", argv[0], "--n", "3", *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("family, flag", [("product", "--r"), ("dirac-odd", "--k")])
+def test_integer_valued_orders_print_the_integer_table(capsys, family, flag):
+    want = run(capsys, "intertwinor", family, "--n", "3", flag, "2")
+    assert want[0] == 0 and '"parameter": "2"' in want[1]
+    for value in ("4/2", "2.0"):
+        assert run(capsys, "intertwinor", family, "--n", "3", flag, value) == want
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -1,9 +1,11 @@
 """Spectral functions of the intertwinor families."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from speclab import spectral
 from speclab.scalar_ops import scalar_eigenvalue
 from speclab.spectral import (
     ExcludedParameterError,
@@ -263,6 +265,20 @@ def test_odd_intertwinor_symbolic_transfer():
         assert odd_intertwinor_transfer_identity(k)
 
 
+@pytest.mark.parametrize("bad_k", range(4))
+def test_odd_transfer_check_catches_a_wrong_polynomial(monkeypatch, bad_k):
+    # lam^2 added to the family at one k breaks the transfer at that k only
+    true = spectral.odd_intertwinor_eigen
+
+    def wrong(k, lam):
+        return true(k, lam) + (Fraction(lam) ** 2 if k == bad_k else 0)
+
+    monkeypatch.setattr(spectral, "odd_intertwinor_eigen", wrong)
+    assert [odd_intertwinor_transfer_identity(k) for k in range(4)] == [
+        k != bad_k for k in range(4)
+    ]
+
+
 def test_dirac_gamma_shift_and_oddness_float():
     for n in (2, 3):
         for k in (0.25, 1 / 3):
@@ -365,6 +381,23 @@ def test_table_csv_shape_and_determinism():
     assert len(lines) == 5
     # floats carry 17 significant digits
     assert len(lines[1].split(",")[1].replace(".", "").replace("-", "")) >= 15
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((3, Fraction(1, 3), 6), "7ccc6347bbab47b52172b21a95d111b10f3c2fde3c17a9fe4aacf49f9f4d126b"),
+        ((4, 0.3, 6), "57779522123de445b156568c7041ea1acb8a61dd9df91ca5393f4896cb3d56a0"),
+        ((2, Fraction(-3, 2), 4), "73b4633e15bd21072a2977a193f5a5b2589cd09ee4285998bac4fdf77ab9e0ba"),
+        # on the pole lattice: levels 0 and 1 are poles (a ratio of residues),
+        # and the levels above them read 0
+        ((5, Fraction(-7, 2), 5), "dbe8d06cebd1460755b3bffaf6bf6dcce32194226447be446a4cbdb2acd29298"),
+    ],
+)
+def test_golden_scalar_normalized_table(args, digest):
+    t = SpectrumTable.scalar_normalized(*args)
+    assert t.family == "scalar_normalized" and len(t.rows) == args[2] + 1
+    assert hashlib.sha256(t.to_csv().encode()).hexdigest() == digest
 
 
 def test_table_json_sorted():
