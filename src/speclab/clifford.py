@@ -16,17 +16,18 @@ the vector variable x = sum_i x_i e_i,
 
 That route is kept as ``dirac_reference``.  ``dirac_apply`` treats P as a
 sparse linear map over the unit spinor monomials: the column of
-(slot, normal-form exponent) is built once by the reference route and
-memoized, and P psi is the sum of coefficient times column, accumulated
-per slot (already in normal form).  U_i = (1/2)[P^2, x_i] and
-y_i = [P, x_i] are column maps of the same kind, keyed by
-(i, n, slot, exponent); each of their columns is built by that
-commutator through ``dirac_apply``, so a wrong column of P reaches them.
-One accumulation (``_apply_columns``) applies all three, on ints, and
+(slot, normal-form exponent) is the spinor the reference route builds
+for it, memoized, and P psi is the sum of coefficient times column
+(already in normal form).  U_i = (1/2)[P^2, x_i] and y_i = [P, x_i] are
+column maps of the same kind, keyed by (i, n, slot, exponent); each of
+their columns is built by that commutator through ``dirac_apply``, so a
+wrong column of P reaches them.  ``_apply_columns`` applies all three and
 memoizes whole results in front of the columns, per spinor for P and per
 (i, spinor) for U_i and y_i, so a warm suite builds no column and sums
 nothing.  Every operator built from P (P^2, U_i, y_i, the truncation
-models) goes through the columns.
+models) goes through the columns.  Every linear combination of spinors,
+these column sums included, is one accumulation on ints (``_combine``)
+over coefficients (p + q i) / r given as int triples (p, q, r).
 
 On restrictions of degree-k monogenic polynomials M (harmonic,
 annihilated by the Euclidean Dirac operator) one has G M = -k M and
@@ -55,11 +56,13 @@ the columns of P and of U_i and y_i it builds, the results of P, U_i and
 y_i it memoizes, and the peak RSS of the process:
 
     n   time         columns P, U+y   results P / U / y    peak RSS
-    2   0.14-0.15 s    98,  284         898 /  476 /  490    22 MB
-    3   1.2-1.4 s     560, 1544        3812 / 1972 / 2088    37 MB
-    4   2.8-2.9 s    1344, 3392        7048 / 3524 / 3768    60 MB
+    2   0.18-0.19 s    98,  284         898 /  476 /  490    22 MB
+    3   1.3-2.1 s     560, 1544        3812 / 1972 / 2088    39 MB
+    4   3.7-5.0 s    1344, 3392        7048 / 3524 / 3768    74 MB
 
-The U_i and y_i results take about 1, 9 and 20 MB of those peaks.
+Counted object by object with ``sys.getsizeof``, the U_i and y_i results
+hold about 1.2, 6.7 and 18 MB of those peaks, and the columns 0.5, 3.2
+and 12 MB.
 """
 
 from __future__ import annotations
@@ -231,13 +234,35 @@ def _crat_terms(re: dict, im: dict, den: int) -> dict:
     return terms
 
 
-def _scaled_maps(maps: tuple, k: int) -> tuple:
-    return maps if k == 1 else tuple(_kernel.scale_terms(t, k) for t in maps)
-
-
-def _add_maps(a: tuple, b: tuple, k: int) -> tuple:
-    """Slotwise a + k b (k a nonzero int)."""
-    return tuple(x if not y else _kernel.add_scaled_terms(x, y, k) for x, y in zip(a, b))
+def _combine(n: int, terms: list) -> "SpinorPoly":
+    """The sum of ((p + q i) / r) psi over the ``((p, q, r), psi)`` terms,
+    spinors on S^n, in one accumulation per slot over the least common
+    denominator, with the content divided out once."""
+    den = 1
+    for (p, q, r), psi in terms:
+        if psi.n != n:
+            raise ValueError(f"dimension mismatch: S^{n} vs S^{psi.n}")
+        rb = r * psi._den
+        if (p or q) and den % rb:
+            den = den // gcd(den, rb) * rb
+    slots = range(gamma_algebra(n).dim_spin)
+    re = [[] for _ in slots]
+    im = [[] for _ in slots]
+    # (p + q i) m (b + c i) = m (p b - q c) + m (p c + q b) i; half of the
+    # column slots of P, U_i and y_i are empty maps
+    for (p, q, r), psi in terms:
+        m = den // (r * psi._den)
+        for s, b, c in zip(slots, psi._re, psi._im):
+            if p and b:
+                re[s].append((m * p, b))
+            if p and c:
+                im[s].append((m * p, c))
+            if q and c:
+                re[s].append((-m * q, c))
+            if q and b:
+                im[s].append((m * q, b))
+    combine = _kernel.combine_terms
+    return _spinor(n, tuple(map(combine, re)), tuple(map(combine, im)), den)
 
 
 class SpinorPoly:
@@ -258,6 +283,9 @@ class SpinorPoly:
         want = gamma_algebra(n).dim_spin
         if len(comps) != want:
             raise ValueError(f"expected {want} components, got {len(comps)}")
+        for p in comps:
+            if p.n != n:
+                raise ValueError(f"dimension mismatch: S^{n} vs S^{p.n}")
         parts = [_gaussian_terms(p) for p in comps]
         den = lcm(*(d for _, _, d in parts))
         re = tuple(_kernel.scale_terms(r, den // d) if d != den else r for r, _, d in parts)
@@ -300,63 +328,18 @@ class SpinorPoly:
         return self.scale(-1)
 
     def scale(self, c) -> "SpinorPoly":
-        p, q, r = _gaussian(c)
-        re, im = self._re, self._im
-        if not q:
-            re, im = _scaled_maps(re, p), _scaled_maps(im, p)
-        elif not p:
-            re, im = _scaled_maps(im, -q), _scaled_maps(re, q)
-        else:
-            re, im = _add_maps(_scaled_maps(re, p), im, -q), _add_maps(_scaled_maps(im, p), re, q)
-        return _spinor(self.n, re, im, self._den * r)
+        return SpinorPoly.combination([(c, self)])
 
     def add_scaled(self, other: "SpinorPoly", c) -> "SpinorPoly":
-        """self + c * other, over the least common denominator of the
-        two fields and c."""
-        p, q, r = _gaussian(c)
-        if not (p or q):
-            return self
-        a, rb = self._den, r * other._den
-        den = a if a == rb else a // gcd(a, rb) * rb
-        m = den // rb
-        re, im = _scaled_maps(self._re, den // a), _scaled_maps(self._im, den // a)
-        # (p + q i) m (B + C i) = m (p B - q C) + m (p C + q B) i
-        if p:
-            re, im = _add_maps(re, other._re, m * p), _add_maps(im, other._im, m * p)
-        if q:
-            re, im = _add_maps(re, other._im, -m * q), _add_maps(im, other._re, m * q)
-        return _spinor(self.n, re, im, den)
+        """self + c * other."""
+        return SpinorPoly.combination([(1, self), (c, other)])
 
     @classmethod
     def combination(cls, pairs) -> "SpinorPoly":
         """The sum of c * psi over the nonempty ``(c, psi)`` pairs, c a
-        Gaussian rational, in one accumulation per slot over the least
-        common denominator, with the content divided out once."""
-        pairs = [(_gaussian(c), psi) for c, psi in pairs]
-        n = pairs[0][1].n
-        den = 1
-        for (p, q, r), psi in pairs:
-            if psi.n != n:
-                raise ValueError(f"dimension mismatch: S^{n} vs S^{psi.n}")
-            rb = r * psi._den
-            if (p or q) and den % rb:
-                den = den // gcd(den, rb) * rb
-        slots = range(len(pairs[0][1]._re))
-        re = [[] for _ in slots]
-        im = [[] for _ in slots]
-        # (p + q i) m (B + C i) = m (p B - q C) + m (p C + q B) i
-        for (p, q, r), psi in pairs:
-            m = den // (r * psi._den)
-            if p:
-                for s in slots:
-                    re[s].append((m * p, psi._re[s]))
-                    im[s].append((m * p, psi._im[s]))
-            if q:
-                for s in slots:
-                    re[s].append((-m * q, psi._im[s]))
-                    im[s].append((m * q, psi._re[s]))
-        combine = _kernel.combine_terms
-        return _spinor(n, tuple(map(combine, re)), tuple(map(combine, im)), den)
+        Gaussian rational."""
+        terms = [(_gaussian(c), psi) for c, psi in pairs]
+        return _combine(terms[0][1].n, terms)
 
     def _termwise(self, op) -> "SpinorPoly":
         """An int-linear map of term maps applied to every numerator map."""
@@ -457,7 +440,7 @@ def angular_apply(psi: SpinorPoly) -> SpinorPoly:
 
 
 # (n, slot, normal-form exponent) -> image under P of that unit spinor
-# monomial, as a column (see ``_as_column``).
+# monomial.
 _DIRAC_COLUMNS: dict = {}
 # (i, n, slot, exponent) -> image under U_i and under y_i, built from P.
 _U_COLUMNS: dict = {}
@@ -485,67 +468,39 @@ def _unit(n: int, slot: int, e: tuple) -> SpinorPoly:
     return _spinor(n, empty[:slot] + ({e: 1},) + empty[slot + 1 :], empty, 1)
 
 
-def _as_column(psi: SpinorPoly) -> tuple:
-    """``(den, ((re pairs, im pairs) per slot))``: the image of a unit
-    spinor monomial as int (exponent, numerator) pairs over den."""
-    return psi._den, tuple(
-        (tuple(re.items()), tuple(im.items())) for re, im in zip(psi._re, psi._im)
-    )
-
-
 def _apply_columns(psi: SpinorPoly, index: tuple, results: dict, table: dict, build) -> SpinorPoly:
     """A linear operator given by its columns: the sum over the terms of
     psi of coefficient times the column of (slot, exponent).
 
     ``index`` is () for P and (i,) for U_i and y_i.  The result is read
-    from ``results`` at ``index + (psi,)``, or accumulated and stored
-    there on a miss.  The column of key ``index + (n, slot, e)`` comes
-    from ``table``, or from ``build(*key)`` on a miss.  Both tables are
-    emptied when they pass ``_CACHE_LIMIT`` entries.  Columns are in
-    normal form, hence so is the sum.
+    from ``results`` at ``index + (psi,)``, or summed and stored there on
+    a miss.  The column of key ``index + (n, slot, e)`` is the spinor
+    ``build(*key)`` returns, kept in ``table``.  Both tables are emptied
+    when they pass ``_CACHE_LIMIT`` entries.  The columns are summed by
+    ``_combine``, the accumulation of every spinor combination: a real
+    numerator v of psi over its denominator den is the coefficient
+    (v, 0, den) of its column, an imaginary one (0, v, den), so no
+    ``CRat`` is built.  Columns are in normal form, hence so is the sum.
     """
     key = index + (psi,)
     hit = results.get(key)
     if hit is not None:
         return hit
     head = index + (psi.n,)
-    used = []
-    cols_den = 1
-    for slot, (re, im) in enumerate(zip(psi._re, psi._im)):
-        slot_head = head + (slot,)
-        for imag, terms in ((False, re), (True, im)):
-            for e, v in terms.items():
-                col_key = slot_head + (e,)
+    den = psi._den
+    terms = []
+    for slot, maps in enumerate(zip(psi._re, psi._im)):
+        for imag, coeffs in enumerate(maps):
+            for e, v in coeffs.items():
+                col_key = head + (slot, e)
                 col = table.get(col_key)
                 if col is None:
                     col = build(*col_key)
                     if len(table) > _CACHE_LIMIT:
                         table.clear()
                     table[col_key] = col
-                if cols_den % col[0]:
-                    cols_den = cols_den // gcd(cols_den, col[0]) * col[0]
-                used.append((imag, v, col))
-    acc_re = [{} for _ in psi._re]
-    acc_im = [{} for _ in psi._re]
-    for imag, v, (den, parts) in used:
-        m = v * (cols_den // den)
-        for tr, ti, (cre, cim) in zip(acc_re, acc_im, parts):
-            if imag:  # m i (C + D i) = -m D + m C i
-                for f, c in cim:
-                    tr[f] = tr.get(f, 0) - m * c
-                for f, c in cre:
-                    ti[f] = ti.get(f, 0) + m * c
-            else:
-                for f, c in cre:
-                    tr[f] = tr.get(f, 0) + m * c
-                for f, c in cim:
-                    ti[f] = ti.get(f, 0) + m * c
-    out = _spinor(
-        psi.n,
-        tuple({f: c for f, c in t.items() if c} for t in acc_re),
-        tuple({f: c for f, c in t.items() if c} for t in acc_im),
-        psi._den * cols_den,
-    )
+                terms.append(((0, v, den) if imag else (v, 0, den), col))
+    out = _combine(psi.n, terms)
     if len(results) > _CACHE_LIMIT:
         results.clear()
     results[key] = out
@@ -557,9 +512,9 @@ def dirac_reference(psi: SpinorPoly) -> SpinorPoly:
     return clifford_x(SpinorPoly.combination([(1, angular_apply(psi)), (Fraction(-psi.n, 2), psi)]))
 
 
-def _p_column(n: int, slot: int, e: tuple) -> tuple:
+def _p_column(n: int, slot: int, e: tuple) -> SpinorPoly:
     """Column of P at one unit spinor monomial, built by the reference route."""
-    return _as_column(dirac_reference(_unit(n, slot, e)))
+    return dirac_reference(_unit(n, slot, e))
 
 
 def dirac_apply(psi: SpinorPoly) -> SpinorPoly:
@@ -576,19 +531,19 @@ def dirac_squared(psi: SpinorPoly) -> SpinorPoly:
     return dirac_apply(dirac_apply(psi))
 
 
-def _u_column(i: int, n: int, slot: int, e: tuple) -> tuple:
+def _u_column(i: int, n: int, slot: int, e: tuple) -> SpinorPoly:
     """Column of U_i by its definition (1/2)[P^2, x_i], through the
     memoized P, so that a wrong column of P reaches U_i."""
     unit = _unit(n, slot, e)
     a = dirac_squared(unit.coordinate_mul(i))
     b = dirac_squared(unit).coordinate_mul(i)
-    return _as_column(SpinorPoly.combination([(Fraction(1, 2), a), (Fraction(-1, 2), b)]))
+    return SpinorPoly.combination([(Fraction(1, 2), a), (Fraction(-1, 2), b)])
 
 
-def _y_column(i: int, n: int, slot: int, e: tuple) -> tuple:
+def _y_column(i: int, n: int, slot: int, e: tuple) -> SpinorPoly:
     """Column of y_i by its definition [P, x_i], through the memoized P."""
     unit = _unit(n, slot, e)
-    return _as_column(dirac_apply(unit.coordinate_mul(i)) - dirac_apply(unit).coordinate_mul(i))
+    return dirac_apply(unit.coordinate_mul(i)) - dirac_apply(unit).coordinate_mul(i)
 
 
 def U_spin(i: int, psi: SpinorPoly) -> SpinorPoly:
@@ -828,17 +783,13 @@ class TruncationModel:
         d = self.dim
         half = Fraction(self.n, 2)
         lattice = [s * (half + j) for j in range(self.N + 2) for s in (1, -1)]
-        cols = [[(i, r[j]) for i, r in enumerate(self.p_matrix) if r[j]] for j in range(d)]
+        cols = [{i: r[j] for i, r in enumerate(self.p_matrix) if r[j]} for j in range(d)]
         moments = [CRat(0)] * len(lattice)
         for b in range(d):
             vec = {b: CRat(1)}
             for k, lam in enumerate(lattice):
                 moments[k] += vec.get(b, 0)
-                out = {j: c * -lam for j, c in vec.items()}
-                for j, c in vec.items():
-                    for i, p in cols[j]:
-                        out[i] = out[i] + c * p if i in out else c * p
-                vec = {i: c for i, c in out.items() if c}
+                vec = _kernel.combine_terms([(-lam, vec)] + [(c, cols[j]) for j, c in vec.items()])
             if vec:
                 raise SpectrumError(
                     f"eigenvalue off the lattice or a Jordan block: basis vector {b} "

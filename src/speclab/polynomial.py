@@ -289,20 +289,8 @@ class SpherePoly:
         return self.scale(-1)
 
     def add_scaled(self, other: "SpherePoly", c) -> "SpherePoly":
-        """self + c * other in one pass over the terms of other."""
-        self._check(other)
-        a, b = self._den, other._den
-        if a is None or b is None or not isinstance(c, (int, Fraction)):
-            raw = _kernel.add_scaled_terms(self._values(), other._values(), c)
-            return _poly(self.n, raw, None)
-        # A/a + (p/q) B/b over the least common denominator of a and q b
-        qb = c.denominator * b
-        num = self._num
-        den = a if a == qb else a // gcd(a, qb) * qb
-        if den != a:
-            num = _kernel.scale_terms(num, den // a)
-        raw = _kernel.add_scaled_terms(num, other._num, c.numerator * (den // qb))
-        return _poly(self.n, raw, den)
+        """self + c * other."""
+        return SpherePoly.combination([(1, self), (c, other)])
 
     @classmethod
     def combination(cls, pairs) -> "SpherePoly":
@@ -363,10 +351,7 @@ class SpherePoly:
         return out
 
     def scale(self, c) -> "SpherePoly":
-        if self._den is None or not isinstance(c, (int, Fraction)):
-            return _poly(self.n, _kernel.scale_terms(self._values(), c), None)
-        raw = _kernel.scale_terms(self._num, c.numerator)
-        return _poly(self.n, raw, self._den * c.denominator)
+        return SpherePoly.combination([(c, self)])
 
     # -- structure ---------------------------------------------------------
 

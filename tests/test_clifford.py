@@ -568,7 +568,7 @@ def _corrupt_dirac_column(monkeypatch, bad_key):
         if (n, slot, e) != bad_key:
             return build(n, slot, e)
         unit = clifford._unit(n, slot, e)
-        return clifford._as_column(dirac_reference(unit) + unit)
+        return dirac_reference(unit) + unit
 
     monkeypatch.setattr(clifford, "_p_column", corrupted)
 

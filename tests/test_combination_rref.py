@@ -1,12 +1,12 @@
 """The one-pass linear combination and the sparse row reduction against
 their slow references: ``combination`` against a chain of binary
-``add_scaled`` calls, ``_kernel.rref`` against the dense Gauss-Jordan
-elimination in ``oracles.dense_rref``."""
+``_kernel.add_scaled_terms`` calls over the coefficient maps,
+``_kernel.rref`` against the dense Gauss-Jordan elimination in
+``oracles.dense_rref``."""
 
 import copy
 import random
 from fractions import Fraction
-from functools import reduce
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
@@ -82,9 +82,21 @@ def test_combine_terms_matches_chained_add_scaled_terms():
 
 
 def chain(pairs):
-    """The sum by binary steps from the zero polynomial."""
-    n = pairs[0][1].n
-    return reduce(lambda acc, cp: acc.add_scaled(cp[1], cp[0]), pairs, type(pairs[0][1]).zero(n))
+    """The sum by binary kernel steps over the coefficient maps (the
+    ``SpherePoly.terms`` of a polynomial, the ``SpinorPoly.components`` of
+    a spinor), from empty maps, through neither ``combination`` nor
+    ``add_scaled``."""
+    first = pairs[0][1]
+    spinor = isinstance(first, SpinorPoly)
+
+    def maps(v):
+        return [p.terms for p in v.components] if spinor else [v.terms]
+
+    sums = [{} for _ in maps(first)]
+    for c, v in pairs:
+        sums = [_kernel.add_scaled_terms(t, m, c) for t, m in zip(sums, maps(v))]
+    polys = [SpherePoly(first.n, t, reduced=True) for t in sums]
+    return SpinorPoly(first.n, polys) if spinor else polys[0]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

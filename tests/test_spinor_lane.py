@@ -12,9 +12,11 @@ the lane must give the reference's values, leave the field in normal form
 maps, and print the reference's text.
 """
 
+import re
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from speclab import clifford
@@ -291,6 +293,29 @@ def test_equal_fields_from_different_coefficient_types_are_equal():
     assert {as_crat: 1}[as_sum] == 1
 
 
+def test_arithmetic_across_spheres_is_refused():
+    # a slotwise sum of 2 and 4 slots would drop two of them silently
+    a, b = SpinorPoly.unit(2, 0), SpinorPoly.unit(3, 3)
+    for combine, spheres in [
+        (lambda: a + b, "S^2 vs S^3"),
+        (lambda: b - a, "S^3 vs S^2"),
+        (lambda: a.add_scaled(b, 0), "S^2 vs S^3"),
+        (lambda: SpinorPoly.combination([(1, a), (CRat(0, 1), b)]), "S^2 vs S^3"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"dimension mismatch: {spheres}")):
+            combine()
+
+
+def test_components_on_another_sphere_are_refused():
+    x1 = SpherePoly(3, {(0, 1, 0, 0): 1})
+    for build_field in (
+        lambda: SpinorPoly(2, [x1, SpherePoly.zero(3)]),
+        lambda: SpinorPoly.unit(2, 0, x1),
+    ):
+        with pytest.raises(ValueError, match=re.escape("dimension mismatch: S^2 vs S^3")):
+            build_field()
+
+
 def test_columns_over_different_denominators_add_exactly(monkeypatch):
     # every column of one operator has the same denominator at every n that
     # the suites run, so halve one column of P to make the sum mix two
@@ -301,7 +326,7 @@ def test_columns_over_different_denominators_add_exactly(monkeypatch):
         if (n, slot, e) != halved_key:
             return build_column(n, slot, e)
         image = dirac_reference(clifford._unit(n, slot, e))
-        return clifford._as_column(image.scale(Fraction(1, 2)))
+        return image.scale(Fraction(1, 2))
 
     one = SpinorPoly.unit(n, 0)
     x1 = SpinorPoly.unit(n, 0, SpherePoly.coordinate(n, 1))
