@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 
 
 def _unit_sign(c, v) -> int:
@@ -127,9 +128,10 @@ def mul_terms(a: dict, b: dict) -> dict:
     return out
 
 
-# cache of the expansions (1 - x1^2 - ... - xn^2)^k, keyed by (n, k);
-# entries are lists of (exponent tuple, integer coefficient), oldest
-# dropped first beyond the limit
+# cache of the expansions (1 - x1^2 - ... - xn^2)^k, keyed by (n, k, key
+# width); entries are lists of (exponents of x1..xn padded with zeros to
+# width - 1 entries, integer coefficient), oldest dropped first beyond the
+# limit
 _POW_CACHE: dict = {}
 _POW_LIMIT = 256
 
@@ -143,8 +145,8 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _pow_one_minus_s(n: int, k: int):
-    key = (n, k)
+def _pow_one_minus_s(n: int, k: int, width: int):
+    key = (n, k, width)
     hit = _POW_CACHE.get(key)
     if hit is not None:
         return hit
@@ -155,8 +157,7 @@ def _pow_one_minus_s(n: int, k: int):
             coeff = base * factorial(t)
             for bi in beta:
                 coeff //= factorial(bi)
-            exps = (0,) + tuple(2 * bi for bi in beta)
-            rows.append((exps, coeff))
+            rows.append((tuple(2 * bi for bi in beta) + (0,) * (width - n - 1), coeff))
     if len(_POW_CACHE) >= _POW_LIMIT:
         del _POW_CACHE[next(iter(_POW_CACHE))]
     _POW_CACHE[key] = rows
@@ -168,7 +169,8 @@ def reduce_terms(terms: dict, n: int) -> dict:
 
     The quotient ring is free over {1, x0} as a module over the other
     variables, so splitting each exponent e0 = 2k + r and expanding
-    (1 - s)^k is exactly the unique division remainder.
+    (1 - s)^k is exactly the unique division remainder.  Key entries past
+    e_n (the slot of a spinor key) are carried through unchanged.
     """
     out: dict = {}
     for e, c in terms.items():
@@ -186,8 +188,9 @@ def reduce_terms(terms: dict, n: int) -> dict:
                     del out[e]
             continue
         k, r = divmod(e0, 2)
-        for pe, pc in _pow_one_minus_s(n, k):
-            ne = (r,) + tuple(x + y for x, y in zip(e[1:], pe[1:]))
+        head = e[1:]
+        for pe, pc in _pow_one_minus_s(n, k, len(e)):
+            ne = (r, *map(add, head, pe))
             cc = c * pc
             prev = out.get(ne)
             if prev is None:

@@ -4,9 +4,10 @@ The gamma matrices e_0..e_n (square -1, pairwise anticommuting) act on a
 spinor space of dimension 2^floor((n+1)/2) and are built by the standard
 tensor-product construction with exact Gaussian-rational entries.  A
 polynomial spinor field is a vector of sphere polynomials with Gaussian
-rational coefficients, stored as Gaussian-integer numerators (a real and
-an imaginary int map per slot) over one shared, content-normalized
-denominator; ``SpinorPoly.components`` reads it as ``CRat`` coefficients.
+rational coefficients, stored as Gaussian-integer numerators (one real
+and one imaginary int map, keyed by the normal-form exponent with the
+slot appended) over one shared, content-normalized denominator;
+``SpinorPoly.components`` reads it as ``CRat`` coefficients.
 
 The Dirac operator is realized algebraically: with the angular operator
 G = -sum_{i<j} e_i e_j (x_i d_j - x_j d_i) and Clifford multiplication by
@@ -56,13 +57,13 @@ the columns of P and of U_i and y_i it builds, the results of P, U_i and
 y_i it memoizes, and the peak RSS of the process:
 
     n   time         columns P, U+y   results P / U / y    peak RSS
-    2   0.18-0.19 s    98,  284         898 /  476 /  490    22 MB
-    3   1.3-2.1 s     560, 1544        3812 / 1972 / 2088    39 MB
-    4   3.7-5.0 s    1344, 3392        7048 / 3524 / 3768    74 MB
+    2   0.14-0.15 s    98,  284         898 /  476 /  490    20 MB
+    3   1.0 s         560, 1544        3812 / 1972 / 2088    28 MB
+    4   2.5-3.0 s    1344, 3392        7048 / 3524 / 3768    41 MB
 
 Counted object by object with ``sys.getsizeof``, the U_i and y_i results
-hold about 1.2, 6.7 and 18 MB of those peaks, and the columns 0.5, 3.2
-and 12 MB.
+hold about 0.6, 3.1 and 6.6 MB of those peaks, and the columns 0.2, 1.4
+and 3.7 MB.
 """
 
 from __future__ import annotations
@@ -201,21 +202,16 @@ def _gaussian_terms(p: SpherePoly) -> tuple:
     return re, im, den
 
 
-def _spinor(n: int, re: tuple, im: tuple, den: int) -> "SpinorPoly":
-    """SpinorPoly from per-slot numerator maps in normal form (no zero
-    values) over den > 0, divided by their common content.  A zero field
-    gets den 1, since gcd(den) = den."""
+def _spinor(n: int, re: dict, im: dict, den: int) -> "SpinorPoly":
+    """SpinorPoly from numerator maps keyed by (normal-form exponent, slot)
+    (no zero values) over den > 0, divided by their common content.  A
+    zero field gets den 1, since gcd(den) = den."""
     if den != 1:
-        g = den
-        for t in re + im:
-            if t:
-                g = gcd(g, *t.values())
-                if g == 1:
-                    break
+        g = gcd(den, *re.values(), *im.values())
         if g != 1:
             den //= g
-            re = tuple({e: v // g for e, v in t.items()} for t in re)
-            im = tuple({e: v // g for e, v in t.items()} for t in im)
+            re = {k: v // g for k, v in re.items()}
+            im = {k: v // g for k, v in im.items()}
     psi = object.__new__(SpinorPoly)
     psi.n = n
     psi._re = re
@@ -225,19 +221,20 @@ def _spinor(n: int, re: tuple, im: tuple, den: int) -> "SpinorPoly":
     return psi
 
 
-def _crat_terms(re: dict, im: dict, den: int) -> dict:
-    """The ``CRat`` coefficients of one slot."""
-    terms = {e: _norm(a, im.get(e, 0), den) for e, a in re.items()}
-    for e, b in im.items():
-        if e not in re:
-            terms[e] = _norm(0, b, den)
+def _crat_terms(psi: "SpinorPoly") -> dict:
+    """The ``CRat`` coefficients of psi, keyed like its numerator maps."""
+    re, im, den = psi._re, psi._im, psi._den
+    terms = {k: _norm(a, im.get(k, 0), den) for k, a in re.items()}
+    for k, b in im.items():
+        if k not in re:
+            terms[k] = _norm(0, b, den)
     return terms
 
 
 def _combine(n: int, terms: list) -> "SpinorPoly":
     """The sum of ((p + q i) / r) psi over the ``((p, q, r), psi)`` terms,
-    spinors on S^n, in one accumulation per slot over the least common
-    denominator, with the content divided out once."""
+    spinors on S^n, in one real and one imaginary accumulation over the
+    least common denominator, with the content divided out once."""
     den = 1
     for (p, q, r), psi in terms:
         if psi.n != n:
@@ -245,24 +242,18 @@ def _combine(n: int, terms: list) -> "SpinorPoly":
         rb = r * psi._den
         if (p or q) and den % rb:
             den = den // gcd(den, rb) * rb
-    slots = range(gamma_algebra(n).dim_spin)
-    re = [[] for _ in slots]
-    im = [[] for _ in slots]
-    # (p + q i) m (b + c i) = m (p b - q c) + m (p c + q b) i; half of the
-    # column slots of P, U_i and y_i are empty maps
+    re, im = [], []
+    # (p + q i) m (b + c i) = m (p b - q c) + m (p c + q b) i
     for (p, q, r), psi in terms:
         m = den // (r * psi._den)
-        for s, b, c in zip(slots, psi._re, psi._im):
-            if p and b:
-                re[s].append((m * p, b))
-            if p and c:
-                im[s].append((m * p, c))
-            if q and c:
-                re[s].append((-m * q, c))
-            if q and b:
-                im[s].append((m * q, b))
+        if p:
+            re.append((m * p, psi._re))
+            im.append((m * p, psi._im))
+        if q:
+            re.append((-m * q, psi._im))
+            im.append((m * q, psi._re))
     combine = _kernel.combine_terms
-    return _spinor(n, tuple(map(combine, re)), tuple(map(combine, im)), den)
+    return _spinor(n, combine(re), combine(im), den)
 
 
 class SpinorPoly:
@@ -270,10 +261,10 @@ class SpinorPoly:
     rational coefficients.
 
     Stored as Gaussian-integer numerators over one shared denominator:
-    ``_re[s]`` and ``_im[s]`` map the normal-form exponents of slot s to
-    nonzero ints, and ``_den`` > 0 has no factor in common with all of
-    them, so equal fields store equal maps.  ``components`` is the view as
-    sphere polynomials with ``CRat`` coefficients.
+    ``_re`` and ``_im`` map the keys (e_0, ..., e_n, slot) of normal-form
+    monomials to nonzero ints, and ``_den`` > 0 has no factor in common
+    with all of them, so equal fields store equal maps.  ``components`` is
+    the view as sphere polynomials with ``CRat`` coefficients.
     """
 
     __slots__ = ("n", "_re", "_im", "_den", "_hash")
@@ -288,8 +279,8 @@ class SpinorPoly:
                 raise ValueError(f"dimension mismatch: S^{n} vs S^{p.n}")
         parts = [_gaussian_terms(p) for p in comps]
         den = lcm(*(d for _, _, d in parts))
-        re = tuple(_kernel.scale_terms(r, den // d) if d != den else r for r, _, d in parts)
-        im = tuple(_kernel.scale_terms(i, den // d) if d != den else i for _, i, d in parts)
+        re = {e + (s,): v * (den // d) for s, (r, _, d) in enumerate(parts) for e, v in r.items()}
+        im = {e + (s,): v * (den // d) for s, (_, i, d) in enumerate(parts) for e, v in i.items()}
         psi = _spinor(n, re, im, den)
         self.n = n
         self._re = psi._re
@@ -299,8 +290,7 @@ class SpinorPoly:
 
     @classmethod
     def zero(cls, n: int) -> "SpinorPoly":
-        empty = ({},) * gamma_algebra(n).dim_spin
-        return _spinor(n, empty, empty, 1)
+        return _spinor(n, {}, {}, 1)
 
     @classmethod
     def unit(cls, n: int, slot: int, poly: SpherePoly | None = None) -> "SpinorPoly":
@@ -313,10 +303,10 @@ class SpinorPoly:
     def components(self) -> tuple:
         """The slots as sphere polynomials with ``CRat`` coefficients (the
         rational zero for an empty slot)."""
-        return tuple(
-            _poly(self.n, _crat_terms(re, im, self._den), None)
-            for re, im in zip(self._re, self._im)
-        )
+        slots = [{} for _ in range(gamma_algebra(self.n).dim_spin)]
+        for k, z in _crat_terms(self).items():
+            slots[k[-1]][k[:-1]] = z
+        return tuple(_poly(self.n, t, None) for t in slots)
 
     def __add__(self, other: "SpinorPoly") -> "SpinorPoly":
         return self.add_scaled(other, 1)
@@ -342,10 +332,8 @@ class SpinorPoly:
         return _combine(terms[0][1].n, terms)
 
     def _termwise(self, op) -> "SpinorPoly":
-        """An int-linear map of term maps applied to every numerator map."""
-        return _spinor(
-            self.n, tuple(op(t) for t in self._re), tuple(op(t) for t in self._im), self._den
-        )
+        """An int-linear map of term maps on e_0..e_n applied to both maps."""
+        return _spinor(self.n, op(self._re), op(self._im), self._den)
 
     def coordinate_mul(self, i: int) -> "SpinorPoly":
         """x_i times each component, by exponent shifts."""
@@ -357,31 +345,42 @@ class SpinorPoly:
         return self._termwise(lambda t: _kernel.reduce_terms(shift_terms(t, 0), n))
 
     def matrix_apply(self, mat) -> "SpinorPoly":
-        """The matrix of Gaussian rationals ``mat`` applied slotwise."""
-        entries = [[z if type(z) is CRat else CRat(z) for z in row] for row in mat]
-        den = lcm(*(z._d for row in entries for z in row))
-        re_out, im_out = [], []
-        for row in entries:
-            # (a + b i) m (B + C i) = m (a B - b C) + m (a C + b B) i
-            re, im = [], []
-            for c, z in enumerate(row):
-                m = den // z._d
-                if z._a:
-                    re.append((z._a * m, self._re[c]))
-                    im.append((z._a * m, self._im[c]))
-                if z._b:
-                    re.append((-z._b * m, self._im[c]))
-                    im.append((z._b * m, self._re[c]))
-            re_out.append(_kernel.combine_terms(re))
-            im_out.append(_kernel.combine_terms(im))
-        return _spinor(self.n, tuple(re_out), tuple(im_out), self._den * den)
+        """The matrix of Gaussian rationals ``mat`` applied slotwise.  A gamma
+        matrix, or a product of two, has one entry +-1 or +-i per row and
+        column: each key then moves to its entry's row with the entry's
+        sign, and to the other map for +-i."""
+        entries = [
+            (r, c, _gaussian(z)) for r, row in enumerate(mat) for c, z in enumerate(row) if z
+        ]
+        move = {c: (r, p, q) for r, c, (p, q, d) in entries if d == 1 and p * p + q * q == 1}
+        re, im = self._re, self._im
+        if len(move) == len(entries) == len({r for r, _, _ in move.values()}) == len(mat):
+            re_out, im_out = {}, {}
+            for k, v in re.items():  # (p + q i) v
+                r, p, q = move[k[-1]]
+                (re_out if p else im_out)[k[:-1] + (r,)] = (p or q) * v
+            for k, v in im.items():  # (p + q i) v i
+                r, p, q = move[k[-1]]
+                (im_out if p else re_out)[k[:-1] + (r,)] = (p or -q) * v
+            return _spinor(self.n, re_out, im_out, self._den)
+        den = lcm(*(d for _, _, (_, _, d) in entries))
+        re_terms, im_terms = [], []
+        for r, c, (p, q, d) in entries:
+            # (p + q i) m (B + C i) = m (p B - q C) + m (p C + q B) i
+            b = {k[:-1] + (r,): v for k, v in re.items() if k[-1] == c}
+            ci = {k[:-1] + (r,): v for k, v in im.items() if k[-1] == c}
+            m = den // d
+            re_terms += [(m * p, b), (-m * q, ci)]
+            im_terms += [(m * p, ci), (m * q, b)]
+        combine = _kernel.combine_terms
+        return _spinor(self.n, combine(re_terms), combine(im_terms), self._den * den)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self._re) and not any(self._im)
+        return not self._re and not self._im
 
     def degree(self) -> int:
-        return max((sum(e) for t in self._re + self._im for e in t), default=-1)
+        return max((sum(k) - k[-1] for t in (self._re, self._im) for k in t), default=-1)
 
     def __eq__(self, other):
         if isinstance(other, SpinorPoly):
@@ -396,12 +395,7 @@ class SpinorPoly:
     def __hash__(self):
         if self._hash is None:
             self._hash = hash(
-                (
-                    self.n,
-                    self._den,
-                    tuple(frozenset(t.items()) for t in self._re),
-                    tuple(frozenset(t.items()) for t in self._im),
-                )
+                (self.n, self._den, frozenset(self._re.items()), frozenset(self._im.items()))
             )
         return self._hash
 
@@ -464,8 +458,7 @@ def _clear_operator_caches() -> None:
 
 def _unit(n: int, slot: int, e: tuple) -> SpinorPoly:
     """The unit spinor monomial x^e in one slot."""
-    empty = ({},) * gamma_algebra(n).dim_spin
-    return _spinor(n, empty[:slot] + ({e: 1},) + empty[slot + 1 :], empty, 1)
+    return _spinor(n, {e + (slot,): 1}, {}, 1)
 
 
 def _apply_columns(psi: SpinorPoly, index: tuple, results: dict, table: dict, build) -> SpinorPoly:
@@ -475,8 +468,7 @@ def _apply_columns(psi: SpinorPoly, index: tuple, results: dict, table: dict, bu
     ``index`` is () for P and (i,) for U_i and y_i.  The result is read
     from ``results`` at ``index + (psi,)``, or summed and stored there on
     a miss.  The column of key ``index + (n, slot, e)`` is the spinor
-    ``build(*key)`` returns, kept in ``table``.  Both tables are emptied
-    when they pass ``_CACHE_LIMIT`` entries.  The columns are summed by
+    ``build(*key)`` returns, kept in ``table``.  The columns are summed by
     ``_combine``, the accumulation of every spinor combination: a real
     numerator v of psi over its denominator den is the coefficient
     (v, 0, den) of its column, an imaginary one (0, v, den), so no
@@ -489,22 +481,25 @@ def _apply_columns(psi: SpinorPoly, index: tuple, results: dict, table: dict, bu
     head = index + (psi.n,)
     den = psi._den
     terms = []
-    for slot, maps in enumerate(zip(psi._re, psi._im)):
-        for imag, coeffs in enumerate(maps):
-            for e, v in coeffs.items():
-                col_key = head + (slot, e)
-                col = table.get(col_key)
-                if col is None:
-                    col = build(*col_key)
-                    if len(table) > _CACHE_LIMIT:
-                        table.clear()
-                    table[col_key] = col
-                terms.append(((0, v, den) if imag else (v, 0, den), col))
-    out = _combine(psi.n, terms)
-    if len(results) > _CACHE_LIMIT:
-        results.clear()
-    results[key] = out
-    return out
+    for imag, coeffs in enumerate((psi._re, psi._im)):
+        for k, v in coeffs.items():
+            col_key = head + (k[-1], k[:-1])
+            col = table.get(col_key)
+            if col is None:
+                col = _memo(table, col_key, build(*col_key))
+            terms.append(((0, v, den) if imag else (v, 0, den), col))
+    return _memo(results, key, _combine(psi.n, terms))
+
+
+def _memo(table: dict, key, psi: SpinorPoly) -> SpinorPoly:
+    """psi, stored at ``key`` in ``table`` (emptied past ``_CACHE_LIMIT``
+    entries) with its maps rebuilt, since cancelled keys oversize them."""
+    if len(table) > _CACHE_LIMIT:
+        table.clear()
+    psi._re = {k: v for k, v in psi._re.items()}
+    psi._im = {k: v for k, v in psi._im.items()}
+    table[key] = psi
+    return psi
 
 
 def dirac_reference(psi: SpinorPoly) -> SpinorPoly:
@@ -604,7 +599,7 @@ def _monogenic_basis_cached(n: int, k: int) -> tuple:
     alg = gamma_algebra(n)
     d = alg.dim_spin
     monos = sorted(monomials_of_degree(n + 1, k))
-    cols = [(c, e) for c in range(d) for e in monos]
+    cols = [e + (c,) for c in range(d) for e in monos]
     if k == 0:
         return tuple(SpinorPoly.unit(n, c) for c in range(d))
     col_index = {ce: idx for idx, ce in enumerate(cols)}
@@ -621,7 +616,7 @@ def _monogenic_basis_cached(n: int, k: int) -> tuple:
                 for c in range(d):
                     g = alg.e(i)[r][c]
                     if g:
-                        row[col_index[(c, e)]] += g * mult
+                        row[col_index[e + (c,)]] += g * mult
             rows.append(row)
     basis_vecs = nullspace(rows, ncols=len(cols))
     expected = monogenic_dimension(n, k)
@@ -676,16 +671,15 @@ def eigenspinor_basis(n: int, j: int, sign: int) -> list:
 
 def _spinor_vector(psi: SpinorPoly, index: dict) -> list:
     vec = [CRat(0)] * len(index)
-    for c, (re, im) in enumerate(zip(psi._re, psi._im)):
-        for e, z in _crat_terms(re, im, psi._den).items():
-            vec[index[(c, e)]] = z
+    for k, z in _crat_terms(psi).items():
+        vec[index[k]] = z
     return vec
 
 
 def _spinor_index(n: int, max_degree: int) -> dict:
     d = gamma_algebra(n).dim_spin
     monos = normal_monomials(n, max_degree)
-    return {(c, e): c * len(monos) + k for c in range(d) for k, e in enumerate(monos)}
+    return {e + (c,): c * len(monos) + k for c in range(d) for k, e in enumerate(monos)}
 
 
 def _level_parts(psis: list, jmax: int) -> list:
@@ -830,15 +824,15 @@ def truncation_matrices(n: int, N: int) -> TruncationModel:
 
 def _rows_to_spinors(rows: list, keys: list, n: int) -> list:
     """The spinors with coordinate rows ``rows``, where position p holds
-    the coefficient of the slot-and-exponent pair ``keys[p]``; each slot
-    is reduced to normal form, so the exponents may be raw."""
+    the coefficient of the key ``keys[p]`` = (e_0, ..., e_n, slot); each
+    slot is reduced to normal form, so the exponents may be raw."""
     d = gamma_algebra(n).dim_spin
     out = []
     for row in rows:
         comps = [dict() for _ in range(d)]
-        for (c, e), coeff in zip(keys, row):
+        for k, coeff in zip(keys, row):
             if coeff:
-                comps[c][e] = coeff
+                comps[k[-1]][k[:-1]] = coeff
         out.append(SpinorPoly(n, [SpherePoly(n, t) for t in comps]))
     return out
 

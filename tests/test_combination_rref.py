@@ -162,7 +162,7 @@ def test_spinor_combination_matches_chained_add_scaled(case):
     want = chain(pairs)
     assert got == want and hash(got) == hash(want)
     assert (got._den, got._re, got._im) == (want._den, want._re, want._im)
-    values = [v for t in got._re + got._im for v in t.values()]
+    values = [*got._re.values(), *got._im.values()]
     assert all(values)
     assert got._den > 0 and gcd(got._den, *values) == 1
     assert str(got) == str(want)

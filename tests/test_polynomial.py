@@ -302,3 +302,42 @@ def test_pow_cache_stays_bounded(monkeypatch):
         for raw, terms in zip(raws, want):
             assert _kernel.reduce_terms(raw, len(next(iter(raw))) - 1) == terms
             assert len(_kernel._POW_CACHE) <= 2
+
+
+def _reduce_by_steps(terms: dict, n: int) -> dict:
+    """x0^2 -> 1 - x1^2 - ... - xn^2, one step at a time; entries past e_n
+    are never touched."""
+    out: dict = {}
+    work = list(terms.items())
+    while work:
+        e, c = work.pop()
+        if e[0] < 2:
+            out[e] = out.get(e, 0) + c
+            continue
+        rest = (e[0] - 2,) + e[1:]
+        work.append((rest, c))
+        for i in range(1, n + 1):
+            f = list(rest)
+            f[i] += 2
+            work.append((tuple(f), -c))
+    return {e: c for e, c in out.items() if c}
+
+
+def test_reduce_carries_a_slot_suffix():
+    # spinor keys (e_0, ..., e_n, slot): every slot reduces as it does on
+    # its own, and plain exponent keys reduce as the step-by-step rewrite
+    for n in (2, 3, 4):
+        rng = random.Random(40 + n)
+        for _ in range(30):
+            slots = []
+            for _ in range(3):
+                t = {}
+                for _ in range(6):
+                    e = (rng.randint(0, 5),) + tuple(rng.randint(0, 2) for _ in range(n))
+                    t[e] = t.get(e, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                slots.append(t)
+            alone = [_kernel.reduce_terms(t, n) for t in slots]
+            assert alone == [_reduce_by_steps(t, n) for t in slots]
+            flat = {e + (s,): c for s, t in enumerate(slots) for e, c in t.items()}
+            want = {e + (s,): c for s, t in enumerate(alone) for e, c in t.items()}
+            assert _kernel.reduce_terms(flat, n) == want == _reduce_by_steps(flat, n)

@@ -13,6 +13,7 @@ maps, and print the reference's text.
 """
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -192,10 +193,13 @@ def assert_matches(psi: SpinorPoly, a: list):
         assert all(isinstance(c, CRat) for c in p.terms.values())
     den = psi._den
     assert den > 0
-    values = [v for t in psi._re + psi._im for v in t.values()]
+    values = [*psi._re.values(), *psi._im.values()]
     assert all(values)
     assert gcd(den, *values) == 1
-    assert all(e[0] <= 1 for t in psi._re + psi._im for e in t)
+    keys = [*psi._re, *psi._im]
+    assert all(e[0] <= 1 for e in keys)
+    # one flat key (e_0, ..., e_n, slot) per term
+    assert all(len(k) == n + 2 and 0 <= k[-1] < gamma_algebra(n).dim_spin for k in keys)
     twin = build(n, a)
     assert psi == twin and hash(psi) == hash(twin)
     assert str(psi) == ref_str(n, a)
@@ -237,6 +241,44 @@ def test_coordinate_and_clifford_multiplication_match_the_reference(case):
     for i in range(n + 1):
         want = ref_add(want, ref_coordinate_mul(ref_matrix(alg.e(i), a), i, n), 1)
     assert_matches(clifford_x(psi), want)
+
+
+@st.composite
+def general_matrix_cases(draw):
+    """(n, a, mat): mat has two nonzero entries in row 0, fractional and
+    imaginary entries, and a last row that cancels on a, whose slot 1 is w
+    times slot 0."""
+    n = draw(st.sampled_from([2, 3]))
+    d = gamma_algebra(n).dim_spin
+    a = draw(ref_spinors(n))
+    w = draw(crats().filter(bool))
+    a[1] = ref_scale([a[0]], w)[0]
+    entry = st.one_of(
+        st.just(0), st.sampled_from([1, -1, Fraction(2, 3), CRat(0, 1), CRat(0, -1)]), crats()
+    )
+    mat = [[draw(entry) for _ in range(d)] for _ in range(d)]
+    mat[0][:2] = [CRat(Fraction(1, 2), Fraction(-1, 3)), Fraction(2, 3)]
+    z = draw(crats().filter(bool))
+    mat[d - 1] = [z * w, -z] + [0] * (d - 2)
+    return n, a, mat
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(general_matrix_cases())
+def test_general_matrices_match_the_reference(case):
+    # the gamma matrices are all signed monomial matrices, so this is the
+    # only test of the general path of matrix_apply
+    n, a, mat = case
+    want = ref_matrix(mat, a)
+    assert not want[-1]
+    assert_matches(build(n, a).matrix_apply(mat), want)
+    d = len(mat)
+    for other in (
+        [[Fraction(1, 2) if c == (r + 1) % d else 0 for c in range(d)] for r in range(d)],
+        [[1 if r == 0 and c < 2 else 0 for c in range(d)] for r in range(d)],
+        [[CRat(0, 1) if r == 0 and c < 2 else 0 for c in range(d)] for r in range(d)],
+    ):
+        assert_matches(build(n, a).matrix_apply(other), ref_matrix(other, a))
 
 
 # ---------------------------------------------------------------------------
@@ -360,5 +402,26 @@ def test_operator_column_maps_stay_bounded(monkeypatch):
             got = [(dirac_apply(p), U_spin(1, p), y_apply(1, p)) for p in [psi] + others]
             assert got == want
             assert all(len(table) <= 4 for table in tables)
+    finally:
+        clifford._clear_operator_caches()
+
+
+def test_memoized_results_and_columns_are_stored_at_size():
+    # keys that cancel in an accumulation leave a dict's table oversized;
+    # the memo tables keep copies built to size
+    tables = (
+        clifford._DIRAC_CACHE,
+        clifford._U_CACHE,
+        clifford._Y_CACHE,
+        clifford._DIRAC_COLUMNS,
+        clifford._U_COLUMNS,
+        clifford._Y_COLUMNS,
+    )
+    try:
+        clifford._clear_operator_caches()
+        assert clifford.verify_spinor_identities(2, 1).all_passed
+        maps = [m for table in tables for psi in table.values() for m in (psi._re, psi._im)]
+        assert all(tables) and len(maps) > 1000
+        assert all(sys.getsizeof(m) == sys.getsizeof({k: v for k, v in m.items()}) for m in maps)
     finally:
         clifford._clear_operator_caches()
