@@ -114,7 +114,7 @@ def mul_terms(a: dict, b: dict) -> dict:
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             c = ca * cb
             prev = out.get(e)
             if prev is None:

@@ -2,12 +2,15 @@
 
 The gamma matrices e_0..e_n (square -1, pairwise anticommuting) act on a
 spinor space of dimension 2^floor((n+1)/2) and are built by the standard
-tensor-product construction with exact Gaussian-rational entries.  A
-polynomial spinor field is a vector of sphere polynomials with Gaussian
-rational coefficients, stored as Gaussian-integer numerators (one real
-and one imaginary int map, keyed by the normal-form exponent with the
-slot appended) over one shared, content-normalized denominator;
-``SpinorPoly.components`` reads it as ``CRat`` coefficients.
+tensor-product construction with exact Gaussian-rational entries; each
+e_i and each e_i e_j keeps its signed slot permutation, which the
+Clifford products of ``clifford_x`` and ``angular_apply`` apply without
+reading the matrix.  A polynomial spinor field is a vector of sphere
+polynomials with Gaussian rational coefficients, stored as
+Gaussian-integer numerators (one real and one imaginary int map, keyed by
+the normal-form exponent with the slot appended) over one shared,
+content-normalized denominator; ``SpinorPoly.components`` reads it as
+``CRat`` coefficients.
 
 The Dirac operator is realized algebraically: with the angular operator
 G = -sum_{i<j} e_i e_j (x_i d_j - x_j d_i) and Clifford multiplication by
@@ -29,6 +32,20 @@ nothing.  Every operator built from P (P^2, U_i, y_i, the truncation
 models) goes through the columns.  Every linear combination of spinors,
 these column sums included, is one accumulation on ints (``_combine``)
 over coefficients (p + q i) / r given as int triples (p, q, r).
+
+The identity suite memoizes four more results beside those tables, each
+bounded the same way: x. per spinor (``_x_image``: the x. P + P x. row
+and the footholds; ``clifford_x``, and so ``dirac_reference``, keeps the
+plain product), the level decompositions of ``_level_parts`` per (jmax,
+spinor), the span ranks of ``_span_rank_identity`` per (n, j, sign), and
+the truncation outcome per (n, N) inside ``verify_spinor_identities``
+(``truncation_matrices`` and ``TruncationModel.spectrum`` stay
+unmemoized).  ``_clear_operator_caches`` empties all ten tables, so every
+change of P goes through it.  A warm suite then builds no column, makes
+no Clifford product and reduces no row: a warm (2, 1) run takes 17-19 ms
+and a warm (2, 2) run 43-45 ms, against 46-48 and 80-81 ms without
+these four memos (medians of 10 and 5 warm runs, three processes each,
+same machine as below).
 
 On restrictions of degree-k monogenic polynomials M (harmonic,
 annihilated by the Euclidean Dirac operator) one has G M = -k M and
@@ -52,14 +69,14 @@ Truncation-model cost grows like dim_spin times the count of normal-form
 monomials of degree <= N+1 (the Dirac closure adds one degree).  Model
 dimensions: n=2 gives 4/12/24 at N=0/1/2; n=3 gives 8/32/80.  Identity
 suite cost at N=2 (CPython 3.11.7, one core of a 2-vCPU x86_64 VM, a
-fresh process after ``import speclab.cli``, cold caches, two runs), with
-the columns of P and of U_i and y_i it builds, the results of P, U_i and
-y_i it memoizes, and the peak RSS of the process:
+fresh process after ``import speclab.cli``, cold caches, two or three
+runs), with the columns of P and of U_i and y_i it builds, the results of
+P, U_i and y_i it memoizes, and the peak RSS of the process:
 
     n   time         columns P, U+y   results P / U / y    peak RSS
-    2   0.14-0.15 s    98,  284         898 /  476 /  490    20 MB
-    3   1.0 s         560, 1544        3812 / 1972 / 2088    28 MB
-    4   2.5-3.0 s    1344, 3392        7048 / 3524 / 3768    41 MB
+    2   0.17 s         98,  284         898 /  476 /  490    21 MB
+    3   0.8-0.9 s     560, 1544        3812 / 1972 / 2088    28 MB
+    4   1.8-2.0 s    1344, 3392        7048 / 3524 / 3768    42 MB
 
 Counted object by object with ``sys.getsizeof``, the U_i and y_i results
 hold about 0.6, 3.1 and 6.6 MB of those peaks, and the columns 0.2, 1.4
@@ -141,6 +158,12 @@ class GammaAlgebra:
         i_unit = CRat(0, 1)
         self.matrices = [mat_scale(g, i_unit) for g in hermitian[: n + 1]]
         self._pair_cache: dict = {}
+        # the signed slot moves of each e_i and each e_i e_j (i < j), read
+        # once here instead of on every product
+        self.moves = [_slot_moves(g) for g in self.matrices]
+        self.pair_moves = {
+            (i, j): _slot_moves(self.pair(i, j)) for i in range(n + 1) for j in range(i + 1, n + 1)
+        }
 
     def e(self, i: int):
         return self.matrices[i]
@@ -188,6 +211,20 @@ def _gaussian(c) -> tuple:
         return c.numerator, 0, c.denominator
     z = c if t is CRat else CRat(c)
     return z._a, z._b, z._d
+
+
+def _slot_moves(mat) -> dict | None:
+    """The signed slot moves ``{column: (row, p, q)}`` of a matrix of
+    Gaussian rationals with one entry p + q i = +-1 or +-i per row and
+    column (every gamma matrix and every product of two), or None for any
+    other matrix."""
+    entries = [
+        (r, c, _gaussian(z)) for r, row in enumerate(mat) for c, z in enumerate(row) if z
+    ]
+    move = {c: (r, p, q) for r, c, (p, q, d) in entries if d == 1 and p * p + q * q == 1}
+    if len(move) == len(entries) == len({r for r, _, _ in move.values()}) == len(mat):
+        return move
+    return None
 
 
 def _gaussian_terms(p: SpherePoly) -> tuple:
@@ -344,25 +381,31 @@ class SpinorPoly:
             return self._termwise(lambda t: shift_terms(t, i))
         return self._termwise(lambda t: _kernel.reduce_terms(shift_terms(t, 0), n))
 
+    def _move_slots(self, move: dict) -> "SpinorPoly":
+        """A signed slot permutation ``move`` of ``_slot_moves`` applied:
+        each key moves to its entry's row with the entry's sign, and to the
+        other map for an entry +-i."""
+        re_out, im_out = {}, {}
+        for k, v in self._re.items():  # (p + q i) v
+            r, p, q = move[k[-1]]
+            (re_out if p else im_out)[k[:-1] + (r,)] = (p or q) * v
+        for k, v in self._im.items():  # (p + q i) v i
+            r, p, q = move[k[-1]]
+            (im_out if p else re_out)[k[:-1] + (r,)] = (p or -q) * v
+        return _spinor(self.n, re_out, im_out, self._den)
+
     def matrix_apply(self, mat) -> "SpinorPoly":
-        """The matrix of Gaussian rationals ``mat`` applied slotwise.  A gamma
-        matrix, or a product of two, has one entry +-1 or +-i per row and
-        column: each key then moves to its entry's row with the entry's
-        sign, and to the other map for +-i."""
+        """The matrix of Gaussian rationals ``mat`` applied slotwise, by
+        ``_move_slots`` when it is a signed slot permutation.  The gamma
+        matrices and their pair products keep their moves in
+        ``GammaAlgebra``, so their products skip this scan."""
+        move = _slot_moves(mat)
+        if move is not None:
+            return self._move_slots(move)
+        re, im = self._re, self._im
         entries = [
             (r, c, _gaussian(z)) for r, row in enumerate(mat) for c, z in enumerate(row) if z
         ]
-        move = {c: (r, p, q) for r, c, (p, q, d) in entries if d == 1 and p * p + q * q == 1}
-        re, im = self._re, self._im
-        if len(move) == len(entries) == len({r for r, _, _ in move.values()}) == len(mat):
-            re_out, im_out = {}, {}
-            for k, v in re.items():  # (p + q i) v
-                r, p, q = move[k[-1]]
-                (re_out if p else im_out)[k[:-1] + (r,)] = (p or q) * v
-            for k, v in im.items():  # (p + q i) v i
-                r, p, q = move[k[-1]]
-                (im_out if p else re_out)[k[:-1] + (r,)] = (p or -q) * v
-            return _spinor(self.n, re_out, im_out, self._den)
         den = lcm(*(d for _, _, (_, _, d) in entries))
         re_terms, im_terms = [], []
         for r, c, (p, q, d) in entries:
@@ -406,9 +449,9 @@ class SpinorPoly:
 
 def clifford_x(psi: SpinorPoly) -> SpinorPoly:
     """Clifford multiplication by the vector variable sum_i x_i e_i."""
-    alg = gamma_algebra(psi.n)
+    moves = gamma_algebra(psi.n).moves
     return SpinorPoly.combination(
-        (1, psi.matrix_apply(alg.e(i)).coordinate_mul(i)) for i in range(psi.n + 1)
+        (1, psi._move_slots(moves[i]).coordinate_mul(i)) for i in range(psi.n + 1)
     )
 
 
@@ -425,9 +468,9 @@ def angular_apply(psi: SpinorPoly) -> SpinorPoly:
     acts by -k on restrictions of degree-k monogenics and by k+n on their
     Clifford-x images."""
     n = psi.n
-    alg = gamma_algebra(n)
+    moves = gamma_algebra(n).pair_moves
     return SpinorPoly.combination(
-        (-1, psi._termwise(lambda t: _angular_terms(t, i, j, n)).matrix_apply(alg.pair(i, j)))
+        (-1, psi._termwise(lambda t: _angular_terms(t, i, j, n))._move_slots(moves[i, j]))
         for i in range(n + 1)
         for j in range(i + 1, n + 1)
     )
@@ -446,13 +489,24 @@ _Y_COLUMNS: dict = {}
 _DIRAC_CACHE: dict = {}
 _U_CACHE: dict = {}
 _Y_CACHE: dict = {}
+# What a warm spinor suite would otherwise rebuild from unchanged inputs:
+# psi -> x. psi (the suite's x. and the footholds), (jmax, psi) -> the
+# level parts of psi (``_level_parts``), (n, j, sign) -> the verdict of
+# ``_span_rank_identity``, and (n, N) -> the suite's truncation outcome.
+_X_CACHE: dict = {}
+_LEVEL_CACHE: dict = {}
+_SPAN_CACHE: dict = {}
+_SPECTRUM_CACHE: dict = {}
 _CACHE_LIMIT = 20000
 
 
 def _clear_operator_caches() -> None:
-    """Empty the column maps of P, U_i and y_i and their per-spinor
-    results together: the derived columns were built from the P columns."""
+    """Empty the column maps of P, U_i and y_i, their per-spinor results
+    and the suite's memos together: the derived columns were built from
+    the P columns, and the span ranks and truncation outcomes from P."""
     for table in (_DIRAC_CACHE, _U_CACHE, _Y_CACHE, _DIRAC_COLUMNS, _U_COLUMNS, _Y_COLUMNS):
+        table.clear()
+    for table in (_X_CACHE, _LEVEL_CACHE, _SPAN_CACHE, _SPECTRUM_CACHE):
         table.clear()
 
 
@@ -492,14 +546,30 @@ def _apply_columns(psi: SpinorPoly, index: tuple, results: dict, table: dict, bu
 
 
 def _memo(table: dict, key, psi: SpinorPoly) -> SpinorPoly:
-    """psi, stored at ``key`` in ``table`` (emptied past ``_CACHE_LIMIT``
-    entries) with its maps rebuilt, since cancelled keys oversize them."""
-    if len(table) > _CACHE_LIMIT:
-        table.clear()
+    """psi, stored at ``key`` in ``table`` with its maps rebuilt, since
+    cancelled keys oversize them."""
     psi._re = {k: v for k, v in psi._re.items()}
     psi._im = {k: v for k, v in psi._im.items()}
-    table[key] = psi
-    return psi
+    return _store(table, key, psi)
+
+
+def _store(table: dict, key, value):
+    """value, stored at ``key`` in ``table`` (emptied past ``_CACHE_LIMIT``
+    entries)."""
+    if len(table) > _CACHE_LIMIT:
+        table.clear()
+    table[key] = value
+    return value
+
+
+def _x_image(psi: SpinorPoly) -> SpinorPoly:
+    """x. psi, memoized per spinor in ``_X_CACHE``: the x. of the suite and
+    of the footholds.  ``clifford_x`` itself, and so ``dirac_reference``,
+    keeps the plain product."""
+    hit = _X_CACHE.get(psi)
+    if hit is None:
+        hit = _memo(_X_CACHE, psi, clifford_x(psi))
+    return hit
 
 
 def dirac_reference(psi: SpinorPoly) -> SpinorPoly:
@@ -642,7 +712,7 @@ def _eigenspinor_basis_cached(n: int, j: int, sign: int) -> tuple:
     lam = dirac_eigenvalue(n, j, sign)
     out = []
     for m in _monogenic_basis_cached(n, j):
-        xm = clifford_x(m)
+        xm = _x_image(m)
         v = m - xm if sign > 0 else m + xm
         if not is_eigenspinor(v, lam):
             raise FootholdError(f"foothold vector fails the eigen test at {lam}")
@@ -684,11 +754,22 @@ def _spinor_index(n: int, max_degree: int) -> dict:
 
 def _level_parts(psis: list, jmax: int) -> list:
     """Exact decomposition of several spinors into model eigenspinor
-    components up to level jmax (both signs), sharing one echelon pass:
-    one dict (j, sign) -> component per spinor, None for a spinor outside
-    that sum."""
-    if not psis:
-        return []
+    components up to level jmax (both signs): one dict (j, sign) ->
+    component per spinor, None for a spinor outside that sum.  The
+    eigenbases do not depend on P and coordinates are unique, so each
+    result is a function of (jmax, psi) alone; it is memoized there in
+    ``_LEVEL_CACHE``, and the misses share one echelon pass.  Callers only
+    read the dicts."""
+    found = {psi: _LEVEL_CACHE[jmax, psi] for psi in psis if (jmax, psi) in _LEVEL_CACHE}
+    missing = [psi for psi in dict.fromkeys(psis) if psi not in found]
+    if missing:
+        for psi, parts in zip(missing, _decompose(missing, jmax)):
+            found[psi] = _store(_LEVEL_CACHE, (jmax, psi), parts)
+    return [found[psi] for psi in psis]
+
+
+def _decompose(psis: list, jmax: int) -> list:
+    """``_level_parts`` of nonempty ``psis`` in one echelon pass, unmemoized."""
     n = psis[0].n
     vec_basis = []
     cap = max(max(p.degree() for p in psis) + 1, jmax + 2)
@@ -957,7 +1038,7 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
         return [_unit(n, c, e) for c in range(alg.dim_spin) for e in normal_monomials(n, degree)]
 
     # built per call, so that a rebound module-level name (a patch, a tracer) is used
-    ops = {"P": dirac_apply, "X": clifford_x}
+    ops = {"P": dirac_apply, "X": _x_image}
     indexed_ops = {"x": lambda i, psi: psi.coordinate_mul(i), "U": U_spin, "y": y_apply}
     report.check_laws(units(N), spinor_laws(n, N), ops, indexed_ops)
     x_law = ("dirac_anticommutes_with_x", "x. P + P x. = 0", False, [(1, "X P"), (1, "P X")])
@@ -1042,12 +1123,19 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
     )
 
     # certified truncation spectrum on the lattice + the spectral bound;
-    # a spectrum that cannot be certified (a wrong P) fails both checks
-    try:
-        truncation_matrices(n, N).spectrum()
-        ok, cx = True, None
-    except SpectrumError as exc:
-        ok, cx = False, {"error": str(exc)}
+    # a spectrum that cannot be certified (a wrong P) fails both checks.
+    # The outcome, None or the error text, is memoized per (n, N) here
+    # only: truncation_matrices and spectrum() themselves stay unmemoized
+    if (n, N) in _SPECTRUM_CACHE:
+        error = _SPECTRUM_CACHE[n, N]
+    else:
+        try:
+            truncation_matrices(n, N).spectrum()
+            error = None
+        except SpectrumError as exc:
+            error = str(exc)
+        _store(_SPECTRUM_CACHE, (n, N), error)
+    ok, cx = (True, None) if error is None else (False, {"error": error})
     report.add(
         "truncation_spectrum_lattice", "certified truncation spectrum lies on +-(n/2+j)", ok, cx
     )
@@ -1059,7 +1147,9 @@ def _span_rank_identity(n: int, j: int, sign: int) -> bool:
     """Exact rank check that the coordinate images of an eigenspace,
     together with their first and second Dirac images, span exactly the
     three adjacent eigenspaces."""
-    lam = dirac_eigenvalue(n, j, sign)
+    key = (n, j, sign)
+    if key in _SPAN_CACHE:  # the bases and the images of P are fixed until a clear
+        return _SPAN_CACHE[key]
     source = eigenspinor_basis(n, j, sign)
     generated = []
     for psi in source:
@@ -1080,7 +1170,9 @@ def _span_rank_identity(n: int, j: int, sign: int) -> bool:
     tgt_rows = [_spinor_vector(v, index) for v in targets]
     # rank(gen) = rank(gen union targets) = target_dim: equal spans
     rank_gen = len(rref(gen_rows))
-    return rank_gen == target_dim == len(rref(gen_rows[:rank_gen] + tgt_rows))
+    return _store(
+        _SPAN_CACHE, key, rank_gen == target_dim == len(rref(gen_rows[:rank_gen] + tgt_rows))
+    )
 
 
 def _adjacent_levels(n: int, j: int, sign: int):

@@ -535,12 +535,29 @@ def test_u_and_y_column_maps_match_reference(cold_dirac_caches):
         assert images() == want  # warm columns only
 
 
+SUITE_TABLES = (
+    "_DIRAC_CACHE",
+    "_U_CACHE",
+    "_Y_CACHE",
+    "_DIRAC_COLUMNS",
+    "_U_COLUMNS",
+    "_Y_COLUMNS",
+    "_X_CACHE",
+    "_LEVEL_CACHE",
+    "_SPAN_CACHE",
+    "_SPECTRUM_CACHE",
+)
+
+
 def test_warm_suite_builds_no_column_and_grows_no_table(monkeypatch):
     # a second run of the suite in one process reads every image of P, U_i
-    # and y_i from the per-spinor results: no column is built and no
-    # operator table changes size
-    names = ("_DIRAC_CACHE", "_U_CACHE", "_Y_CACHE", "_DIRAC_COLUMNS", "_U_COLUMNS", "_Y_COLUMNS")
-    tables = {name: getattr(clifford, name) for name in names}
+    # and y_i from the per-spinor results, and every x. image, level
+    # decomposition, span rank and truncation outcome from its memo: no
+    # column is built, no Clifford product or row reduction is made and
+    # no table changes size
+    from speclab import _kernel
+
+    tables = {name: getattr(clifford, name) for name in SUITE_TABLES}
     assert verify_spinor_identities(2, 1).all_passed
     sizes = {name: len(table) for name, table in tables.items()}
     assert all(sizes.values())
@@ -553,11 +570,46 @@ def test_warm_suite_builds_no_column_and_grows_no_table(monkeypatch):
 
         return column
 
-    for name in ("_p_column", "_u_column", "_y_column"):
+    for name in ("_p_column", "_u_column", "_y_column", "clifford_x"):
         monkeypatch.setattr(clifford, name, counted(getattr(clifford, name)))
+    monkeypatch.setattr(_kernel, "rref", counted(_kernel.rref))
     assert verify_spinor_identities(2, 1).all_passed
     assert built == []
     assert {name: len(table) for name, table in tables.items()} == sizes
+
+
+def test_memoized_x_matches_the_plain_product(cold_dirac_caches):
+    # the suite's x. against the plain Clifford product: cold, on result
+    # hits and after a clear; the reference route of P stores nothing
+    rng = random.Random(20261020)
+    for n in (2, 3, 4):
+        psis = [rand_spinor(rng, n, deg=3) for _ in range(4)]
+        want = [clifford_x(psi) for psi in psis]
+        assert [clifford._x_image(psi) for psi in psis] == want  # cold
+        assert [clifford._X_CACHE[psi] for psi in psis] == want
+        assert [clifford._x_image(psi) for psi in psis] == want  # result hits
+        size = len(clifford._X_CACHE)
+        dirac_reference(psis[0])
+        assert len(clifford._X_CACHE) == size
+        clifford._clear_operator_caches()
+        assert not clifford._X_CACHE
+        assert [clifford._x_image(psi) for psi in psis] == want  # after a clear
+
+
+def test_suite_memos_stay_bounded(monkeypatch, cold_dirac_caches):
+    # x. images and level decompositions honour _CACHE_LIMIT like the
+    # operator tables, also when a table is emptied amid one call
+    n = 2
+    targets = [b.coordinate_mul(i) for b in eigenspinor_basis(n, 0, 1) for i in range(n + 1)]
+    targets += [b.coordinate_mul(i) for b in eigenspinor_basis(n, 1, -1) for i in range(n + 1)]
+    want_x = [clifford_x(psi) for psi in targets]
+    want_parts = clifford._decompose(targets, 2)
+    assert len(targets) > 8 and None not in want_parts
+    monkeypatch.setattr(clifford, "_CACHE_LIMIT", 3)
+    for _ in range(2):  # the second pass mixes hits and misses
+        assert [clifford._x_image(psi) for psi in targets] == want_x
+        assert clifford._level_parts(targets, 2) == want_parts
+        assert len(clifford._X_CACHE) <= 4 and len(clifford._LEVEL_CACHE) <= 4
 
 
 def _corrupt_dirac_column(monkeypatch, bad_key):
@@ -587,36 +639,44 @@ def test_dirac_column_map_is_falsifiable(monkeypatch, cold_dirac_caches):
     assert bad_key in clifford._DIRAC_COLUMNS
 
 
+WRONG_COLUMN_CASES = [
+    # U_i of an eigenspinor leaves the levels the decomposition covers
+    ((2, 1, (1, 1, 1)), "compressed_u_is_gap_times_x", "outside levels 0..2"),
+    # ... or lands there with the wrong factor
+    ((2, 0, (0, 1, 0)), "compressed_u_is_gap_times_x", "'target': '1'"),
+    # the truncation spectrum leaves the half-integer lattice
+    ((2, 0, (0, 0, 0)), "truncation_spectrum_lattice", "off the lattice"),
+    # a level-0 image with a part at level 2, which the one decomposition
+    # of every target covers
+    ((2, 0, (0, 0, 1)), "compressed_u_is_gap_times_x", "outside levels 0..1"),
+]
+
+
 def test_cleared_warm_caches_see_a_corrupted_column(monkeypatch, cold_dirac_caches):
-    # after a passing run, a wrong column of P and a cleared cache give the
-    # report of a cold run under that column: no image of P, U_i or y_i
-    # built from the true P survives the clear
-    bad_key = (2, 0, (0, 1, 0))
-    with monkeypatch.context() as mp:
-        _corrupt_dirac_column(mp, bad_key)
-        cold = verify_spinor_identities(2, 1)
-    assert not cold.all_passed
-    clifford._clear_operator_caches()
-    assert verify_spinor_identities(2, 1).all_passed
-    _corrupt_dirac_column(monkeypatch, bad_key)
-    clifford._clear_operator_caches()
-    assert verify_spinor_identities(2, 1).to_json() == cold.to_json()
+    # after a passing warm run, a wrong column of P and a cleared cache give
+    # the report of a cold run under that column: no image of P, U_i or y_i,
+    # no span rank and no truncation outcome from the true P survives the
+    # clear.  Each pinned column in turn; the cold runs start from tables
+    # emptied one by one, not by the clear under test.
+    tables = [getattr(clifford, name) for name in SUITE_TABLES]
+    for bad_key, _, _ in WRONG_COLUMN_CASES:
+        for table in tables:
+            table.clear()
+        with monkeypatch.context() as mp:
+            _corrupt_dirac_column(mp, bad_key)
+            cold = verify_spinor_identities(2, 1)
+        assert not cold.all_passed
+        clifford._clear_operator_caches()
+        assert verify_spinor_identities(2, 1).all_passed
+        assert verify_spinor_identities(2, 1).all_passed  # warm: every memo hit
+        with monkeypatch.context() as mp:
+            _corrupt_dirac_column(mp, bad_key)
+            clifford._clear_operator_caches()
+            assert not any(tables)
+            assert verify_spinor_identities(2, 1).to_json() == cold.to_json(), bad_key
 
 
-@pytest.mark.parametrize(
-    "bad_key, check, detail",
-    [
-        # U_i of an eigenspinor leaves the levels the decomposition covers
-        ((2, 1, (1, 1, 1)), "compressed_u_is_gap_times_x", "outside levels 0..2"),
-        # ... or lands there with the wrong factor
-        ((2, 0, (0, 1, 0)), "compressed_u_is_gap_times_x", "'target': '1'"),
-        # the truncation spectrum leaves the half-integer lattice
-        ((2, 0, (0, 0, 0)), "truncation_spectrum_lattice", "off the lattice"),
-        # a level-0 image with a part at level 2, which the one decomposition
-        # of every target covers
-        ((2, 0, (0, 0, 1)), "compressed_u_is_gap_times_x", "outside levels 0..1"),
-    ],
-)
+@pytest.mark.parametrize("bad_key, check, detail", WRONG_COLUMN_CASES)
 def test_wrong_dirac_column_fails_the_suite(
     monkeypatch, capsys, cold_dirac_caches, bad_key, check, detail
 ):

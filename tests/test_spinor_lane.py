@@ -243,6 +243,24 @@ def test_coordinate_and_clifford_multiplication_match_the_reference(case):
     assert_matches(clifford_x(psi), want)
 
 
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(st.sampled_from([2, 3, 4]).flatmap(lambda n: st.tuples(st.just(n), ref_spinors(n))))
+def test_gamma_slot_moves_match_the_matrices(case):
+    # the signed slot moves GammaAlgebra keeps for each e_i and each
+    # e_i e_j (i < j), which clifford_x and angular_apply use, against the
+    # CRat matrices they were read from
+    n, a = case
+    alg = gamma_algebra(n)
+    psi = build(n, a)
+    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    assert sorted(alg.pair_moves) == pairs
+    cases = [(alg.moves[i], alg.e(i)) for i in range(n + 1)]
+    cases += [(alg.pair_moves[i, j], alg.pair(i, j)) for i, j in pairs]
+    for move, mat in cases:
+        assert move is not None
+        assert_matches(psi._move_slots(move), ref_matrix(mat, a))
+
+
 @st.composite
 def general_matrix_cases(draw):
     """(n, a, mat): mat has two nonzero entries in row 0, fractional and
@@ -416,6 +434,7 @@ def test_memoized_results_and_columns_are_stored_at_size():
         clifford._DIRAC_COLUMNS,
         clifford._U_COLUMNS,
         clifford._Y_COLUMNS,
+        clifford._X_CACHE,
     )
     try:
         clifford._clear_operator_caches()
