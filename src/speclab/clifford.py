@@ -33,19 +33,18 @@ models) goes through the columns.  Every linear combination of spinors,
 these column sums included, is one accumulation on ints (``_combine``)
 over coefficients (p + q i) / r given as int triples (p, q, r).
 
-The identity suite memoizes four more results beside those tables, each
+The identity suite memoizes three more results beside those tables, each
 bounded the same way: x. per spinor (``_x_image``: the x. P + P x. row
 and the footholds; ``clifford_x``, and so ``dirac_reference``, keeps the
-plain product), the level decompositions of ``_level_parts`` per (jmax,
-spinor), the span ranks of ``_span_rank_identity`` per (n, j, sign), and
-the truncation outcome per (n, N) inside ``verify_spinor_identities``
-(``truncation_matrices`` and ``TruncationModel.spectrum`` stay
-unmemoized).  ``_clear_operator_caches`` empties all ten tables, so every
-change of P goes through it.  A warm suite then builds no column, makes
-no Clifford product and reduces no row: a warm (2, 1) run takes 17-19 ms
-and a warm (2, 2) run 43-45 ms, against 46-48 and 80-81 ms without
-these four memos (medians of 10 and 5 warm runs, three processes each,
-same machine as below).
+plain product), the span ranks of ``_span_rank_identity`` per (n, j,
+sign), and the truncation outcome per (n, N) inside
+``verify_spinor_identities`` (``truncation_matrices`` and
+``TruncationModel.spectrum`` stay unmemoized).  ``_clear_operator_caches``
+empties all nine tables, so every change of P goes through it.  A warm
+suite then builds no column, makes no Clifford product and reduces no
+row: a warm (2, 1) run takes 11-12 ms and a warm (2, 2) run 31 ms
+(medians of 10 and 5 warm runs, three processes each, pinned to one core
+of the machine below).
 
 On restrictions of degree-k monogenic polynomials M (harmonic,
 annihilated by the Euclidean Dirac operator) one has G M = -k M and
@@ -69,18 +68,18 @@ Truncation-model cost grows like dim_spin times the count of normal-form
 monomials of degree <= N+1 (the Dirac closure adds one degree).  Model
 dimensions: n=2 gives 4/12/24 at N=0/1/2; n=3 gives 8/32/80.  Identity
 suite cost at N=2 (CPython 3.11.7, one core of a 2-vCPU x86_64 VM, a
-fresh process after ``import speclab.cli``, cold caches, two or three
-runs), with the columns of P and of U_i and y_i it builds, the results of
-P, U_i and y_i it memoizes, and the peak RSS of the process:
+fresh process after ``import speclab.cli``, cold caches, three runs),
+with the columns of P and of U_i and y_i it builds, the results of P, U_i
+and y_i it memoizes, and the peak RSS of the process:
 
     n   time         columns P, U+y   results P / U / y    peak RSS
-    2   0.17 s         98,  284         898 /  476 /  490    21 MB
-    3   0.8-0.9 s     560, 1544        3812 / 1972 / 2088    28 MB
-    4   1.8-2.0 s    1344, 3392        7048 / 3524 / 3768    42 MB
+    2   0.11-0.12 s    98,  284        1000 /  452 /  490    20 MB
+    3   0.7-1.0 s     560, 1544        4260 / 1940 / 2088    29 MB
+    4   1.8-3.2 s    1344, 3392        7848 / 3484 / 3768    44 MB
 
 Counted object by object with ``sys.getsizeof``, the U_i and y_i results
-hold about 0.6, 3.1 and 6.6 MB of those peaks, and the columns 0.2, 1.4
-and 3.7 MB.
+hold about 0.6, 3.2 and 6.9 MB of those peaks, the P results 0.7, 3.7
+and 7.7 MB, and the columns 0.2, 1.5 and 3.9 MB.
 """
 
 from __future__ import annotations
@@ -394,30 +393,6 @@ class SpinorPoly:
             (im_out if p else re_out)[k[:-1] + (r,)] = (p or -q) * v
         return _spinor(self.n, re_out, im_out, self._den)
 
-    def matrix_apply(self, mat) -> "SpinorPoly":
-        """The matrix of Gaussian rationals ``mat`` applied slotwise, by
-        ``_move_slots`` when it is a signed slot permutation.  The gamma
-        matrices and their pair products keep their moves in
-        ``GammaAlgebra``, so their products skip this scan."""
-        move = _slot_moves(mat)
-        if move is not None:
-            return self._move_slots(move)
-        re, im = self._re, self._im
-        entries = [
-            (r, c, _gaussian(z)) for r, row in enumerate(mat) for c, z in enumerate(row) if z
-        ]
-        den = lcm(*(d for _, _, (_, _, d) in entries))
-        re_terms, im_terms = [], []
-        for r, c, (p, q, d) in entries:
-            # (p + q i) m (B + C i) = m (p B - q C) + m (p C + q B) i
-            b = {k[:-1] + (r,): v for k, v in re.items() if k[-1] == c}
-            ci = {k[:-1] + (r,): v for k, v in im.items() if k[-1] == c}
-            m = den // d
-            re_terms += [(m * p, b), (-m * q, ci)]
-            im_terms += [(m * p, ci), (m * q, b)]
-        combine = _kernel.combine_terms
-        return _spinor(self.n, combine(re_terms), combine(im_terms), self._den * den)
-
     @property
     def is_zero(self) -> bool:
         return not self._re and not self._im
@@ -490,11 +465,10 @@ _DIRAC_CACHE: dict = {}
 _U_CACHE: dict = {}
 _Y_CACHE: dict = {}
 # What a warm spinor suite would otherwise rebuild from unchanged inputs:
-# psi -> x. psi (the suite's x. and the footholds), (jmax, psi) -> the
-# level parts of psi (``_level_parts``), (n, j, sign) -> the verdict of
-# ``_span_rank_identity``, and (n, N) -> the suite's truncation outcome.
+# psi -> x. psi (the suite's x. and the footholds), (n, j, sign) -> the
+# verdict of ``_span_rank_identity``, and (n, N) -> the suite's truncation
+# outcome.
 _X_CACHE: dict = {}
-_LEVEL_CACHE: dict = {}
 _SPAN_CACHE: dict = {}
 _SPECTRUM_CACHE: dict = {}
 _CACHE_LIMIT = 20000
@@ -502,11 +476,12 @@ _CACHE_LIMIT = 20000
 
 def _clear_operator_caches() -> None:
     """Empty the column maps of P, U_i and y_i, their per-spinor results
-    and the suite's memos together: the derived columns were built from
-    the P columns, and the span ranks and truncation outcomes from P."""
+    and the suite's three memos (x., span ranks, truncation outcomes)
+    together: the derived columns were built from the P columns, and the
+    span ranks and truncation outcomes from P."""
     for table in (_DIRAC_CACHE, _U_CACHE, _Y_CACHE, _DIRAC_COLUMNS, _U_COLUMNS, _Y_COLUMNS):
         table.clear()
-    for table in (_X_CACHE, _LEVEL_CACHE, _SPAN_CACHE, _SPECTRUM_CACHE):
+    for table in (_X_CACHE, _SPAN_CACHE, _SPECTRUM_CACHE):
         table.clear()
 
 
@@ -752,55 +727,6 @@ def _spinor_index(n: int, max_degree: int) -> dict:
     return {e + (c,): c * len(monos) + k for c in range(d) for k, e in enumerate(monos)}
 
 
-def _level_parts(psis: list, jmax: int) -> list:
-    """Exact decomposition of several spinors into model eigenspinor
-    components up to level jmax (both signs): one dict (j, sign) ->
-    component per spinor, None for a spinor outside that sum.  The
-    eigenbases do not depend on P and coordinates are unique, so each
-    result is a function of (jmax, psi) alone; it is memoized there in
-    ``_LEVEL_CACHE``, and the misses share one echelon pass.  Callers only
-    read the dicts."""
-    found = {psi: _LEVEL_CACHE[jmax, psi] for psi in psis if (jmax, psi) in _LEVEL_CACHE}
-    missing = [psi for psi in dict.fromkeys(psis) if psi not in found]
-    if missing:
-        for psi, parts in zip(missing, _decompose(missing, jmax)):
-            found[psi] = _store(_LEVEL_CACHE, (jmax, psi), parts)
-    return [found[psi] for psi in psis]
-
-
-def _decompose(psis: list, jmax: int) -> list:
-    """``_level_parts`` of nonempty ``psis`` in one echelon pass, unmemoized."""
-    n = psis[0].n
-    vec_basis = []
-    cap = max(max(p.degree() for p in psis) + 1, jmax + 2)
-    index = _spinor_index(n, cap)
-    for j in range(jmax + 1):
-        for sign in (1, -1):
-            for b in _eigenspinor_basis_cached(n, j, sign):
-                vec_basis.append(_spinor_vector(b, index))
-    targets = [_spinor_vector(psi, index) for psi in psis]
-    all_coeffs = coords_in_span_multi(vec_basis, targets)
-    out = []
-    for coeffs in all_coeffs:
-        if coeffs is None:
-            out.append(None)
-            continue
-        parts: dict = {}
-        pos = 0
-        for j in range(jmax + 1):
-            for sign in (1, -1):
-                terms = []
-                for b in _eigenspinor_basis_cached(n, j, sign):
-                    c = coeffs[pos]
-                    pos += 1
-                    if c:
-                        terms.append((c, b))
-                if terms:
-                    parts[(j, sign)] = SpinorPoly.combination(terms)
-        out.append(parts)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # finite truncation models
 # ---------------------------------------------------------------------------
@@ -827,9 +753,8 @@ class TruncationModel:
     coordinates.  ``spectrum`` certifies the eigenvalues of ``p_matrix``
     on the lattice +-(n/2+j).  No finite space is invariant under
     coordinate multiplication, so x_i, U_i and y_i get no model matrix:
-    the suite applies them in the full polynomial space and checks their
-    compressions between eigenspaces by exact level decomposition
-    (``_level_parts``).
+    the suite applies them in the full polynomial space, where their laws
+    with P hold exactly.
     """
 
     n: int
@@ -1005,6 +930,28 @@ def spinor_laws(n: int, k_max: int) -> list:
     return laws
 
 
+# The eigenspace rows of ``verify_spinor_identities``, as laws of P with L
+# meaning P applied first: 2 U_i = P^2 x_i - x_i P^2, and
+# ((P - L)^2 - 1)(P + L) x_i = 0.
+EIGENSPACE_LAWS = [
+    (
+        "compressed_u_is_gap_times_x",
+        "U_i between eigenspaces = ((mu^2-lam^2)/2) x_i",
+        True,
+        [(2, "U"), (-1, "P P x"), (1, "x P P")],
+    ),
+    (
+        "coordinate_adjacency",
+        "x_i E(lam) lies in E(lam+1) + E(lam-1) + E(-lam)",
+        True,
+        [
+            (1, "P P P x"), (-1, "P P x P"), (-1, "P x P P"), (1, "x P P P"),
+            (-1, "P x"), (-1, "x P"),
+        ],
+    ),
+]
+
+
 def verify_spinor_identities(n: int, N: int) -> VerificationReport:
     """Exact verification of every spinor operator identity, with the odd
     intertwinors of order 2k+1 for k = 0..N.
@@ -1015,16 +962,21 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
     the normal-form unit spinors of degree <= N + 3, so it reads every
     column of P that the suite builds (degree <= N + 4).  It holds because
     P = x.(G - n/2) and (x.)^2 = -1 give x. P = -(G - n/2), and x.
-    anticommutes with G - n/2, so P x. = x.(G - n/2) x. = G - n/2.  The
-    compression, adjacency and span statements run on the exact model
+    anticommutes with G - n/2, so P x. = x.(G - n/2) x. = G - n/2.
+
+    The two eigenspace rows are laws of P on the degree <= N monomials
+    too, with L meaning P applied first, as lam in the ladder rows.
+    ``compressed_u_is_gap_times_x`` is 2 U_i = P^2 x_i - x_i P^2, whose
+    compression from E(lam) to E(mu) is (mu^2 - lam^2) x_i.
+    ``coordinate_adjacency`` is ((P - L)^2 - 1)(P + L) x_i = 0: the
+    polynomial ((mu - lam)^2 - 1)(mu + lam) vanishes exactly at mu =
+    lam + 1, lam - 1 and -lam.  The span statement runs on the exact model
     eigenbases of levels 0..1; the spectrum statements run on the
-    certified truncation model.  A wrong P is reported, not raised: an
-    eigenbasis whose foothold fails the eigen test fails every eigenspace
-    check (``compressed_u_is_gap_times_x``, ``coordinate_adjacency``,
-    ``adjacent_span_rank``), a U_i image outside the decomposed levels
-    fails ``compressed_u_is_gap_times_x``, and a truncation spectrum that
-    cannot be certified fails ``truncation_spectrum_lattice`` and
-    ``spectral_bound``.  Those two pass exactly when
+    certified truncation model.  A wrong P is reported, not raised:
+    ``adjacent_span_rank`` fails with the error of an eigenbasis whose
+    foothold fails the eigen test, or else with the first level whose
+    spans differ, and a truncation spectrum that cannot be certified
+    fails ``truncation_spectrum_lattice`` and ``spectral_bound``.  Those two pass exactly when
     ``truncation_matrices(n, N).spectrum()`` certifies: every certified row
     lies on +-(n/2+j) by construction, and (n/2)^2 >= n(n-1)/4.
     """
@@ -1043,83 +995,27 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
     report.check_laws(units(N), spinor_laws(n, N), ops, indexed_ops)
     x_law = ("dirac_anticommutes_with_x", "x. P + P x. = 0", False, [(1, "X P"), (1, "P X")])
     report.check_laws(units(N + 3), [x_law], ops, indexed_ops)
+    report.check_laws(units(N), EIGENSPACE_LAWS, ops, indexed_ops)
 
-    # eigenspace statements, on the exact bases of levels 0..2; without them
-    # all of these fail
-    broken = _foothold_failure(n, 2)
-
-    # compression and adjacency through exact level decomposition, of every
-    # target at once up to level 2; a level-j target leaves levels
-    # 0..j+1 when it has no decomposition or a part above j+1 (coordinates
-    # are unique, so the parts below are those of a decomposition up to j+1)
-    near = range(2) if broken is None else ()
-    comp_ok = adj_ok = span_ok = broken is None
-    comp_cx = broken
-    cases = []
-    targets = []
-    for j in near:
-        for sign in (1, -1):
-            lam = dirac_eigenvalue(n, j, sign)
-            for psi in eigenspinor_basis(n, j, sign)[:2]:
-                for i in range(n + 1):
-                    cases.append((j, sign, lam, i))
-                    targets.append(psi.coordinate_mul(i))
-                    targets.append(U_spin(i, psi))
-    decomposed = _level_parts(targets, 2)
-    for t, (j, sign, lam, i) in enumerate(cases):
-        parts_x = decomposed[2 * t]
-        parts_u = decomposed[2 * t + 1]
-        x_out, u_out = (
-            parts is None or any(jj > j + 1 for jj, _ in parts) for parts in (parts_x, parts_u)
+    # span identity on the exact bases of levels 0..1, whose adjacent
+    # levels reach 2: x_i, P x_i, P^2 x_i images fill the adjacent sum.
+    # Without the bases (a foothold fails the eigen test) it fails
+    span_cx = _foothold_failure(n, 2)
+    if span_cx is None:
+        span_cx = next(
+            (
+                {"level": j, "sign": sign}
+                for j in range(2)
+                for sign in (1, -1)
+                if not _span_rank_identity(n, j, sign)
+            ),
+            None,
         )
-        if x_out or u_out:
-            # a wrong P: x_i or U_i leaves the adjacent levels
-            adj_ok = adj_ok and not x_out
-            comp_ok = False
-            comp_cx = comp_cx or {
-                "level": j,
-                "sign": sign,
-                "index": i,
-                "target": f"outside levels 0..{j + 1}",
-            }
-            continue
-        allowed = {lam + 1, lam - 1, -lam}
-        for (jj, ss), comp in parts_x.items():
-            mu = dirac_eigenvalue(n, jj, ss)
-            if mu not in allowed and not comp.is_zero:
-                adj_ok = False
-        for (jj, ss) in set(parts_x) | set(parts_u):
-            mu = dirac_eigenvalue(n, jj, ss)
-            cu = parts_u.get((jj, ss), SpinorPoly.zero(n))
-            cxp = parts_x.get((jj, ss), SpinorPoly.zero(n))
-            factor = (mu * mu - lam * lam) / 2
-            if not SpinorPoly.combination([(1, cu), (-factor, cxp)]).is_zero:
-                comp_ok = False
-                comp_cx = comp_cx or {
-                    "level": j, "sign": sign, "index": i, "target": str(mu)
-                }
-    report.add(
-        "compressed_u_is_gap_times_x",
-        "U_i between eigenspaces = ((mu^2-lam^2)/2) x_i",
-        comp_ok,
-        comp_cx,
-    )
-    report.add(
-        "coordinate_adjacency",
-        "x_i E(lam) lies in E(lam+1) + E(lam-1) + E(-lam)",
-        adj_ok,
-        broken,
-    )
-
-    # span identity: x_i, P x_i, P^2 x_i images fill the adjacent sum
-    for j in near:
-        for sign in (1, -1):
-            span_ok = span_ok and _span_rank_identity(n, j, sign)
     report.add(
         "adjacent_span_rank",
         "span{x_i E, P x_i E, P^2 x_i E} = E(lam+1) + E(lam-1) + E(-lam)",
-        span_ok,
-        broken,
+        span_cx is None,
+        span_cx,
     )
 
     # certified truncation spectrum on the lattice + the spectral bound;
@@ -1168,10 +1064,13 @@ def _span_rank_identity(n: int, j: int, sign: int) -> bool:
     index = _spinor_index(n, cap)
     gen_rows = [_spinor_vector(v, index) for v in generated]
     tgt_rows = [_spinor_vector(v, index) for v in targets]
-    # rank(gen) = rank(gen union targets) = target_dim: equal spans
+    # the bases are independent: rank(gen) = target_dim with every reduced
+    # row in the span of the targets means equal spans
     rank_gen = len(rref(gen_rows))
     return _store(
-        _SPAN_CACHE, key, rank_gen == target_dim == len(rref(gen_rows[:rank_gen] + tgt_rows))
+        _SPAN_CACHE,
+        key,
+        rank_gen == target_dim and None not in coords_in_span_multi(tgt_rows, gen_rows[:rank_gen]),
     )
 
 

@@ -307,6 +307,14 @@ def test_byte_determinism(capsys):
             "fce6cfe9214808630b12313302408abbc0fa36fd2384ac9191e7dc18af276904",
         ),
         (
+            "--jobs 1 verify spinor --n 3 --N 1",
+            "67264a39a54f80f1ba38e9875e7b622c215b05393c2c38295269df0dc9d506ea",
+        ),
+        (
+            "--jobs 1 verify spinor --n 3 --N 2",
+            "e060441f35ef5f0bff8876b5f7ca47e19baeb3381cc992c34158a68e9491e381",
+        ),
+        (
             "verify scalar --n 3 --cap 4",
             "7415fb86e520245267df5abed8952ca1e792501d9af1a1cad7e82c47a5dc4e4c",
         ),

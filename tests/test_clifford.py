@@ -224,23 +224,6 @@ def test_ladder_rejects_non_eigenspinor():
         spinor_ladders(0, psi, Fraction(-1))
 
 
-def test_level_decomposition_supports_compression_identity():
-    n = 2
-    j, sign = 0, 1
-    lam = dirac_eigenvalue(n, j, sign)
-    psi = eigenspinor_basis(n, j, sign)[0]
-    for i in range(n + 1):
-        parts_x, parts_u = clifford._level_parts([psi.coordinate_mul(i), U_spin(i, psi)], j + 1)
-        for key in set(parts_x) | set(parts_u):
-            mu = dirac_eigenvalue(n, key[0], key[1])
-            cx = parts_x.get(key, SpinorPoly.zero(n))
-            cu = parts_u.get(key, SpinorPoly.zero(n))
-            assert (cu - cx.scale((mu * mu - lam * lam) / 2)).is_zero
-            # adjacency: only the three cubic roots can appear
-            if not cx.is_zero:
-                assert mu in (lam + 1, lam - 1, -lam)
-
-
 # ---------------------------------------------------------------------------
 # truncation models
 # ---------------------------------------------------------------------------
@@ -321,14 +304,6 @@ def test_truncation_spectrum_runs_without_a_float_eigensolver(monkeypatch):
         (Fraction(2), 4, True),
         (Fraction(3), 6, True),
     ]
-
-
-def test_decompose_outside_range_raises():
-    # outside the requested levels there is no decomposition: the suite
-    # reads None as a U_i image that leaves the adjacent levels
-    psi = eigenspinor_basis(2, 2, 1)[0]
-    assert clifford._level_parts([psi], 1) == [None]
-    assert clifford._level_parts([psi], 2) == [{(2, 1): psi}]
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +406,18 @@ def test_spinor_law_table_is_falsifiable(monkeypatch, cold_dirac_caches):
 
 @pytest.mark.parametrize("n, js", [(2, range(4)), (3, range(3))])
 def test_ladder_rows_hold_on_exact_eigenbases(n, js):
-    # the suite checks the ladder rows on the monomials of degree <= N,
-    # which span level N only through sums of its two signs; each
-    # eigenbasis alone, up to level 3 at n = 2 and N = 2 at n = 3, passes
-    # the rows too
-    ladders = [law for law in spinor_laws(n, 2) if law[0] in LADDER_ROWS]
+    # the suite checks the ladder and eigenspace rows on the monomials of
+    # degree <= N, which span level N only through sums of its two signs;
+    # each eigenbasis alone, up to level 3 at n = 2 and N = 2 at n = 3,
+    # passes the rows too
+    laws = [law for law in spinor_laws(n, 2) if law[0] in LADDER_ROWS]
+    laws += clifford.EIGENSPACE_LAWS
     indexed = {"x": lambda i, psi: psi.coordinate_mul(i), "U": U_spin, "y": y_apply}
     for j in js:
         for sign in (1, -1):
             rep = VerificationReport(scope="spinor", n=n, degree_cap=j)
-            rep.check_laws(eigenspinor_basis(n, j, sign), ladders, {"P": dirac_apply}, indexed)
-            assert [c.identity_id for c in rep.checks] == list(LADDER_ROWS)
+            rep.check_laws(eigenspinor_basis(n, j, sign), laws, {"P": dirac_apply}, indexed)
+            assert [c.identity_id for c in rep.checks] == [law[0] for law in laws]
             assert rep.all_passed, (j, sign, rep.failures())
 
 
@@ -543,7 +519,6 @@ SUITE_TABLES = (
     "_U_COLUMNS",
     "_Y_COLUMNS",
     "_X_CACHE",
-    "_LEVEL_CACHE",
     "_SPAN_CACHE",
     "_SPECTRUM_CACHE",
 )
@@ -551,10 +526,9 @@ SUITE_TABLES = (
 
 def test_warm_suite_builds_no_column_and_grows_no_table(monkeypatch):
     # a second run of the suite in one process reads every image of P, U_i
-    # and y_i from the per-spinor results, and every x. image, level
-    # decomposition, span rank and truncation outcome from its memo: no
-    # column is built, no Clifford product or row reduction is made and
-    # no table changes size
+    # and y_i from the per-spinor results, and every x. image, span rank
+    # and truncation outcome from its memo: no column is built, no
+    # Clifford product or row reduction is made and no table changes size
     from speclab import _kernel
 
     tables = {name: getattr(clifford, name) for name in SUITE_TABLES}
@@ -597,19 +571,16 @@ def test_memoized_x_matches_the_plain_product(cold_dirac_caches):
 
 
 def test_suite_memos_stay_bounded(monkeypatch, cold_dirac_caches):
-    # x. images and level decompositions honour _CACHE_LIMIT like the
-    # operator tables, also when a table is emptied amid one call
+    # x. images honour _CACHE_LIMIT like the operator tables
     n = 2
     targets = [b.coordinate_mul(i) for b in eigenspinor_basis(n, 0, 1) for i in range(n + 1)]
     targets += [b.coordinate_mul(i) for b in eigenspinor_basis(n, 1, -1) for i in range(n + 1)]
     want_x = [clifford_x(psi) for psi in targets]
-    want_parts = clifford._decompose(targets, 2)
-    assert len(targets) > 8 and None not in want_parts
+    assert len(targets) > 8
     monkeypatch.setattr(clifford, "_CACHE_LIMIT", 3)
     for _ in range(2):  # the second pass mixes hits and misses
         assert [clifford._x_image(psi) for psi in targets] == want_x
-        assert clifford._level_parts(targets, 2) == want_parts
-        assert len(clifford._X_CACHE) <= 4 and len(clifford._LEVEL_CACHE) <= 4
+        assert len(clifford._X_CACHE) <= 4
 
 
 def _corrupt_dirac_column(monkeypatch, bad_key):
@@ -640,15 +611,27 @@ def test_dirac_column_map_is_falsifiable(monkeypatch, cold_dirac_caches):
 
 
 WRONG_COLUMN_CASES = [
-    # U_i of an eigenspinor leaves the levels the decomposition covers
-    ((2, 1, (1, 1, 1)), "compressed_u_is_gap_times_x", "outside levels 0..2"),
-    # ... or lands there with the wrong factor
-    ((2, 0, (0, 1, 0)), "compressed_u_is_gap_times_x", "'target': '1'"),
+    # x_i leaves the adjacent eigenspaces: ((P - L)^2 - 1)(P + L) x_i is
+    # nonzero, for the column of x0 x1 x2 in slot 1 first on x0 at i = 2 ...
+    (
+        (2, 1, (1, 1, 1)),
+        "coordinate_adjacency",
+        "'basis_vector': 'SpinorPoly(n=2, [1/1+0/1 i * x0^1; 0])', 'index': 2",
+    ),
+    # ... for the column of x1 in slot 0 on the constant spinor at i = 1
+    (
+        (2, 0, (0, 1, 0)),
+        "coordinate_adjacency",
+        "'basis_vector': 'SpinorPoly(n=2, [1/1+0/1 i; 0])', 'index': 1",
+    ),
     # the truncation spectrum leaves the half-integer lattice
     ((2, 0, (0, 0, 0)), "truncation_spectrum_lattice", "off the lattice"),
-    # a level-0 image with a part at level 2, which the one decomposition
-    # of every target covers
-    ((2, 0, (0, 0, 1)), "compressed_u_is_gap_times_x", "outside levels 0..1"),
+    # ... and for the column of x2 in slot 0 on the constant spinor at i = 0
+    (
+        (2, 0, (0, 0, 1)),
+        "coordinate_adjacency",
+        "'basis_vector': 'SpinorPoly(n=2, [1/1+0/1 i; 0])', 'index': 0",
+    ),
 ]
 
 
@@ -695,6 +678,99 @@ def test_wrong_dirac_column_fails_the_suite(
     clifford._clear_operator_caches()
     assert main(["--jobs", "1", "verify", "spinor", "--n", "2", "--N", "1"]) == 1
     assert json.loads(capsys.readouterr().out)["all_passed"] is False
+
+
+def _spinor_corruptions() -> dict:
+    """name -> a function that applies one corruption to a monkeypatch
+    context, by rebinding a module-level name of ``clifford``: the suite
+    and every column built after it see the rebound name."""
+    p, u, y, x = clifford.dirac_apply, U_spin, y_apply, clifford_x
+    # e_0 replaced by e_1, with the slot moves read again from the matrices
+    wrong = clifford.GammaAlgebra(2)
+    wrong.matrices[0] = wrong.e(1)
+    wrong._pair_cache.clear()
+    wrong.moves = [clifford._slot_moves(g) for g in wrong.matrices]
+    wrong.pair_moves = {k: clifford._slot_moves(wrong.pair(*k)) for k in wrong.pair_moves}
+
+    def rebind(name, value):
+        return lambda mp: mp.setattr(clifford, name, value)
+
+    return {
+        "P + 1": rebind("dirac_apply", lambda psi: p(psi) + psi),
+        "2 U_i": rebind("U_spin", lambda i, psi: u(i, psi).scale(2)),
+        "U_i + x_i": rebind("U_spin", lambda i, psi: u(i, psi) + psi.coordinate_mul(i)),
+        "2 y_i": rebind("y_apply", lambda i, psi: y(i, psi).scale(2)),
+        "y_i + x_i": rebind("y_apply", lambda i, psi: y(i, psi) + psi.coordinate_mul(i)),
+        "y_i + x.": rebind("y_apply", lambda i, psi: y(i, psi) + x(psi)),
+        # the Clifford product, so also P = x.(G - n/2) built from it
+        "2 x.": rebind("clifford_x", lambda psi: x(psi).scale(2)),
+        "P column + 1": lambda mp: _corrupt_dirac_column(mp, (2, 0, (0, 1, 0))),
+        "e_0 = e_1": rebind("gamma_algebra", lambda n: wrong),
+    }
+
+
+# corruptions that make P wrong; P + 1 leaves y_i = [P, x_i] and the
+# spans P^k x_i E unchanged
+WRONG_P = {"P + 1", "2 x.", "P column + 1", "e_0 = e_1"}
+WRONG_U = {"2 U_i", "U_i + x_i"}
+WRONG_Y = {"2 y_i", "y_i + x_i", "y_i + x."}
+ALL_CORRUPTIONS = WRONG_P | WRONG_U | WRONG_Y
+# row id of verify_spinor_identities(2, 1) -> the corruptions that fail it
+SPINOR_CORRUPTION_TABLE = {
+    "clifford_relations": {"e_0 = e_1"},
+    "dirac_conformal_covariance": WRONG_P | WRONG_U,
+    "y_square_sum": WRONG_Y | (WRONG_P - {"P + 1"}),
+    "coordinate_y_sum": {"y_i + x_i", "y_i + x.", "P column + 1"},
+    "y_coordinate_sum": {"y_i + x_i", "y_i + x.", "P column + 1"},
+    "uy_commutator_sum": {"y_i + x_i", "P column + 1", "e_0 = e_1"},
+    "u_square_sum_spinor": WRONG_P | WRONG_U,
+    "shifted_square_sum_spinor_a=1": WRONG_P | WRONG_U,
+    "shifted_square_sum_spinor_a=-1": WRONG_P | WRONG_U,
+    "shifted_square_sum_spinor_a=3/2": WRONG_P | WRONG_U,
+    "odd_intertwinor_k=0": WRONG_P | WRONG_U,
+    "odd_intertwinor_k=1": WRONG_P | WRONG_U,
+    "ladder_a_raises": ALL_CORRUPTIONS,
+    "ladder_s_lowers": ALL_CORRUPTIONS,
+    "ladder_n_flips": ALL_CORRUPTIONS - {"y_i + x."},
+    "ladder_sum_sa": ALL_CORRUPTIONS,
+    "ladder_sum_as": ALL_CORRUPTIONS - {"P + 1"},
+    "ladder_sum_nn": ALL_CORRUPTIONS,
+    "dirac_anticommutes_with_x": {"P + 1", "P column + 1", "e_0 = e_1"},
+    "compressed_u_is_gap_times_x": WRONG_U,
+    "coordinate_adjacency": WRONG_P,
+    "adjacent_span_rank": {"P column + 1", "e_0 = e_1"},
+    "truncation_spectrum_lattice": WRONG_P,
+    "spectral_bound": WRONG_P,
+}
+
+
+def test_spinor_corruption_table(monkeypatch, cold_dirac_caches):
+    # every row of the spinor suite fails under some corruption, and each
+    # corruption, run once with cold operator caches, fails exactly the
+    # rows the table names for it
+    rows = [c.identity_id for c in verify_spinor_identities(2, 1).checks]
+    assert sorted(rows) == sorted(SPINOR_CORRUPTION_TABLE)
+    assert all(SPINOR_CORRUPTION_TABLE.values())
+    failing = {}
+    for name, corrupt in _spinor_corruptions().items():
+        clifford._clear_operator_caches()
+        with monkeypatch.context() as mp:
+            corrupt(mp)
+            failing[name] = {c.identity_id for c in verify_spinor_identities(2, 1).failures()}
+        clifford._clear_operator_caches()
+    want = {
+        name: {row for row, names in SPINOR_CORRUPTION_TABLE.items() if name in names}
+        for name in ALL_CORRUPTIONS
+    }
+    assert failing == want
+
+
+def test_adjacent_span_rank_names_the_first_failing_level(monkeypatch, cold_dirac_caches):
+    # with the eigenbases built from the true P, a wrong column of degree 3
+    # leaves the level-0 spans intact and breaks those of level 1
+    _corrupt_dirac_column(monkeypatch, (2, 1, (1, 1, 1)))
+    failed = {c.identity_id: c.counterexample for c in verify_spinor_identities(2, 1).failures()}
+    assert failed["adjacent_span_rank"] == {"level": 1, "sign": 1}
 
 
 def test_wrong_dirac_column_model_is_refused_or_matches_kernels(monkeypatch, cold_dirac_caches):
@@ -782,11 +858,10 @@ def test_wrong_dirac_column_with_cold_eigenbases_fails_the_suite(monkeypatch, ca
             for c in payload["spinor"]["checks"]
             if c["status"] == "fail"
         }
-        for check in ("compressed_u_is_gap_times_x", "coordinate_adjacency", "adjacent_span_rank"):
-            assert "foothold vector fails the eigen test" in failed[check]["error"]
-        # the ladder rows need no eigenbasis: they fail on the monomial
-        # basis with a counterexample of their own
-        for check in LADDER_ROWS:
+        assert "foothold vector fails the eigen test" in failed["adjacent_span_rank"]["error"]
+        # the ladder and eigenspace rows need no eigenbasis: they fail on
+        # the monomial basis with a counterexample of their own
+        for check in LADDER_ROWS + ("coordinate_adjacency",):
             assert set(failed[check]) == {"basis_vector", "index", "difference"}
     finally:
         clifford._eigenspinor_basis_cached.cache_clear()

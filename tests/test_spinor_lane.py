@@ -236,7 +236,6 @@ def test_coordinate_and_clifford_multiplication_match_the_reference(case):
     alg = gamma_algebra(n)
     for i in range(n + 1):
         assert_matches(psi.coordinate_mul(i), ref_coordinate_mul(a, i, n))
-        assert_matches(psi.matrix_apply(alg.e(i)), ref_matrix(alg.e(i), a))
     want = [{} for _ in a]
     for i in range(n + 1):
         want = ref_add(want, ref_coordinate_mul(ref_matrix(alg.e(i), a), i, n), 1)
@@ -259,44 +258,6 @@ def test_gamma_slot_moves_match_the_matrices(case):
     for move, mat in cases:
         assert move is not None
         assert_matches(psi._move_slots(move), ref_matrix(mat, a))
-
-
-@st.composite
-def general_matrix_cases(draw):
-    """(n, a, mat): mat has two nonzero entries in row 0, fractional and
-    imaginary entries, and a last row that cancels on a, whose slot 1 is w
-    times slot 0."""
-    n = draw(st.sampled_from([2, 3]))
-    d = gamma_algebra(n).dim_spin
-    a = draw(ref_spinors(n))
-    w = draw(crats().filter(bool))
-    a[1] = ref_scale([a[0]], w)[0]
-    entry = st.one_of(
-        st.just(0), st.sampled_from([1, -1, Fraction(2, 3), CRat(0, 1), CRat(0, -1)]), crats()
-    )
-    mat = [[draw(entry) for _ in range(d)] for _ in range(d)]
-    mat[0][:2] = [CRat(Fraction(1, 2), Fraction(-1, 3)), Fraction(2, 3)]
-    z = draw(crats().filter(bool))
-    mat[d - 1] = [z * w, -z] + [0] * (d - 2)
-    return n, a, mat
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(general_matrix_cases())
-def test_general_matrices_match_the_reference(case):
-    # the gamma matrices are all signed monomial matrices, so this is the
-    # only test of the general path of matrix_apply
-    n, a, mat = case
-    want = ref_matrix(mat, a)
-    assert not want[-1]
-    assert_matches(build(n, a).matrix_apply(mat), want)
-    d = len(mat)
-    for other in (
-        [[Fraction(1, 2) if c == (r + 1) % d else 0 for c in range(d)] for r in range(d)],
-        [[1 if r == 0 and c < 2 else 0 for c in range(d)] for r in range(d)],
-        [[CRat(0, 1) if r == 0 and c < 2 else 0 for c in range(d)] for r in range(d)],
-    ):
-        assert_matches(build(n, a).matrix_apply(other), ref_matrix(other, a))
 
 
 # ---------------------------------------------------------------------------
