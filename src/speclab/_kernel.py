@@ -4,10 +4,10 @@ These are the inner loops everything else reduces to: merging sparse
 exponent-keyed term maps (``combine_terms`` sums any number of scaled maps
 in one pass), rewriting even powers of x0 through the sphere relation, and
 exact Gaussian elimination, which touches only the nonzero entries of each
-pivot row.  They are pure Python and
-coefficient-generic: anything with field arithmetic works (Fraction,
-CRat, float), and CRat maps run on CRat's own int arithmetic.  Callers
-look the functions up on this module at call time
+pivot row.  They are pure Python and coefficient-generic: anything with
+field arithmetic works (Fraction, CRat, float), and CRat maps run on the
+int arithmetic of the quadratic-field core in ``scalars``.  Callers look
+the functions up on this module at call time
 (``_kernel.mul_terms(...)``), so a wrapper bound here sees every call.
 """
 

@@ -209,7 +209,7 @@ def _gaussian(c) -> tuple:
     if t is Fraction:
         return c.numerator, 0, c.denominator
     z = c if t is CRat else CRat(c)
-    return z._a, z._b, z._d
+    return z._p, z._q, z._r
 
 
 def _slot_moves(mat) -> dict | None:
@@ -232,9 +232,9 @@ def _gaussian_terms(p: SpherePoly) -> tuple:
     if p._den is not None:
         return p._num, {}, p._den
     vals = {e: v if type(v) is CRat else CRat(v) for e, v in p._num.items()}
-    den = lcm(*(z._d for z in vals.values()))
-    re = {e: z._a * (den // z._d) for e, z in vals.items() if z._a}
-    im = {e: z._b * (den // z._d) for e, z in vals.items() if z._b}
+    den = lcm(*(z._r for z in vals.values()))
+    re = {e: z._p * (den // z._r) for e, z in vals.items() if z._p}
+    im = {e: z._q * (den // z._r) for e, z in vals.items() if z._q}
     return re, im, den
 
 
@@ -260,10 +260,10 @@ def _spinor(n: int, re: dict, im: dict, den: int) -> "SpinorPoly":
 def _crat_terms(psi: "SpinorPoly") -> dict:
     """The ``CRat`` coefficients of psi, keyed like its numerator maps."""
     re, im, den = psi._re, psi._im, psi._den
-    terms = {k: _norm(a, im.get(k, 0), den) for k, a in re.items()}
+    terms = {k: _norm(CRat, a, im.get(k, 0), den, -1) for k, a in re.items()}
     for k, b in im.items():
         if k not in re:
-            terms[k] = _norm(0, b, den)
+            terms[k] = _norm(CRat, 0, b, den, -1)
     return terms
 
 

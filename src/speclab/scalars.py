@@ -1,12 +1,15 @@
-"""Exact scalar types: rationals and complex rationals.
+"""Exact scalar types: rationals, and numbers of a quadratic field.
 
 The rational carrier is the stdlib ``fractions.Fraction`` (arbitrary
-precision, always in lowest terms with positive denominator).  ``CRat``
-adds an exact Gaussian-rational layer, which is what the gamma matrix
-construction and all spinor coefficients need.  A ``CRat`` is three
-Python ints, (a + b i) / d, kept in a normal form (d > 0, gcd(a, b, d) = 1,
-zero is (0, 0, 1)), so its arithmetic is int arithmetic plus at most one
-``math.gcd`` per result.
+precision, always in lowest terms with positive denominator).  Both exact
+extensions of it are quadratic fields and share one core, ``_QuadField``:
+four Python ints (p + q sqrt(d)) / r in a normal form (r > 0,
+gcd(p, q, r) = 1, d squarefree, and q = 0, d = 1 for a rational), so
+their arithmetic is int arithmetic plus at most one ``math.gcd`` per
+result, through the one normalizer ``_norm``.  ``CRat`` is the field
+d = -1, the Gaussian rationals that the gamma matrix construction and all
+spinor coefficients need; ``surd.Quad`` is a real field Q[sqrt(d)],
+d > 1, where eigenvalue descent chains live.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ from fractions import Fraction
 from math import gcd
 
 Rat = Fraction
-
-_RatLike = (Fraction, int)
-
 
 def as_rat(x) -> Fraction:
     """Coerce ints/Fractions/strings like '3/4' to Fraction."""
@@ -35,211 +35,236 @@ def fmt_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-class CRat:
-    """Complex number with exact rational real and imaginary parts.
-
-    Stored as ints (a + b i) / d in normal form: d > 0, gcd(a, b, d) = 1,
-    and zero as (0, 0, 1).  Equal values therefore have equal triples, and
-    results with d = 1 (Gaussian integers: every gamma matrix entry and
-    most columns of the Dirac operator) need no gcd at all.  ``re`` and
-    ``im`` are read-only ``Fraction`` views.  Multiplication skips zero
-    parts: almost every coefficient of the spinor model is real or purely
-    imaginary.
+class _QuadField:
+    """(p + q sqrt(d)) / r on four ints in the normal form of the module
+    docstring, so equal values have equal ints and a real value hashes as
+    the equal int or ``Fraction``.  A subclass fixes the fields and keeps
+    its views and text.  Operands are ints, Fractions and numbers of the
+    same class (anything else, the other subclass included, is
+    ``NotImplemented``); irrational operands of two fields raise
+    ``ValueError("mixed radicands")``.  Multiplication skips zero parts:
+    almost every coefficient of the spinor model is real or imaginary.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_p", "_q", "_r", "_d")
+    _ZERO_DIVISION = "division by zero"
 
-    def __init__(self, re=0, im=0):
-        re, im = as_rat(re), as_rat(im)
-        q, s = re.denominator, im.denominator
-        d = q * s // gcd(q, s)
-        # over the lcm of two lowest-terms denominators, gcd(a, b, d) = 1
-        self._a = re.numerator * (d // q)
-        self._b = im.numerator * (d // s)
-        self._d = d
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        u, v = a.denominator, b.denominator
+        r = u * v // gcd(u, v)
+        # over the lcm of two lowest-terms denominators, gcd(p, q, r) = 1
+        self._p = a.numerator * (r // u)
+        self._q = q = b.numerator * (r // v)
+        self._r = r
+        self._d = d if q else 1
 
     def __reduce__(self):
-        return _crat, (self._a, self._b, self._d)
+        return _norm, (type(self), self._p, self._q, self._r, self._d)
 
     # -- algebra -------------------------------------------------------
+    # an int or Fraction operand keeps the field; a number of this class is
+    # unpacked inline, and sets the field when only it is irrational
 
     def __add__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if type(other) is CRat:
-            f = other._d
-            if d == f:
-                return _norm(a + other._a, b + other._b, d)
-            return _norm(a * f + other._a * d, b * f + other._b * d, d * f)
-        if isinstance(other, int):
-            # adding a multiple of d keeps gcd(a, b, d) = 1
-            return _crat(a + other * d, b, d)
-        if isinstance(other, Fraction):
-            p, q = other.numerator, other.denominator
-            return _norm(a * q + p * d, b * q, d * q)
-        return NotImplemented
+        cls, D = type(self), self._d
+        if type(other) is cls:
+            p, q, r = other._p, other._q, other._r
+            if q and other._d != D:
+                D = _field(self._q, other._d)
+        else:
+            o = _rational(other)
+            if o is None:
+                return NotImplemented
+            (p, r), q = o, 0
+        P, Q, R = self._p, self._q, self._r
+        if r == R:
+            return _norm(cls, P + p, Q + q, R, D)
+        return _norm(cls, P * r + p * R, Q * r + q * R, R * r, D)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if type(other) is CRat:
-            f = other._d
-            if d == f:
-                return _norm(a - other._a, b - other._b, d)
-            return _norm(a * f - other._a * d, b * f - other._b * d, d * f)
-        if isinstance(other, int):
-            return _crat(a - other * d, b, d)
-        if isinstance(other, Fraction):
-            p, q = other.numerator, other.denominator
-            return _norm(a * q - p * d, b * q, d * q)
-        return NotImplemented
+        cls, D = type(self), self._d
+        if type(other) is cls:
+            p, q, r = other._p, other._q, other._r
+            if q and other._d != D:
+                D = _field(self._q, other._d)
+        else:
+            o = _rational(other)
+            if o is None:
+                return NotImplemented
+            (p, r), q = o, 0
+        P, Q, R = self._p, self._q, self._r
+        if r == R:
+            return _norm(cls, P - p, Q - q, R, D)
+        return _norm(cls, P * r - p * R, Q * r - q * R, R * r, D)
 
     def __rsub__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if isinstance(other, int):
-            return _crat(other * d - a, -b, d)
-        if isinstance(other, Fraction):
-            p, q = other.numerator, other.denominator
-            return _norm(p * d - a * q, -b * q, d * q)
-        return NotImplemented
+        return (-self) + other
 
     def __neg__(self):
-        return _crat(-self._a, -self._b, self._d)
+        return _norm(type(self), -self._p, -self._q, self._r, self._d)
 
     def __mul__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if type(other) is CRat:
-            c, e = other._a, other._b
-            if not b:
-                re, im = a * c, a * e
-            elif not a:
-                re, im = -(b * e), b * c
-            elif not e:
-                re, im = a * c, b * c
-            elif not c:
-                re, im = -(b * e), a * e
-            else:
-                re, im = a * c - b * e, a * e + b * c
-            return _norm(re, im, d * other._d)
-        if isinstance(other, int):
-            return _norm(a * other, b * other, d)
-        if isinstance(other, Fraction):
-            return _norm(a * other.numerator, b * other.numerator, d * other.denominator)
-        return NotImplemented
+        cls, D = type(self), self._d
+        if type(other) is cls:
+            p, q, r = other._p, other._q, other._r
+            if q and other._d != D:
+                D = _field(self._q, other._d)
+        else:
+            o = _rational(other)
+            if o is None:
+                return NotImplemented
+            (p, r), q = o, 0
+        P, Q = self._p, self._q
+        if not Q:
+            x, y = P * p, P * q
+        elif not P:
+            x, y = Q * q * D, Q * p
+        elif not q:
+            x, y = P * p, Q * p
+        elif not p:
+            x, y = Q * q * D, P * q
+        else:
+            x, y = P * p + Q * q * D, P * q + Q * p
+        return _norm(cls, x, y, self._r * r, D)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if type(other) is CRat:
-            c, e, f = other._a, other._b, other._d
-            if e:
-                # z / w = z conj(w) f / (c^2 + e^2) for w = (c + e i) / f
-                a, b, d = (a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e)
-            elif c:
-                a, b, d = a * f, b * f, d * c
-            else:
-                raise ZeroDivisionError("division by zero CRat")
-        elif isinstance(other, int):
-            if not other:
-                raise ZeroDivisionError("division by zero CRat")
-            d *= other
-        elif isinstance(other, Fraction):
-            if not other:
-                raise ZeroDivisionError("division by zero CRat")
-            a, b, d = a * other.denominator, b * other.denominator, d * other.numerator
+        cls, D = type(self), self._d
+        if type(other) is cls:
+            p, q, r = other._p, other._q, other._r
+            if q and other._d != D:
+                D = _field(self._q, other._d)
         else:
-            return NotImplemented
-        if d < 0:
-            a, b, d = -a, -b, -d
-        return _norm(a, b, d)
-
-    def __rtruediv__(self, other):
-        if isinstance(other, _RatLike):
-            return CRat(other) / self
-        return NotImplemented
-
-    # -- structure -----------------------------------------------------
-
-    def conjugate(self) -> "CRat":
-        return _crat(self._a, -self._b, self._d)
-
-    def abs2(self) -> Fraction:
-        """Exact squared modulus."""
-        a, b, d = self._a, self._b, self._d
-        return Fraction(a * a + b * b, d * d)
+            o = _rational(other)
+            if o is None:
+                return NotImplemented
+            (p, r), q = o, 0
+        P, Q, R = self._p, self._q, self._r
+        if q:
+            # multiply by the conjugate of the divisor, whose norm is
+            # p^2 - q^2 d != 0 (d is squarefree and not 1)
+            norm = p * p - q * q * D
+            P, Q, R = (P * p - Q * q * D) * r, (Q * p - P * q) * r, R * norm
+        elif p:
+            P, Q, R = P * r, Q * r, R * p
+        else:
+            raise ZeroDivisionError(self._ZERO_DIVISION)
+        if R < 0:
+            P, Q, R = -P, -Q, -R
+        return _norm(cls, P, Q, R, D)
 
     def __bool__(self):
-        return self._a != 0 or self._b != 0
+        return self._p != 0 or self._q != 0
 
     def __eq__(self, other):
-        if type(other) is CRat:
-            return self._a == other._a and self._b == other._b and self._d == other._d
-        if isinstance(other, int):
-            return not self._b and self._d == 1 and self._a == other
-        if isinstance(other, Fraction):
+        if type(other) is type(self):
             return (
-                not self._b
-                and self._a == other.numerator
-                and self._d == other.denominator
+                self._p == other._p
+                and self._q == other._q
+                and self._r == other._r
+                and self._d == other._d
             )
+        if isinstance(other, int):
+            return not self._q and self._r == 1 and self._p == other
+        if isinstance(other, Fraction):
+            return not self._q and self._p == other.numerator and self._r == other.denominator
         return NotImplemented
 
     def __hash__(self):
         # a real value hashes as the equal int or Fraction
-        if self._b:
-            return hash((self._a, self._b, self._d))
-        if self._d == 1:
-            return hash(self._a)
-        return hash(Fraction(self._a, self._d))
+        if self._q:
+            return hash((self._p, self._q, self._r, self._d))
+        if self._r == 1:
+            return hash(self._p)
+        return hash(Fraction(self._p, self._r))
+
+
+_new = object.__new__
+
+
+def _norm(cls, p: int, q: int, r: int, d: int):
+    """The ``cls`` number (p + q sqrt(d)) / r from ints with r > 0 and d
+    squarefree (trusted, never factored), divided down to normal form."""
+    if not q:
+        d = 1
+    if r != 1:
+        g = gcd(p, q, r)
+        if g != 1:
+            p, q, r = p // g, q // g, r // g
+    z = _new(cls)
+    z._p = p
+    z._q = q
+    z._r = r
+    z._d = d
+    return z
+
+
+def _rational(x):
+    """``(p, r)`` of an int or a Fraction x = p / r, else None."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return None
+
+
+def _field(Q: int, d: int) -> int:
+    """The field of a result whose second operand is irrational in the
+    field d and whose first has irrational part Q in another field."""
+    if Q:
+        raise ValueError("mixed radicands")
+    return d
+
+
+class CRat(_QuadField):
+    """Complex number with exact rational real and imaginary parts.
+
+    The field d = -1 of ``_QuadField``: (a + b i) / r with i = sqrt(-1).
+    Results with r = 1 (Gaussian integers: every gamma matrix entry and
+    most columns of the Dirac operator) need no gcd at all.  ``re`` and
+    ``im`` are read-only ``Fraction`` views.
+    """
+
+    __slots__ = ()
+    _ZERO_DIVISION = "division by zero CRat"
+
+    def __init__(self, re=0, im=0):
+        super().__init__(as_rat(re), as_rat(im), -1)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._p, self._r)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._q, self._r)
+
+    def __rtruediv__(self, other):
+        if isinstance(other, (Fraction, int)):
+            return CRat(other) / self
+        return NotImplemented
+
+    def conjugate(self) -> "CRat":
+        return _norm(CRat, self._p, -self._q, self._r, -1)
+
+    def abs2(self) -> Fraction:
+        """Exact squared modulus."""
+        return Fraction(self._p ** 2 + self._q ** 2, self._r ** 2)
 
     def __complex__(self):
-        d = self._d
-        return complex(self._a / d, self._b / d)
+        return complex(self._p / self._r, self._q / self._r)
 
     def __repr__(self):
         return f"CRat({self.re!s}, {self.im!s})"
 
     def __str__(self):
         # matrix dump format: "a/b+c/d i" with an explicit sign
-        if self._b >= 0:
+        if self._q >= 0:
             return f"{fmt_rat(self.re)}+{fmt_rat(self.im)} i"
         return f"{fmt_rat(self.re)}-{fmt_rat(-self.im)} i"
-
-
-_new = object.__new__
-
-
-def _crat(a: int, b: int, d: int) -> CRat:
-    """CRat from a triple already in normal form (no checks)."""
-    z = _new(CRat)
-    z._a = a
-    z._b = b
-    z._d = d
-    return z
-
-
-def _norm(a: int, b: int, d: int) -> CRat:
-    """CRat from a triple with d > 0, divided down to normal form."""
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            a //= g
-            b //= g
-            d //= g
-    z = _new(CRat)
-    z._a = a
-    z._b = b
-    z._d = d
-    return z
 
 
 def parse_crat(text: str) -> CRat:

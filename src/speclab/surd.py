@@ -6,21 +6,19 @@ A chain never leaves the field it starts in: the step lambda -> lambda^-
 acts on nu = sqrt(4*lambda + 1) as nu -> |nu - 2|, so the radicand is
 fixed once and for all and no nested radicals arise.
 
-A ``Quad`` is four Python ints, (p + q*sqrt(d)) / r, in the normal form
-``CRat`` uses for (a + b i) / d: r > 0, gcd(p, q, r) = 1, d squarefree,
-and q = 0, d = 1 for a rational.  Equal values have equal ints, and
-arithmetic, signs and comparisons are int arithmetic plus at most one
-``math.gcd`` per result.  Only the public constructor ``Quad(a, b, d)``
-and ``Quad.sqrt`` factor a radicand; every result of arithmetic goes
-through ``_quad``, which trusts that d is already squarefree.
+A ``Quad`` is the real case of ``scalars._QuadField``: (p + q*sqrt(d)) / r
+on four ints in the normal form it shares with ``CRat``, with ``==`` and
+the ordering as exact int sign tests.  Only ``Quad(a, b, d)`` and
+``Quad.sqrt`` factor a radicand; every arithmetic result goes through
+``scalars._norm``, which trusts that d is already squarefree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
-from .scalars import as_rat
+from .scalars import _norm, _QuadField, as_rat
 
 
 def squarefree_split(m: int):
@@ -56,17 +54,16 @@ def rational_sqrt(q: Fraction):
     return None
 
 
-class Quad:
+class Quad(_QuadField):
     """a + b*sqrt(d) with exact rational a, b and squarefree integer d > 1.
 
-    Stored as ints (p + q*sqrt(d)) / r in normal form (see the module
-    docstring); values that collapse to rationals have q == 0, d == 1.
-    ``a`` and ``b`` are read-only ``Fraction`` views, a rational hashes as
-    the equal ``Fraction``, and comparisons are exact sign determinations,
-    no floating point.
+    The real fields of ``_QuadField``; values that collapse to rationals
+    have q == 0, d == 1.  ``a`` and ``b`` are read-only ``Fraction`` views,
+    and comparisons are exact sign determinations, no floating point.
     """
 
-    __slots__ = ("_p", "_q", "_r", "_d")
+    __slots__ = ()
+    _ZERO_DIVISION = "division by zero in Q[sqrt(d)]"
 
     def __init__(self, a, b=0, d=1):
         a, b = as_rat(a), as_rat(b)
@@ -80,13 +77,7 @@ class Quad:
                 a, b = a + b * s, _ZERO
             else:
                 b *= s
-        u, v = a.denominator, b.denominator
-        r = u * v // gcd(u, v)
-        # over the lcm of two lowest-terms denominators, gcd(p, q, r) = 1
-        self._p = a.numerator * (r // u)
-        self._q = b.numerator * (r // v)
-        self._r = r
-        self._d = d
+        super().__init__(a, b, d)
 
     # -- constructors ------------------------------------------------------
 
@@ -96,14 +87,14 @@ class Quad:
         x = as_rat(x)
         root = rational_sqrt(x)
         if root is not None:
-            return _quad(root.numerator, 0, root.denominator, 1)
+            return _norm(Quad, root.numerator, 0, root.denominator, 1)
         # sqrt(m/k) = sqrt(m k) / k; m and k are coprime, so splitting each
         # (far cheaper than splitting m k) gives coprime squarefree parts
         # whose product is the squarefree part of m k
         m, k = x.numerator, x.denominator
         s, e = squarefree_split(m)
         t, f = squarefree_split(k)
-        return _quad(0, s * t, k, e * f)
+        return _norm(Quad, 0, s * t, k, e * f)
 
     # -- views -------------------------------------------------------------
 
@@ -128,64 +119,14 @@ class Quad:
             raise ValueError(f"{self} is irrational")
         return Fraction(self._p, self._r)
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def _field(self, q, d):
-        """The common radicand of self and an operand with parts q, d."""
-        if not self._q:
-            return d
-        if q and d != self._d:
-            raise ValueError("mixed radicands")
-        return self._d
-
-    def __add__(self, other):
-        p, q, r, d = _operand(other)
-        d = self._field(q, d)
-        P, Q, R = self._p, self._q, self._r
-        return _quad(P * r + p * R, Q * r + q * R, R * r, d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        p, q, r, d = _operand(other)
-        d = self._field(q, d)
-        P, Q, R = self._p, self._q, self._r
-        return _quad(P * r - p * R, Q * r - q * R, R * r, d)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return _quad(-self._p, -self._q, self._r, self._d)
-
-    def __mul__(self, other):
-        p, q, r, d = _operand(other)
-        d = self._field(q, d)
-        P, Q = self._p, self._q
-        return _quad(P * p + Q * q * d, P * q + Q * p, self._r * r, d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        p, q, r, d = _operand(other)
-        d = self._field(q, d)
-        # multiply by the conjugate of the divisor
-        norm = p * p - q * q * d
-        if not norm:
-            raise ZeroDivisionError("division by zero in Q[sqrt(d)]")
-        P, Q = self._p, self._q
-        return _quad((P * p - Q * q * d) * r, (Q * p - P * q) * r, self._r * norm, d)
-
     # -- exact ordering --------------------------------------------------------
 
     def sign(self) -> int:
         return _sign(self._p, self._q, self._d)
 
     def _cmp(self, other) -> int:
-        p, q, r, d = _operand(other)
-        d = self._field(q, d)
-        R = self._r
-        return _sign(self._p * r - p * R, self._q * r - q * R, d)
+        # a TypeError for an operand that does not subtract
+        return (self - other).sign()
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -200,16 +141,12 @@ class Quad:
         return self._cmp(other) >= 0
 
     def __eq__(self, other):
+        # through the ordering, so mixed radicands raise here too
         if isinstance(other, (Quad, Fraction, int)):
             return self._cmp(other) == 0
         return NotImplemented
 
-    def __hash__(self):
-        if self._q:
-            return hash((self._p, self._q, self._r, self._d))
-        if self._r == 1:
-            return hash(self._p)
-        return hash(Fraction(self._p, self._r))
+    __hash__ = _QuadField.__hash__
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -235,39 +172,6 @@ class Quad:
 
 
 _ZERO = Fraction(0)
-_new = object.__new__
-
-
-def _quad(p: int, q: int, r: int, d: int) -> Quad:
-    """Quad (p + q*sqrt(d)) / r from ints with r != 0 and d squarefree
-    (trusted, never factored), divided down to normal form."""
-    if not q:
-        d = 1
-    if r < 0:
-        p, q, r = -p, -q, -r
-    if r != 1:
-        g = gcd(p, q, r)
-        if g != 1:
-            p //= g
-            q //= g
-            r //= g
-    z = _new(Quad)
-    z._p = p
-    z._q = q
-    z._r = r
-    z._d = d
-    return z
-
-
-def _operand(x):
-    """The ints (p, q, r, d) of a Quad, an int or a Fraction (anything
-    else goes through ``as_rat``)."""
-    if isinstance(x, Quad):
-        return x._p, x._q, x._r, x._d
-    if isinstance(x, int):
-        return x, 0, 1, 1
-    x = as_rat(x)
-    return x.numerator, 0, x.denominator, 1
 
 
 def _sign(p: int, q: int, d: int) -> int:

@@ -780,3 +780,23 @@ def test_rebound_command_is_dispatched(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_spectrum", fake_spectrum)
     assert run(capsys, "spectrum", "scalar", "--count", "3") == (7, "", "")
     assert seen == [3]
+
+
+def test_golden_session_stream(capsys, monkeypatch):
+    # the benchmark's CLI requests, run in one process: the 500 session
+    # requests of seeds 1-5 and the verify-cold argv; each answer
+    # (argv, exit code, stdout, stderr) is pinned to the byte.  The requests
+    # come from perfbench/clireq.py, so a benchmark change that edits
+    # clireq re-pins this digest.
+    import runpy
+
+    clireq = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "clireq.py"))
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [clireq["VERIFY_COLD_ARGV"]]
+    for seed in range(1, 6):
+        argvs += clireq["session_requests"](seed)
+    assert len(argvs) == 501
+    h = hashlib.sha256()
+    for argv in argvs:
+        h.update(repr((argv, *run(capsys, *argv))).encode())
+    assert h.hexdigest() == "bbc4cb7f838d130cba035763bb4335ba31f30c650c8560653439d0dd44b7a647"

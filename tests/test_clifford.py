@@ -773,6 +773,30 @@ def test_adjacent_span_rank_names_the_first_failing_level(monkeypatch, cold_dira
     assert failed["adjacent_span_rank"] == {"level": 1, "sign": 1}
 
 
+def test_adjacent_span_rank_checks_membership_not_only_rank(monkeypatch, cold_dirac_caches):
+    # the adjacent levels with their signs flipped have the same total
+    # dimension (at n = 2, (1,+1)+(0,-1) becomes (1,-1)+(0,+1), 6 = 6), so
+    # only the span-membership half of the check can tell them apart
+    real = clifford._adjacent_levels
+    for j in range(2):
+        for sign in (1, -1):
+            assert clifford._span_rank_identity(2, j, sign)
+            levels = real(2, j, sign)
+            flipped = [(mu_j, -mu_sign) for mu_j, mu_sign in levels]
+            dims = [sum(len(eigenspinor_basis(2, *mu)) for mu in ls) for ls in (levels, flipped)]
+            assert flipped != levels and dims[0] == dims[1]
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            clifford,
+            "_adjacent_levels",
+            lambda n, j, sign: [(mu_j, -mu_sign) for mu_j, mu_sign in real(n, j, sign)],
+        )
+        clifford._SPAN_CACHE.clear()
+        for j in range(2):
+            for sign in (1, -1):
+                assert not clifford._span_rank_identity(2, j, sign), (j, sign)
+
+
 def test_wrong_dirac_column_model_is_refused_or_matches_kernels(monkeypatch, cold_dirac_caches):
     # every column the n=2, N=1 suite builds, corrupted in turn: the model
     # either refuses to certify or agrees with the kernel dimensions

@@ -62,11 +62,12 @@ class RefCRat:
 def _normal(z):
     """The parts of z, after checking the normal form of its int triple."""
     assert type(z) is CRat
-    a, b, d = z._a, z._b, z._d
+    a, b, d, radicand = z._p, z._q, z._r, z._d
     assert type(a) is int and type(b) is int and type(d) is int
     assert d > 0
     assert math.gcd(a, b, d) == 1
     assert (a, b) != (0, 0) or d == 1
+    assert radicand == (-1 if b else 1)
     assert type(z.re) is Fraction and type(z.im) is Fraction
     return z.re, z.im
 

@@ -501,6 +501,54 @@ def test_summed_laws_see_a_corruption_at_one_index(monkeypatch):
     assert failed["conformal_covariance"]["index"] == 3
 
 
+def _scalar_corruptions() -> dict:
+    """Name -> (scalar_ops name to rebind, corrupted operator)."""
+    D, L = scalar_ops.conformal_laplacian, scalar_ops.laplacian
+    LT = scalar_ops.laplacian_via_conformal_fields
+    good_u, good_x = scalar_ops.U, scalar_ops.coordinate_mul
+    return {
+        "D + 1": ("conformal_laplacian", lambda p: D(p) + p),
+        "L + 1": ("laplacian", lambda p: L(p) + p),
+        "LT + 1": ("laplacian_via_conformal_fields", lambda p: LT(p) + p),
+        "U_i + x_i": ("U", lambda i, p: good_u(i, p) + good_x(i, p)),
+        "2 U_i": ("U", lambda i, p: good_u(i, p) * 2),
+        "2 x_i": ("coordinate_mul", lambda i, p: good_x(i, p) * 2),
+    }
+
+
+# row id of verify_scalar_identities(3, 3) -> the corruptions that fail it
+_SHIFTED_ROWS = [f"shifted_square_sum_a={a}" for a in ("1", "-1", "3/2", "-3/2")]
+SCALAR_CORRUPTION_TABLE = {
+    "spectrum_generating_commutator": {"U_i + x_i", "2 U_i", "2 x_i"},
+    "conformal_covariance": {"D + 1", "U_i + x_i", "2 U_i", "2 x_i"},
+    "coordinate_anticommutator": {"U_i + x_i"},
+    "coordinate_commutator": {"2 U_i", "2 x_i"},
+    "laplacian_two_routes": {"L + 1", "LT + 1"},
+    "u_square_sum": {"D + 1", "U_i + x_i", "2 U_i"},
+    **{row: {"U_i + x_i", "2 x_i"} for row in _SHIFTED_ROWS},
+}
+
+
+def test_scalar_corruption_table(monkeypatch):
+    # every row of the scalar suite fails under some corruption, and each
+    # corruption, run once, fails exactly the rows the table names for it
+    # (the scalar operators keep no memo, so there is no cache to clear)
+    rows = [c.identity_id for c in verify_scalar_identities(3, 3).checks]
+    assert sorted(rows) == sorted(SCALAR_CORRUPTION_TABLE)
+    assert all(SCALAR_CORRUPTION_TABLE.values())
+    corruptions = _scalar_corruptions()
+    failing = {}
+    for name, (attr, corrupted) in corruptions.items():
+        with monkeypatch.context() as mp:
+            mp.setattr(scalar_ops, attr, corrupted)
+            failing[name] = {c.identity_id for c in verify_scalar_identities(3, 3).failures()}
+    want = {
+        name: {row for row, names in SCALAR_CORRUPTION_TABLE.items() if name in names}
+        for name in corruptions
+    }
+    assert failing == want
+
+
 def test_eigenspace_cache_stays_bounded(monkeypatch):
     want = {(n, j): build_eigenspace(n, j).funcs for n in (2, 3) for j in range(5)}
     monkeypatch.setattr(scalar_ops, "_EIGENSPACE_CACHE", {})

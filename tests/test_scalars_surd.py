@@ -1,5 +1,7 @@
 """Exact scalar types: complex rationals and quadratic surds."""
 
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -121,3 +123,52 @@ def test_sqrt_in_field():
 def test_quad_mixed_radicand_guard():
     with pytest.raises(ValueError):
         Quad(0, 1, 2) + Quad(0, 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# the shared quadratic-field core: CRat (d = -1) and Quad (d > 1)
+# ---------------------------------------------------------------------------
+
+_CRATS = [CRat(0), CRat(1), CRat(Fraction(3, 4)), CRat(0, 1), CRat(Fraction(1, 2), -2)]
+_QUADS = [Quad(0), Quad(1), Quad(Fraction(3, 4)), Quad(0, 1, 2), Quad(Fraction(1, 2), -2, 5)]
+
+
+def test_crat_and_quad_never_mix():
+    # equal-valued rationals of the two classes included: no operation
+    # between them returns a number, and == is False both ways
+    for z in _CRATS:
+        for x in _QUADS:
+            for a, b in ((z, x), (x, z)):
+                for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                    with pytest.raises(TypeError):
+                        op(a, b)
+                assert (a == b) is False and (a != b) is True
+                with pytest.raises(TypeError):
+                    a < b
+
+
+def test_quad_zero_is_falsy():
+    assert not Quad(0) and not Quad(0, 0, 7) and not Quad(1, 1, 2) - Quad(1, 1, 2)
+    assert Quad(1) and Quad(0, 1, 2) and Quad(Fraction(-1, 3), 1, 3)
+    assert not CRat(0) and CRat(0, 1)
+
+
+def test_quad_survives_pickle():
+    for x in _QUADS + [Quad(2, -1, 13), Quad.sqrt(Fraction(7, 12))]:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(x, protocol=protocol))
+            assert type(back) is Quad
+            assert (back._p, back._q, back._r, back._d) == (x._p, x._q, x._r, x._d)
+            assert back == x and hash(back) == hash(x) and repr(back) == repr(x)
+
+
+def test_strings_are_not_operands():
+    # numbers only: a string such as "1/2" is parsed by the constructors,
+    # never coerced by the arithmetic
+    for x in (Quad(1, 1, 2), Quad(Fraction(1, 3)), CRat(1, 1)):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(x, "1/2")
+            with pytest.raises(TypeError):
+                op("1/2", x)
+    assert Quad("1/2") == Fraction(1, 2) and CRat("1/2", "-1") == CRat(Fraction(1, 2), -1)
