@@ -1,11 +1,14 @@
 """Matrix/polynomial model of spinor fields and the Dirac operator on S^n.
 
 The gamma matrices e_0..e_n (square -1, pairwise anticommuting) act on a
-spinor space of dimension 2^floor((n+1)/2) and are built by the standard
-tensor-product construction with exact Gaussian-rational entries; each
-e_i and each e_i e_j keeps its signed slot permutation, which the
-Clifford products of ``clifford_x`` and ``angular_apply`` apply without
-reading the matrix.  A polynomial spinor field is a vector of sphere
+spinor space of dimension 2^floor((n+1)/2).  Each is i times a tensor
+product of Pauli matrices, so it moves every slot to one other slot with
+a sign +-1 or +-i; ``GammaAlgebra`` holds only these signed slot moves,
+for each e_i and each product e_i e_j, read off the tensor factors.  The
+Clifford products of ``clifford_x`` and ``angular_apply`` and the rows of
+the monogenic kernel all apply them, and the identity suite checks them
+through its own x. as the law x. x. = -1 (``CLIFFORD_LAW``), which is
+the Clifford relations.  A polynomial spinor field is a vector of sphere
 polynomials with Gaussian rational coefficients, stored as
 Gaussian-integer numerators (one real and one imaginary int map, keyed by
 the normal-form exponent with the slot appended) over one shared,
@@ -34,11 +37,11 @@ these column sums included, is one accumulation on ints (``_combine``)
 over coefficients (p + q i) / r given as int triples (p, q, r).
 
 The identity suite memoizes three more results beside those tables, each
-bounded the same way: x. per spinor (``_x_image``: the x. P + P x. row
-and the footholds; ``clifford_x``, and so ``dirac_reference``, keeps the
-plain product), the span ranks of ``_span_rank_identity`` per (n, j,
-sign), and the truncation outcome per (n, N) inside
-``verify_spinor_identities`` (``truncation_matrices`` and
+bounded the same way: x. per spinor (``_x_image``: the x. x. and
+x. P + P x. rows and the footholds; ``clifford_x``, and so
+``dirac_reference``, keeps the plain product), the span ranks of
+``_span_rank_identity`` per (n, j, sign), and the truncation outcome per
+(n, N) inside ``verify_spinor_identities`` (``truncation_matrices`` and
 ``TruncationModel.spectrum`` stay unmemoized).  ``_clear_operator_caches``
 empties all nine tables, so every change of P goes through it.  A warm
 suite then builds no column, makes no Clifford product and reduces no
@@ -90,14 +93,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm, prod
 
 from . import _kernel
-from .linalg import (
-    coords_in_span_multi,
-    echelon_coords,
-    mat_mul,
-    mat_scale,
-    nullspace,
-    rref,
-)
+from .linalg import coords_in_span_multi, echelon_coords, nullspace, rref
 from .polynomial import (
     SpherePoly,
     _poly,
@@ -117,22 +113,49 @@ from .spectral import _odd_poly_coeffs
 # ---------------------------------------------------------------------------
 
 
-def _kron(a, b):
-    out = []
-    for ra in a:
-        for rb in b:
-            out.append([x * y for x in ra for y in rb])
+# i^t as (p, q) with i^t = p + q i
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+# the Pauli matrices sigma_1..sigma_3 and the identity 0 by name: the bit
+# flip of each and the phase i^t it gives a column bit 0 or 1, as t
+_PAULI = {"0": (0, (0, 0)), "1": (1, (0, 0)), "2": (1, (1, 3)), "3": (0, (0, 2))}
+
+
+def _pauli_moves(word: str) -> dict:
+    """The signed slot moves ``{column: (row, p, q)}``, entry p + q i, of i
+    times the tensor product of the Pauli factors named in ``word`` (the
+    first one on the highest bit of the slot)."""
+    m = len(word)
+    move = {}
+    for col in range(2 ** m):
+        row, t = col, 1
+        for bit, name in zip(range(m - 1, -1, -1), word):
+            flip, phases = _PAULI[name]
+            row ^= flip << bit
+            t += phases[col >> bit & 1]
+        move[col] = (row,) + _I_POWERS[t % 4]
+    return move
+
+
+def _product_moves(a: dict, b: dict) -> dict:
+    """The slot moves of the product A B (B applied first)."""
+    out = {}
+    for col, (r, p, q) in b.items():
+        row, s, t = a[r]
+        out[col] = (row, p * s - q * t, p * t + q * s)
     return out
 
 
-_SIGMA1 = [[CRat(0), CRat(1)], [CRat(1), CRat(0)]]
-_SIGMA2 = [[CRat(0), CRat(0, -1)], [CRat(0, 1), CRat(0)]]
-_SIGMA3 = [[CRat(1), CRat(0)], [CRat(0), CRat(-1)]]
-_ID2 = [[CRat(1), CRat(0)], [CRat(0), CRat(1)]]
-
-
 class GammaAlgebra:
-    """Exact gamma matrices e_0..e_n with e_i e_j + e_j e_i = -2 delta_ij."""
+    """Gamma matrices e_0..e_n with e_i e_j + e_j e_i = -2 delta_ij, held as
+    signed slot moves.
+
+    With m = floor((n+1)/2), e_{2a-2} and e_{2a-1} (a = 1..m) are i times
+    sigma_3^(a-1) x sigma_1 or sigma_2 x 1^(m-a), and e_2m is i times
+    sigma_3^m.  Each is a signed slot permutation: ``moves[i]`` maps each
+    slot to its image slot with a sign +-1 or +-i, and ``pair_moves[i, j]``
+    (i < j) holds the product e_i e_j.  ``e(i)`` is the dense ``CRat``
+    view of e_i.
+    """
 
     def __init__(self, n: int):
         if n < 2:
@@ -140,58 +163,23 @@ class GammaAlgebra:
         self.n = n
         m = (n + 1) // 2
         self.dim_spin = 2 ** m
-        hermitian = []
-        for a in range(1, m + 1):
-            for sig in (_SIGMA1, _SIGMA2):
-                mat = [[CRat(1)]]
-                for _ in range(a - 1):
-                    mat = _kron(mat, _SIGMA3)
-                mat = _kron(mat, sig)
-                for _ in range(m - a):
-                    mat = _kron(mat, _ID2)
-                hermitian.append(mat)
-        top = [[CRat(1)]]
-        for _ in range(m):
-            top = _kron(top, _SIGMA3)
-        hermitian.append(top)
-        i_unit = CRat(0, 1)
-        self.matrices = [mat_scale(g, i_unit) for g in hermitian[: n + 1]]
-        self._pair_cache: dict = {}
-        # the signed slot moves of each e_i and each e_i e_j (i < j), read
-        # once here instead of on every product
-        self.moves = [_slot_moves(g) for g in self.matrices]
-        self.pair_moves = {
-            (i, j): _slot_moves(self.pair(i, j)) for i in range(n + 1) for j in range(i + 1, n + 1)
-        }
+        words = ["3" * (a - 1) + s + "0" * (m - a) for a in range(1, m + 1) for s in "12"]
+        self.moves = [_pauli_moves(w) for w in words + ["3" * m]][: n + 1]
+        pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+        self.pair_moves = {(i, j): _product_moves(self.moves[i], self.moves[j]) for i, j in pairs}
 
-    def e(self, i: int):
-        return self.matrices[i]
-
-    def pair(self, i: int, j: int):
-        """Cached product e_i e_j."""
-        key = (i, j)
-        if key not in self._pair_cache:
-            self._pair_cache[key] = mat_mul(self.matrices[i], self.matrices[j])
-        return self._pair_cache[key]
-
-    def check_relations(self) -> bool:
-        d = self.dim_spin
-        for i in range(self.n + 1):
-            for j in range(i, self.n + 1):
-                anti = [
-                    [self.pair(i, j)[r][c] + self.pair(j, i)[r][c] for c in range(d)]
-                    for r in range(d)
-                ]
-                want = CRat(-2) if i == j else CRat(0)
-                for r in range(d):
-                    for c in range(d):
-                        expect = want if r == c else CRat(0)
-                        if anti[r][c] != expect:
-                            return False
-        return True
+    def e(self, i: int) -> list:
+        """e_i as a dense matrix of ``CRat`` entries."""
+        if not 0 <= i <= self.n:
+            raise IndexError(f"gamma index {i} out of range for S^{self.n}")
+        mat = [[CRat(0)] * self.dim_spin for _ in range(self.dim_spin)]
+        for col, (row, p, q) in self.moves[i].items():
+            mat[row][col] = CRat(p, q)
+        return mat
 
 
-@lru_cache(maxsize=None)
+# bounded: the build takes about a millisecond
+@lru_cache(maxsize=8)
 def gamma_algebra(n: int) -> GammaAlgebra:
     return GammaAlgebra(n)
 
@@ -210,20 +198,6 @@ def _gaussian(c) -> tuple:
         return c.numerator, 0, c.denominator
     z = c if t is CRat else CRat(c)
     return z._p, z._q, z._r
-
-
-def _slot_moves(mat) -> dict | None:
-    """The signed slot moves ``{column: (row, p, q)}`` of a matrix of
-    Gaussian rationals with one entry p + q i = +-1 or +-i per row and
-    column (every gamma matrix and every product of two), or None for any
-    other matrix."""
-    entries = [
-        (r, c, _gaussian(z)) for r, row in enumerate(mat) for c, z in enumerate(row) if z
-    ]
-    move = {c: (r, p, q) for r, c, (p, q, d) in entries if d == 1 and p * p + q * q == 1}
-    if len(move) == len(entries) == len({r for r, _, _ in move.values()}) == len(mat):
-        return move
-    return None
 
 
 def _gaussian_terms(p: SpherePoly) -> tuple:
@@ -331,6 +305,8 @@ class SpinorPoly:
     @classmethod
     def unit(cls, n: int, slot: int, poly: SpherePoly | None = None) -> "SpinorPoly":
         d = gamma_algebra(n).dim_spin
+        if not 0 <= slot < d:
+            raise IndexError(f"slot {slot} out of range for S^{n}")
         comps = [SpherePoly.zero(n)] * d
         comps[slot] = poly if poly is not None else SpherePoly.one(n)
         return cls(n, comps)
@@ -381,7 +357,7 @@ class SpinorPoly:
         return self._termwise(lambda t: _kernel.reduce_terms(shift_terms(t, 0), n))
 
     def _move_slots(self, move: dict) -> "SpinorPoly":
-        """A signed slot permutation ``move`` of ``_slot_moves`` applied:
+        """The signed slot moves ``move`` of a ``GammaAlgebra`` applied:
         each key moves to its entry's row with the entry's sign, and to the
         other map for an entry +-i."""
         re_out, im_out = {}, {}
@@ -649,20 +625,13 @@ def _monogenic_basis_cached(n: int, k: int) -> tuple:
         return tuple(SpinorPoly.unit(n, c) for c in range(d))
     col_index = {ce: idx for idx, ce in enumerate(cols)}
     lower = sorted(monomials_of_degree(n + 1, k - 1))
-    rows = []
-    for r in range(d):
-        for f in lower:
-            row = [CRat(0)] * len(cols)
-            for i in range(n + 1):
-                e = list(f)
-                e[i] += 1
-                e = tuple(e)
-                mult = f[i] + 1
-                for c in range(d):
-                    g = alg.e(i)[r][c]
-                    if g:
-                        row[col_index[e + (c,)]] += g * mult
-            rows.append(row)
+    rows = [[CRat(0)] * len(cols) for _ in range(d * len(lower))]
+    for fi, f in enumerate(lower):
+        for i in range(n + 1):
+            e = f[:i] + (f[i] + 1,) + f[i + 1 :]
+            mult = f[i] + 1
+            for c, (r, p, q) in alg.moves[i].items():
+                rows[r * len(lower) + fi][col_index[e + (c,)]] += CRat(p * mult, q * mult)
     basis_vecs = nullspace(rows, ncols=len(cols))
     expected = monogenic_dimension(n, k)
     if len(basis_vecs) != expected:
@@ -930,6 +899,14 @@ def spinor_laws(n: int, k_max: int) -> list:
     return laws
 
 
+# The Clifford relations as the law x. x. = -1 on the sphere: x. x. + 1 =
+# Q(x) + |x|^2 there, with Q(x) = sum_ij x_i x_j e_i e_j a homogeneous
+# quadratic form, so the law holds exactly when Q(x) = -|x|^2, which is
+# e_i e_j + e_j e_i = -2 delta_ij; the constant unit spinors check it.
+CLIFFORD_LAW = (
+    "clifford_relations", "e_i e_j + e_j e_i = -2 delta_ij", False, [(1, "X X"), (1, "")]
+)
+
 # The eigenspace rows of ``verify_spinor_identities``, as laws of P with L
 # meaning P applied first: 2 U_i = P^2 x_i - x_i P^2, and
 # ((P - L)^2 - 1)(P + L) x_i = 0.
@@ -956,13 +933,15 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
     """Exact verification of every spinor operator identity, with the odd
     intertwinors of order 2k+1 for k = 0..N.
 
-    The operator identities, the ladder rows included, are applied exactly
-    to the full spinor monomial basis of degree <= N (no truncation
-    artifacts).  ``dirac_anticommutes_with_x``, x. P + P x. = 0, runs on
-    the normal-form unit spinors of degree <= N + 3, so it reads every
-    column of P that the suite builds (degree <= N + 4).  It holds because
-    P = x.(G - n/2) and (x.)^2 = -1 give x. P = -(G - n/2), and x.
-    anticommutes with G - n/2, so P x. = x.(G - n/2) x. = G - n/2.
+    ``clifford_relations`` comes first, as x. x. = -1 on the constant unit
+    spinors (``CLIFFORD_LAW``).  The operator identities, the ladder rows
+    included, are applied exactly to the full spinor monomial basis of
+    degree <= N (no truncation artifacts).  ``dirac_anticommutes_with_x``,
+    x. P + P x. = 0, runs on the normal-form unit spinors of degree
+    <= N + 3, so it reads every column of P that the suite builds (degree
+    <= N + 4).  It holds because P = x.(G - n/2) and (x.)^2 = -1 give
+    x. P = -(G - n/2), and x. anticommutes with G - n/2, so P x. =
+    x.(G - n/2) x. = G - n/2.
 
     The two eigenspace rows are laws of P on the degree <= N monomials
     too, with L meaning P applied first, as lam in the ladder rows.
@@ -983,15 +962,15 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
     if not 1 <= N <= 2:
         raise ValueError("N must be 1 or 2")
     report = VerificationReport(scope="spinor", n=n, degree_cap=N)
-    alg = gamma_algebra(n)
-    report.add("clifford_relations", "e_i e_j + e_j e_i = -2 delta_ij", alg.check_relations())
+    d = gamma_algebra(n).dim_spin
 
     def units(degree):  # the normal-form unit spinors of degree <= degree
-        return [_unit(n, c, e) for c in range(alg.dim_spin) for e in normal_monomials(n, degree)]
+        return [_unit(n, c, e) for c in range(d) for e in normal_monomials(n, degree)]
 
     # built per call, so that a rebound module-level name (a patch, a tracer) is used
     ops = {"P": dirac_apply, "X": _x_image}
     indexed_ops = {"x": lambda i, psi: psi.coordinate_mul(i), "U": U_spin, "y": y_apply}
+    report.check_laws(units(0), [CLIFFORD_LAW], ops, indexed_ops)
     report.check_laws(units(N), spinor_laws(n, N), ops, indexed_ops)
     x_law = ("dirac_anticommutes_with_x", "x. P + P x. = 0", False, [(1, "X P"), (1, "P X")])
     report.check_laws(units(N + 3), [x_law], ops, indexed_ops)

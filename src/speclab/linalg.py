@@ -1,8 +1,10 @@
-"""Exact dense linear algebra over Fraction or CRat entries.
+"""Exact row reduction over Fraction or CRat entries: ranks, kernels and
+span membership.
 
-Everything is small lists of lists; the point is exactness (ranks,
-kernels, span membership) rather than scale.  Row reduction is
-``_kernel.rref``, which works over any exact field.
+Matrices are small lists of rows; the point is exactness rather than
+scale.  Row reduction is ``_kernel.rref``, which works over any exact
+field.  No matrix products live here: the gamma matrices act as signed
+slot moves (``clifford.GammaAlgebra``).
 """
 
 from __future__ import annotations
@@ -94,20 +96,3 @@ def echelon_coords(rows: list, targets: list) -> list:
         out.append(None if any(residual) else coeffs)
     return out
 
-
-def mat_mul(a: list, b: list) -> list:
-    bt = list(zip(*b))
-    return [[_dot(row, col) for col in bt] for row in a]
-
-
-def _dot(u, v):
-    it = iter(zip(u, v))
-    x, y = next(it)
-    acc = x * y
-    for x, y in it:
-        acc = acc + x * y
-    return acc
-
-
-def mat_scale(a: list, c) -> list:
-    return [[c * x for x in row] for row in a]

@@ -3,9 +3,11 @@
 Each one recomputes something the package does by a different route:
 exact evaluation at a point, harmonic dimensions by the rank of the
 ambient Laplacian, the unit-step descent of an off-lattice Dirac
-candidate, a dense row reduction to compare ``_kernel.rref`` with, and
-the two-Fraction quadratic surd (with the eigenvalue step and the scalar
-refutation on it) to compare ``speclab.surd.Quad`` with.
+candidate, a dense row reduction to compare ``_kernel.rref`` with, the
+two-Fraction quadratic surd (with the eigenvalue step and the scalar
+refutation on it) to compare ``speclab.surd.Quad`` with, and the gamma
+matrices as dense Kronecker products, with a dense matrix product, to
+compare the signed slot moves of ``clifford.GammaAlgebra`` with.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from math import isqrt
 
 from speclab import _kernel
 from speclab.polynomial import ambient_laplacian_terms, monomials_of_degree
-from speclab.scalars import as_rat
+from speclab.scalars import CRat, as_rat
 from speclab.surd import rational_sqrt, squarefree_split
 
 
@@ -335,3 +337,38 @@ def ref_refutation(n: int, lam) -> dict:
                 "final_below_bound": True,
             }
     raise AssertionError("descent did not reach the bound")
+
+
+def _kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+_SIGMA1 = [[CRat(0), CRat(1)], [CRat(1), CRat(0)]]
+_SIGMA2 = [[CRat(0), CRat(0, -1)], [CRat(0, 1), CRat(0)]]
+_SIGMA3 = [[CRat(1), CRat(0)], [CRat(0), CRat(-1)]]
+_ID2 = [[CRat(1), CRat(0)], [CRat(0), CRat(1)]]
+
+
+def kron_gamma_matrices(n: int) -> list:
+    """e_0..e_n as dense ``CRat`` matrices by the tensor-product
+    construction: with m = floor((n+1)/2), i times sigma_3^(a-1) x sigma
+    x 1^(m-a) for a = 1..m and sigma = sigma_1, sigma_2, then i times
+    sigma_3^m, the first n+1 of these."""
+    m = (n + 1) // 2
+    hermitian = []
+    for a in range(1, m + 1):
+        for sig in (_SIGMA1, _SIGMA2):
+            mat = [[CRat(1)]]
+            for factor in [_SIGMA3] * (a - 1) + [sig] + [_ID2] * (m - a):
+                mat = _kron(mat, factor)
+            hermitian.append(mat)
+    top = [[CRat(1)]]
+    for _ in range(m):
+        top = _kron(top, _SIGMA3)
+    hermitian.append(top)
+    return [[[CRat(0, 1) * x for x in row] for row in g] for g in hermitian[: n + 1]]
+
+
+def mat_mul(a: list, b: list) -> list:
+    """The dense matrix product A B."""
+    return [[sum((x * y for x, y in zip(row, col)), CRat(0)) for col in zip(*b)] for row in a]

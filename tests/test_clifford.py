@@ -35,7 +35,7 @@ from speclab.polynomial import SpherePoly, normal_monomials
 from speclab.report import VerificationReport
 from speclab.scalars import CRat
 
-from oracles import refute_dirac_candidate
+from oracles import kron_gamma_matrices, mat_mul, refute_dirac_candidate
 
 
 def rand_spinor(rng, n, deg=2):
@@ -60,10 +60,57 @@ def rand_spinor(rng, n, deg=2):
 
 
 def test_gamma_relations_up_to_six():
+    # the relations on dense products of the e(i) view, and x. x. = -1 on
+    # every constant unit spinor through the suite's own x.
     for n in range(2, 7):
         alg = gamma_algebra(n)
-        assert alg.dim_spin == 2 ** ((n + 1) // 2)
-        assert alg.check_relations()
+        d = alg.dim_spin
+        assert d == 2 ** ((n + 1) // 2)
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                ij, ji = mat_mul(alg.e(i), alg.e(j)), mat_mul(alg.e(j), alg.e(i))
+                want = CRat(-2) if i == j else CRat(0)
+                for r in range(d):
+                    for c in range(d):
+                        assert ij[r][c] + ji[r][c] == (want if r == c else CRat(0))
+        for slot in range(d):
+            u = SpinorPoly.unit(n, slot)
+            assert clifford_x(clifford_x(u)) == -u
+
+
+def test_gamma_moves_match_the_kronecker_oracle():
+    # e(i) entry by entry, and each pair move as the oracle product e_i e_j
+    for n in range(2, 7):
+        alg = gamma_algebra(n)
+        oracle = kron_gamma_matrices(n)
+        assert [alg.e(i) for i in range(n + 1)] == oracle
+        pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+        assert sorted(alg.pair_moves) == pairs
+        for i, j in pairs:
+            want = mat_mul(oracle[i], oracle[j])
+            got = [[CRat(0)] * alg.dim_spin for _ in range(alg.dim_spin)]
+            for c, (r, p, q) in alg.pair_moves[i, j].items():
+                got[r][c] = CRat(p, q)
+            assert got == want, (n, i, j)
+
+
+def test_negative_indices_are_refused():
+    with pytest.raises(IndexError, match="slot -1 out of range for S\\^2"):
+        SpinorPoly.unit(2, -1)
+    with pytest.raises(IndexError, match="slot 2 out of range for S\\^2"):
+        SpinorPoly.unit(2, 2)
+    with pytest.raises(IndexError, match="gamma index -1 out of range for S\\^2"):
+        gamma_algebra(2).e(-1)
+    with pytest.raises(IndexError, match="gamma index 3 out of range for S\\^2"):
+        gamma_algebra(2).e(3)
+
+
+def test_gamma_algebra_cache_is_bounded():
+    maxsize = gamma_algebra.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(2, 13):
+        assert gamma_algebra(n).dim_spin == 2 ** ((n + 1) // 2)
+    assert gamma_algebra.cache_info().currsize <= maxsize
 
 
 def test_gamma_traceless_and_square():
@@ -72,7 +119,7 @@ def test_gamma_traceless_and_square():
         for i in range(n + 1):
             tr = sum((alg.e(i)[r][r] for r in range(alg.dim_spin)), CRat(0))
             assert not tr
-            sq = alg.pair(i, i)
+            sq = mat_mul(alg.e(i), alg.e(i))
             for r in range(alg.dim_spin):
                 for c in range(alg.dim_spin):
                     assert sq[r][c] == (CRat(-1) if r == c else CRat(0))
@@ -685,12 +732,12 @@ def _spinor_corruptions() -> dict:
     context, by rebinding a module-level name of ``clifford``: the suite
     and every column built after it see the rebound name."""
     p, u, y, x = clifford.dirac_apply, U_spin, y_apply, clifford_x
-    # e_0 replaced by e_1, with the slot moves read again from the matrices
+    # e_0 replaced by e_1, with the pair moves composed again
     wrong = clifford.GammaAlgebra(2)
-    wrong.matrices[0] = wrong.e(1)
-    wrong._pair_cache.clear()
-    wrong.moves = [clifford._slot_moves(g) for g in wrong.matrices]
-    wrong.pair_moves = {k: clifford._slot_moves(wrong.pair(*k)) for k in wrong.pair_moves}
+    wrong.moves[0] = wrong.moves[1]
+    wrong.pair_moves = {
+        (i, j): clifford._product_moves(wrong.moves[i], wrong.moves[j]) for i, j in wrong.pair_moves
+    }
 
     def rebind(name, value):
         return lambda mp: mp.setattr(clifford, name, value)
@@ -717,7 +764,7 @@ WRONG_Y = {"2 y_i", "y_i + x_i", "y_i + x."}
 ALL_CORRUPTIONS = WRONG_P | WRONG_U | WRONG_Y
 # row id of verify_spinor_identities(2, 1) -> the corruptions that fail it
 SPINOR_CORRUPTION_TABLE = {
-    "clifford_relations": {"e_0 = e_1"},
+    "clifford_relations": {"e_0 = e_1", "2 x."},
     "dirac_conformal_covariance": WRONG_P | WRONG_U,
     "y_square_sum": WRONG_Y | (WRONG_P - {"P + 1"}),
     "coordinate_y_sum": {"y_i + x_i", "y_i + x.", "P column + 1"},
@@ -763,6 +810,17 @@ def test_spinor_corruption_table(monkeypatch, cold_dirac_caches):
         for name in ALL_CORRUPTIONS
     }
     assert failing == want
+
+
+def test_zero_clifford_x_fails_only_the_clifford_relations(monkeypatch, cold_dirac_caches):
+    # a zero x. satisfies x. P + P x. = 0, and with warm eigenbases builds
+    # no foothold; x. x. = -1 catches it
+    assert verify_spinor_identities(2, 1).all_passed
+    clifford._clear_operator_caches()
+    monkeypatch.setattr(clifford, "_x_image", lambda psi: SpinorPoly.zero(psi.n))
+    failed = {c.identity_id: c.counterexample for c in verify_spinor_identities(2, 1).failures()}
+    assert set(failed) == {"clifford_relations"}
+    assert failed["clifford_relations"]["index"] is None
 
 
 def test_adjacent_span_rank_names_the_first_failing_level(monkeypatch, cold_dirac_caches):

@@ -33,6 +33,8 @@ from speclab.clifford import (
 from speclab.polynomial import SpherePoly, normal_monomials
 from speclab.scalars import CRat
 
+from oracles import kron_gamma_matrices, mat_mul
+
 DENOMINATORS = (1, 2, 4, 3, 5)
 ZERO = CRat(0)
 
@@ -101,7 +103,7 @@ def ref_matrix(mat, a: list) -> list:
 
 
 def ref_dirac(a: list, n: int) -> list:
-    alg = gamma_algebra(n)
+    gammas = kron_gamma_matrices(n)
     g = [{} for _ in a]
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
@@ -109,11 +111,11 @@ def ref_dirac(a: list, n: int) -> list:
             for t in a:
                 pair = ref_add([ref_shift(ref_deriv(t, j), i)], [ref_shift(ref_deriv(t, i), j)], -1)
                 rotated.append(ref_reduce(pair[0], n))
-            g = ref_add(g, ref_matrix(alg.pair(i, j), rotated), -1)
+            g = ref_add(g, ref_matrix(mat_mul(gammas[i], gammas[j]), rotated), -1)
     shifted = ref_add(g, a, Fraction(-n, 2))
     out = [{} for _ in a]
     for i in range(n + 1):
-        out = ref_add(out, ref_coordinate_mul(ref_matrix(alg.e(i), shifted), i, n), 1)
+        out = ref_add(out, ref_coordinate_mul(ref_matrix(gammas[i], shifted), i, n), 1)
     return out
 
 
@@ -233,12 +235,12 @@ def test_linear_operations_match_the_crat_reference(case):
 def test_coordinate_and_clifford_multiplication_match_the_reference(case):
     n, a = case
     psi = build(n, a)
-    alg = gamma_algebra(n)
+    gammas = kron_gamma_matrices(n)
     for i in range(n + 1):
         assert_matches(psi.coordinate_mul(i), ref_coordinate_mul(a, i, n))
     want = [{} for _ in a]
     for i in range(n + 1):
-        want = ref_add(want, ref_coordinate_mul(ref_matrix(alg.e(i), a), i, n), 1)
+        want = ref_add(want, ref_coordinate_mul(ref_matrix(gammas[i], a), i, n), 1)
     assert_matches(clifford_x(psi), want)
 
 
@@ -247,14 +249,15 @@ def test_coordinate_and_clifford_multiplication_match_the_reference(case):
 def test_gamma_slot_moves_match_the_matrices(case):
     # the signed slot moves GammaAlgebra keeps for each e_i and each
     # e_i e_j (i < j), which clifford_x and angular_apply use, against the
-    # CRat matrices they were read from
+    # Kronecker-product matrices of the oracle and their products
     n, a = case
     alg = gamma_algebra(n)
+    gammas = kron_gamma_matrices(n)
     psi = build(n, a)
     pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     assert sorted(alg.pair_moves) == pairs
-    cases = [(alg.moves[i], alg.e(i)) for i in range(n + 1)]
-    cases += [(alg.pair_moves[i, j], alg.pair(i, j)) for i, j in pairs]
+    cases = [(alg.moves[i], gammas[i]) for i in range(n + 1)]
+    cases += [(alg.pair_moves[i, j], mat_mul(gammas[i], gammas[j])) for i, j in pairs]
     for move, mat in cases:
         assert move is not None
         assert_matches(psi._move_slots(move), ref_matrix(mat, a))
