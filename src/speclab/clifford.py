@@ -241,10 +241,11 @@ def _crat_terms(psi: "SpinorPoly") -> dict:
     return terms
 
 
-def _combine(n: int, terms: list) -> "SpinorPoly":
-    """The sum of ((p + q i) / r) psi over the ``((p, q, r), psi)`` terms,
-    spinors on S^n, in one real and one imaginary accumulation over the
-    least common denominator, with the content divided out once."""
+def _scaled_maps(n: int, terms: list) -> tuple:
+    """``(re, im, den)`` for the sum of ((p + q i) / r) psi over the
+    ``((p, q, r), psi)`` terms, spinors on S^n: the ``(multiplier, map)``
+    pairs of its real and imaginary numerators over the least common
+    denominator den."""
     den = 1
     for (p, q, r), psi in terms:
         if psi.n != n:
@@ -262,6 +263,14 @@ def _combine(n: int, terms: list) -> "SpinorPoly":
         if q:
             re.append((-m * q, psi._im))
             im.append((m * q, psi._re))
+    return re, im, den
+
+
+def _combine(n: int, terms: list) -> "SpinorPoly":
+    """The sum of ((p + q i) / r) psi over the ``((p, q, r), psi)`` terms,
+    spinors on S^n, in one real and one imaginary accumulation over the
+    least common denominator, with the content divided out once."""
+    re, im, den = _scaled_maps(n, terms)
     combine = _kernel.combine_terms
     return _spinor(n, combine(re), combine(im), den)
 
@@ -342,6 +351,15 @@ class SpinorPoly:
         Gaussian rational."""
         terms = [(_gaussian(c), psi) for c, psi in pairs]
         return _combine(terms[0][1].n, terms)
+
+    @classmethod
+    def combination_is_zero(cls, pairs) -> bool:
+        """Whether ``combination(pairs)`` is zero, from the accumulations of
+        the raw numerators: no normalized spinor is built."""
+        terms = [(_gaussian(c), psi) for c, psi in pairs]
+        re, im, _ = _scaled_maps(terms[0][1].n, terms)
+        combine = _kernel.combine_terms
+        return not combine(re) and not combine(im)
 
     def _termwise(self, op) -> "SpinorPoly":
         """An int-linear map of term maps on e_0..e_n applied to both maps."""
@@ -605,7 +623,13 @@ def spinor_ladders(i: int, psi: SpinorPoly, lam, *, check: bool = True) -> tuple
 # ---------------------------------------------------------------------------
 
 
+def _check_degree(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def monogenic_dimension(n: int, k: int) -> int:
+    _check_degree("k", k)
     d = gamma_algebra(n).dim_spin
     if k == 0:
         return d
@@ -642,6 +666,7 @@ def _monogenic_basis_cached(n: int, k: int) -> tuple:
 
 
 def monogenic_basis(n: int, k: int) -> list:
+    _check_degree("k", k)
     return list(_monogenic_basis_cached(n, k))
 
 
@@ -680,6 +705,7 @@ def eigenspinor_basis(n: int, j: int, sign: int) -> list:
     """Exact basis of the model eigenspace at eigenvalue sign*(n/2+j)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
+    _check_degree("j", j)
     return list(_eigenspinor_basis_cached(n, j, sign))
 
 

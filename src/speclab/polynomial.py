@@ -292,11 +292,12 @@ class SpherePoly:
         """self + c * other."""
         return SpherePoly.combination([(1, self), (c, other)])
 
-    @classmethod
-    def combination(cls, pairs) -> "SpherePoly":
-        """The sum of c * p over the nonempty ``(c, p)`` pairs, in one
-        accumulation: rational terms go over their least common denominator
-        and the content is divided out once."""
+    @staticmethod
+    def _scaled_maps(pairs) -> tuple:
+        """``(n, [(multiplier, map)], den)`` for the sum of c * p over the
+        nonempty ``(c, p)`` pairs: int multipliers of the numerator maps
+        over their least common denominator, or the coefficient maps and
+        den None when a term is not rational."""
         pairs = list(pairs)
         n = pairs[0][1].n
         den = 1
@@ -311,12 +312,22 @@ class SpherePoly:
                 if den % q:
                     den = den // gcd(den, q) * q
         if den is None:
-            raw = _kernel.combine_terms([(c, p._values()) for c, p in pairs])
-        else:
-            raw = _kernel.combine_terms(
-                [(c.numerator * (den // (c.denominator * p._den)), p._num) for c, p in pairs]
-            )
-        return _poly(n, raw, den)
+            return n, [(c, p._values()) for c, p in pairs], None
+        return n, [(c.numerator * (den // (c.denominator * p._den)), p._num) for c, p in pairs], den
+
+    @classmethod
+    def combination(cls, pairs) -> "SpherePoly":
+        """The sum of c * p over the nonempty ``(c, p)`` pairs, in one
+        accumulation: rational terms go over their least common denominator
+        and the content is divided out once."""
+        n, maps, den = cls._scaled_maps(pairs)
+        return _poly(n, _kernel.combine_terms(maps), den)
+
+    @classmethod
+    def combination_is_zero(cls, pairs) -> bool:
+        """Whether ``combination(pairs)`` is zero, from one accumulation of
+        the raw numerators: no normalized polynomial is built."""
+        return not _kernel.combine_terms(cls._scaled_maps(pairs)[1])
 
     def coordinate_mul(self, i: int) -> "SpherePoly":
         """x_i times self by an exponent shift.  Only x0 can leave normal form

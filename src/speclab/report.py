@@ -66,7 +66,7 @@ class VerificationReport:
     def to_json(self, indent=2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True, default=str)
 
-    def check_laws(self, basis: list, laws: list, ops: dict, indexed_ops: dict):
+    def check_laws(self, basis: list, laws: list, ops: dict, indexed_ops: dict, memos=None):
         """Check a table of linear operator laws exactly on every basis vector
         and add one result per law, in table order.
 
@@ -81,16 +81,21 @@ class VerificationReport:
         Word images are memoized per basis vector by (word, i), index-free
         words without i, so laws share subwords; the i-sum of an indexed
         word is memoized too, by (word, "sum"), so every summed law holding
-        that word reuses it.  Whether a word is indexed is decided once per
-        word.  A law's terms are merged per word first, and a word whose
-        coefficients cancel is not evaluated: its images would cancel
-        exactly.  A law whose coefficients all cancel would hold for any
-        operators, so it raises ``AssertionError``.  Each law's difference, and
-        each i-sum, is then one linear combination,
+        that word reuses it.  ``memos`` gives the memo dict of each basis
+        vector, in basis order, and the images this call makes are added to
+        it; by default each vector starts from an empty dict.  The caller
+        must pass memos made under these same operators.  Whether a word
+        is indexed is decided once per word.  A law's terms are merged per
+        word first, and a word whose coefficients cancel is not evaluated:
+        its images would cancel exactly.  A law whose coefficients all
+        cancel would hold for any operators, so it raises
+        ``AssertionError``.  Each i-sum is one linear combination,
         ``type(vector).combination(pairs)`` over ``(coefficient, image)``
-        pairs, so vectors need the classmethod ``combination`` and
-        ``is_zero``.  The first failing vector of a law becomes its
-        counterexample ``{"basis_vector", "index", "difference"}``.
+        pairs, and each law's difference is tested with
+        ``type(vector).combination_is_zero(pairs)``, so vectors need both
+        classmethods.  The difference itself is built only for the first
+        failing vector of a law, which becomes its counterexample
+        ``{"basis_vector", "index", "difference"}``.
         """
         indexed = {"": False}
 
@@ -113,9 +118,10 @@ class VerificationReport:
 
         indices = range(self.n + 1)
         failed = {}
-        for vector in basis:
-            memo = {}
+        for k, vector in enumerate(basis):
+            memo = {} if memos is None else memos[k]
             combination = type(vector).combination
+            is_zero = type(vector).combination_is_zero
 
             def image(word, i):
                 if not word:
@@ -144,15 +150,15 @@ class VerificationReport:
                 if identity_id in failed:
                     continue
                 for i in indices if per_index else (None,):
-                    diff = combination(
+                    pairs = [
                         (c, image(w, i) if per_index or not indexed[w] else summed(w))
                         for c, w in terms
-                    )
-                    if not diff.is_zero:
+                    ]
+                    if not is_zero(pairs):
                         failed[identity_id] = {
                             "basis_vector": str(vector),
                             "index": i,
-                            "difference": str(diff),
+                            "difference": str(combination(pairs)),
                         }
                         break
         for identity_id, law, _, _ in laws:

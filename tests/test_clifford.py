@@ -105,6 +105,15 @@ def test_negative_indices_are_refused():
         gamma_algebra(2).e(3)
 
 
+def test_negative_degrees_are_refused_under_the_callers_names():
+    with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
+        monogenic_dimension(2, -1)
+    with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
+        monogenic_basis(2, -1)
+    with pytest.raises(ValueError, match="^j must be >= 0, got -1$"):
+        eigenspinor_basis(2, -1, 1)
+
+
 def test_gamma_algebra_cache_is_bounded():
     maxsize = gamma_algebra.cache_info().maxsize
     assert maxsize is not None

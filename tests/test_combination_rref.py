@@ -174,6 +174,18 @@ def test_spinor_combination_cancels_to_zero():
     assert got.is_zero and got == SpinorPoly.zero(2) and got._den == 1
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(sphere_cases(), spinor_cases()))
+def test_zero_test_matches_the_built_combination(case):
+    # the law engine's zero test on raw numerators against the chained sum;
+    # half of the cases append a negated prefix, so both answers occur
+    _, pairs = case
+    vector_type = type(pairs[0][1])
+    assert vector_type.combination_is_zero(pairs) == chain(pairs).is_zero
+    zero = [*pairs, (-1, chain(pairs))]
+    assert vector_type.combination_is_zero(zero)
+
+
 # ---------------------------------------------------------------------------
 # rref
 # ---------------------------------------------------------------------------

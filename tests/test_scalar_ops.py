@@ -532,21 +532,122 @@ SCALAR_CORRUPTION_TABLE = {
 def test_scalar_corruption_table(monkeypatch):
     # every row of the scalar suite fails under some corruption, and each
     # corruption, run once, fails exactly the rows the table names for it
-    # (the scalar operators keep no memo, so there is no cache to clear)
+    # (a rebound operator is a new key of the suite's image table, so a
+    # corrupted suite reads no image kept from a clean one)
     rows = [c.identity_id for c in verify_scalar_identities(3, 3).checks]
     assert sorted(rows) == sorted(SCALAR_CORRUPTION_TABLE)
     assert all(SCALAR_CORRUPTION_TABLE.values())
+    assert _corruption_failures(monkeypatch) == _corruption_want()
+
+
+def _corruption_failures(monkeypatch) -> dict:
+    """Corruption name -> the rows of verify_scalar_identities(3, 3) that
+    fail with it rebound."""
     corruptions = _scalar_corruptions()
     failing = {}
     for name, (attr, corrupted) in corruptions.items():
         with monkeypatch.context() as mp:
             mp.setattr(scalar_ops, attr, corrupted)
             failing[name] = {c.identity_id for c in verify_scalar_identities(3, 3).failures()}
-    want = {
+    return failing
+
+
+def _corruption_want() -> dict:
+    return {
         name: {row for row, names in SCALAR_CORRUPTION_TABLE.items() if name in names}
-        for name in corruptions
+        for name in _scalar_corruptions()
     }
-    assert failing == want
+
+
+# ---------------------------------------------------------------------------
+# the image table of repeated suites
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def cold_suite_images():
+    scalar_ops._clear_suite_images()
+    yield
+    scalar_ops._clear_suite_images()
+
+
+@pytest.mark.parametrize("n, cap", [(2, 4), (3, 4), (4, 3)])
+def test_warm_suite_report_is_byte_identical(n, cap, cold_suite_images):
+    # the first request stores nothing, the second stores its images and
+    # the third reads them back
+    first = verify_scalar_identities(n, cap).to_json()
+    assert not scalar_ops._SUITE_IMAGES
+    assert verify_scalar_identities(n, cap).to_json() == first
+    assert len(scalar_ops._SUITE_IMAGES) == len(normal_monomials(n, cap))
+    assert verify_scalar_identities(n, cap).to_json() == first
+
+
+def test_corruptions_are_caught_with_a_warm_table(monkeypatch, cold_suite_images):
+    for _ in range(2):
+        assert verify_scalar_identities(3, 3).all_passed
+    assert scalar_ops._SUITE_IMAGES
+    assert _corruption_failures(monkeypatch) == _corruption_want()
+
+
+def test_an_operator_outside_the_key_needs_the_clear(monkeypatch, cold_suite_images):
+    # the LT route calls T, which is not in the key: the kept images hide a
+    # change of T until the table is cleared
+    for _ in range(2):
+        assert verify_scalar_identities(3, 3).all_passed
+    good = scalar_ops.T
+    monkeypatch.setattr(scalar_ops, "T", lambda i, p: good(i, p) * 2)
+    assert verify_scalar_identities(3, 3).all_passed
+    scalar_ops._clear_suite_images()
+    failed = {c.identity_id for c in verify_scalar_identities(3, 3).failures()}
+    assert failed == {"laplacian_two_routes"}
+
+
+def test_warm_suite_applies_no_operator(monkeypatch, cold_suite_images):
+    # the images of a warm (3, 4) repeat all come from the table; the
+    # operators' kernels are counted in _kernel, which leaves the operator
+    # callables, and so the key, as they are
+    from speclab import _kernel
+
+    calls = []
+
+    def counted(name):
+        real = getattr(_kernel, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("reduce_terms", "add_scaled_terms"):
+        monkeypatch.setattr(_kernel, name, counted(name))
+    assert verify_scalar_identities(3, 4).all_passed
+    assert {"reduce_terms", "add_scaled_terms"} <= set(calls)
+    assert verify_scalar_identities(3, 4).all_passed
+    calls.clear()
+    assert verify_scalar_identities(3, 4).all_passed
+    assert calls == []
+
+
+def test_suite_image_table_is_bounded(monkeypatch, cold_suite_images):
+    # a suite requested once stores nothing; with a small limit the table
+    # and the seen suites stay within their bounds, a basis larger than the
+    # table is never stored, and every report matches its cold run
+    monkeypatch.setattr(scalar_ops, "_SUITE_IMAGES_LIMIT", 20)
+    monkeypatch.setattr(scalar_ops, "_SEEN_SUITES_LIMIT", 3)
+    want = {key: verify_scalar_identities(*key).to_json() for key in [(2, 2), (2, 3), (3, 2)]}
+    assert not scalar_ops._SUITE_IMAGES
+    for _ in range(3):
+        for key, report in want.items():
+            assert verify_scalar_identities(*key).to_json() == report
+            assert len(scalar_ops._SUITE_IMAGES) <= 20
+    assert scalar_ops._SUITE_IMAGES
+    scalar_ops._clear_suite_images()
+    assert len(normal_monomials(3, 3)) > 20
+    for key in [(3, 3), (3, 3), (3, 3), *want]:
+        assert verify_scalar_identities(*key).all_passed
+        assert len(scalar_ops._SEEN_SUITES) <= 3
+    assert not scalar_ops._SUITE_IMAGES
 
 
 def test_eigenspace_cache_stays_bounded(monkeypatch):
