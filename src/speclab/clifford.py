@@ -12,8 +12,10 @@ the Clifford relations.  A polynomial spinor field is a vector of sphere
 polynomials with Gaussian rational coefficients, stored as
 Gaussian-integer numerators (one real and one imaginary int map, keyed by
 the normal-form exponent with the slot appended) over one shared,
-content-normalized denominator; ``SpinorPoly.components`` reads it as
-``CRat`` coefficients.
+content-normalized denominator.  The constructor takes rational
+``SpherePoly`` slots only, a Gaussian field is a ``combination`` of such
+spinors, and ``SpinorPoly.components`` reads the slots back as
+``{exponents: CRat}`` dicts.
 
 The Dirac operator is realized algebraically: with the angular operator
 G = -sum_{i<j} e_i e_j (x_i d_j - x_j d_i) and Clifford multiplication by
@@ -96,13 +98,13 @@ from . import _kernel
 from .linalg import coords_in_span_multi, echelon_coords, nullspace, rref
 from .polynomial import (
     SpherePoly,
-    _poly,
+    _format_terms,
     deriv_terms,
     monomials_of_degree,
     normal_monomials,
     shift_terms,
 )
-from .report import VerificationReport, compose, covariance_terms, shifted_square_terms
+from .report import VerificationReport, _store, compose, covariance_terms, shifted_square_terms
 from .scalars import CRat, _norm
 from .scalar_ops import NotEigenfunctionError
 from .spectral import _odd_poly_coeffs
@@ -200,18 +202,6 @@ def _gaussian(c) -> tuple:
     return z._p, z._q, z._r
 
 
-def _gaussian_terms(p: SpherePoly) -> tuple:
-    """``(re, im, den)`` of one component: int numerator maps over one
-    denominator."""
-    if p._den is not None:
-        return p._num, {}, p._den
-    vals = {e: v if type(v) is CRat else CRat(v) for e, v in p._num.items()}
-    den = lcm(*(z._r for z in vals.values()))
-    re = {e: z._p * (den // z._r) for e, z in vals.items() if z._p}
-    im = {e: z._q * (den // z._r) for e, z in vals.items() if z._q}
-    return re, im, den
-
-
 def _spinor(n: int, re: dict, im: dict, den: int) -> "SpinorPoly":
     """SpinorPoly from numerator maps keyed by (normal-form exponent, slot)
     (no zero values) over den > 0, divided by their common content.  A
@@ -282,8 +272,10 @@ class SpinorPoly:
     Stored as Gaussian-integer numerators over one shared denominator:
     ``_re`` and ``_im`` map the keys (e_0, ..., e_n, slot) of normal-form
     monomials to nonzero ints, and ``_den`` > 0 has no factor in common
-    with all of them, so equal fields store equal maps.  ``components`` is
-    the view as sphere polynomials with ``CRat`` coefficients.
+    with all of them, so equal fields store equal maps.  The constructor
+    takes one rational ``SpherePoly`` per slot; a Gaussian field is a
+    ``combination`` of such spinors.  ``components`` reads the slots as
+    ``{exponents: CRat}`` dicts.
     """
 
     __slots__ = ("n", "_re", "_im", "_den", "_hash")
@@ -296,11 +288,9 @@ class SpinorPoly:
         for p in comps:
             if p.n != n:
                 raise ValueError(f"dimension mismatch: S^{n} vs S^{p.n}")
-        parts = [_gaussian_terms(p) for p in comps]
-        den = lcm(*(d for _, _, d in parts))
-        re = {e + (s,): v * (den // d) for s, (r, _, d) in enumerate(parts) for e, v in r.items()}
-        im = {e + (s,): v * (den // d) for s, (_, i, d) in enumerate(parts) for e, v in i.items()}
-        psi = _spinor(n, re, im, den)
+        den = lcm(*(p._den for p in comps))
+        re = {e + (s,): v * (den // p._den) for s, p in enumerate(comps) for e, v in p._num.items()}
+        psi = _spinor(n, re, {}, den)
         self.n = n
         self._re = psi._re
         self._im = psi._im
@@ -322,12 +312,12 @@ class SpinorPoly:
 
     @property
     def components(self) -> tuple:
-        """The slots as sphere polynomials with ``CRat`` coefficients (the
-        rational zero for an empty slot)."""
-        slots = [{} for _ in range(gamma_algebra(self.n).dim_spin)]
+        """The slots as coefficient maps ``exponents -> CRat``, one dict per
+        slot (empty for an empty slot)."""
+        slots = tuple({} for _ in range(gamma_algebra(self.n).dim_spin))
         for k, z in _crat_terms(self).items():
             slots[k[-1]][k[:-1]] = z
-        return tuple(_poly(self.n, t, None) for t in slots)
+        return slots
 
     def __add__(self, other: "SpinorPoly") -> "SpinorPoly":
         return self.add_scaled(other, 1)
@@ -412,7 +402,7 @@ class SpinorPoly:
         return self._hash
 
     def __repr__(self):
-        body = "; ".join(str(p) for p in self.components)
+        body = "; ".join(_format_terms(t) for t in self.components)
         return f"SpinorPoly(n={self.n}, [{body}])"
 
 
@@ -519,16 +509,7 @@ def _memo(table: dict, key, psi: SpinorPoly) -> SpinorPoly:
     cancelled keys oversize them."""
     psi._re = {k: v for k, v in psi._re.items()}
     psi._im = {k: v for k, v in psi._im.items()}
-    return _store(table, key, psi)
-
-
-def _store(table: dict, key, value):
-    """value, stored at ``key`` in ``table`` (emptied past ``_CACHE_LIMIT``
-    entries)."""
-    if len(table) > _CACHE_LIMIT:
-        table.clear()
-    table[key] = value
-    return value
+    return _store(table, key, psi, _CACHE_LIMIT)
 
 
 def _x_image(psi: SpinorPoly) -> SpinorPoly:
@@ -824,17 +805,19 @@ def truncation_matrices(n: int, N: int) -> TruncationModel:
 
 
 def _rows_to_spinors(rows: list, keys: list, n: int) -> list:
-    """The spinors with coordinate rows ``rows``, where position p holds
-    the coefficient of the key ``keys[p]`` = (e_0, ..., e_n, slot); each
-    slot is reduced to normal form, so the exponents may be raw."""
-    d = gamma_algebra(n).dim_spin
+    """The spinors with coordinate rows ``rows`` of Gaussian rationals,
+    where position p holds the coefficient of the key ``keys[p]`` = (e_0,
+    ..., e_n, slot).  A row goes over the lcm of its denominators into one
+    real and one imaginary int map, each reduced to normal form with the
+    slot carried, so the exponents may be raw."""
+    reduce = _kernel.reduce_terms
     out = []
     for row in rows:
-        comps = [dict() for _ in range(d)]
-        for k, coeff in zip(keys, row):
-            if coeff:
-                comps[k[-1]][k[:-1]] = coeff
-        out.append(SpinorPoly(n, [SpherePoly(n, t) for t in comps]))
+        coeffs = [(k, _gaussian(c)) for k, c in zip(keys, row) if c]
+        den = lcm(*(r for _, (_, _, r) in coeffs))
+        re = {k: p * (den // r) for k, (p, _, r) in coeffs if p}
+        im = {k: q * (den // r) for k, (_, q, r) in coeffs if q}
+        out.append(_spinor(n, reduce(re, n), reduce(im, n), den))
     return out
 
 
@@ -1035,7 +1018,7 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
             error = None
         except SpectrumError as exc:
             error = str(exc)
-        _store(_SPECTRUM_CACHE, (n, N), error)
+        _store(_SPECTRUM_CACHE, (n, N), error, _CACHE_LIMIT)
     ok, cx = (True, None) if error is None else (False, {"error": error})
     report.add(
         "truncation_spectrum_lattice", "certified truncation spectrum lies on +-(n/2+j)", ok, cx
@@ -1076,6 +1059,7 @@ def _span_rank_identity(n: int, j: int, sign: int) -> bool:
         _SPAN_CACHE,
         key,
         rank_gen == target_dim and None not in coords_in_span_multi(tgt_rows, gen_rows[:rank_gen]),
+        _CACHE_LIMIT,
     )
 
 

@@ -252,8 +252,8 @@ class SphereProjector:
 def apply_spectral_operator(f: SpherePoly, eigen) -> SpherePoly:
     """Scale each harmonic component of a polynomial by eigen(level).
 
-    Exact when eigen returns rationals; float eigenvalues produce a
-    float-coefficient polynomial.
+    eigen must return rationals (int or Fraction), so the result is exact;
+    any other value raises ``TypeError``.
     """
     decomp = harmonic_decompose(f)
     if not decomp.parts:

@@ -9,19 +9,19 @@ unique division remainder, so two polynomials represent the same function
 on the sphere exactly when their term maps coincide.
 
 Monomials are exponent tuples of length n+1.  Term maps are dicts
-``exponents -> coefficient`` with no explicit zeros.  Coefficients are
-rational throughout the scalar theory and may be ``CRat`` (spinor
-components) or floats (spectral images of transcendental eigenvalues).
+``exponents -> coefficient`` with no explicit zeros.  A ``SpherePoly``
+has rational coefficients only: any other coefficient or multiplier
+raises ``TypeError``.  Gaussian rational fields are spinors
+(``clifford.SpinorPoly``), which keep int maps of their own.
 
-A rational ``SpherePoly`` keeps int numerators over one shared positive
-int denominator, content-normalized as in FLINT's ``fmpq_poly``: the
+A ``SpherePoly`` keeps int numerators over one shared positive int
+denominator, content-normalized as in FLINT's ``fmpq_poly``: the
 denominator has no factor in common with all the numerators, so equal
 polynomials store equal maps.  The operators scale numerators by ints
 (by 2 for U_i and by 4 for the conformal shift n(n-2)/4 on odd n) and
 carry the factor in the denominator, so the hot loops never build a
-``Fraction``; the kernels see plain int maps.  ``CRat`` and float maps
-keep their coefficient objects.  ``SpherePoly.terms`` is a read-only view
-that gives ``Fraction`` values for rational maps.
+``Fraction``; the kernels see plain int maps.  ``SpherePoly.terms`` is a
+read-only view that gives the coefficients as ``Fraction`` values.
 
 Raw (unreduced) ambient polynomials appear in a few operations that are
 sensitive to the representative: the Euler operator, the ambient
@@ -35,7 +35,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd
-from types import MappingProxyType
 
 from . import _kernel
 from .scalars import fmt_rat
@@ -142,6 +141,21 @@ def r2_terms(n: int) -> dict:
     return out
 
 
+def _format_terms(terms: Mapping) -> str:
+    """Deterministic text of a term map: graded-lex term order,
+    'p/q * x0^a0 ...', '0' for an empty map.  Fractions print by
+    ``fmt_rat``, other coefficients (``CRat``) by ``str``."""
+    if not terms:
+        return "0"
+    chunks = []
+    for e in sorted(terms, key=grlex_key):
+        c = terms[e]
+        mono = " ".join(f"x{i}^{k}" for i, k in enumerate(e) if k)
+        cs = fmt_rat(c) if isinstance(c, Fraction) else str(c)
+        chunks.append(f"{cs} * {mono}" if mono else cs)
+    return " + ".join(chunks)
+
+
 # ---------------------------------------------------------------------------
 # SpherePoly
 # ---------------------------------------------------------------------------
@@ -172,22 +186,20 @@ class _FractionTerms(Mapping):
 
 def _split(terms: dict):
     """``(numerators, denominator)`` of a map of int and Fraction
-    coefficients over the least common denominator, zeros dropped; ``(terms,
-    None)`` for any other coefficient type."""
+    coefficients over the least common denominator, zeros dropped."""
     den = 1
     for v in terms.values():
         if type(v) is not int:
             if not isinstance(v, (int, Fraction)):
-                return terms, None
+                raise TypeError(f"SpherePoly coefficients are rational, not {type(v).__name__}")
             d = v.denominator
             if den % d:
                 den = den // gcd(den, d) * d
     return {e: v.numerator * (den // v.denominator) for e, v in terms.items() if v}, den
 
 
-def _poly(n: int, num: dict, den) -> "SpherePoly":
-    """SpherePoly from a reduced map: int numerators over den, or
-    coefficient objects when den is None."""
+def _poly(n: int, num: dict, den: int) -> "SpherePoly":
+    """SpherePoly from a reduced map of int numerators over den > 0."""
     p = object.__new__(SpherePoly)
     p._set(n, num, den)
     return p
@@ -196,9 +208,8 @@ def _poly(n: int, num: dict, den) -> "SpherePoly":
 class SpherePoly:
     """A polynomial function on the n-sphere in canonical normal form.
 
-    ``_num`` maps exponents to int numerators over the content-normalized
-    int ``_den``, or to coefficient objects (CRat, float) when ``_den`` is
-    None.
+    ``_num`` maps exponents to nonzero int numerators over the
+    content-normalized positive int ``_den``.
     """
 
     __slots__ = ("n", "_num", "_den", "_hash")
@@ -211,14 +222,10 @@ class SpherePoly:
             num = _kernel.reduce_terms(num, n)
         self._set(n, num, den)
 
-    def _set(self, n: int, num: dict, den):
-        """Store a reduced map, dividing int numerators and den by their
-        common content.  An empty map is the rational zero whatever its
-        origin."""
-        if den is None:
-            if not num:
-                den = 1
-        elif den != 1:
+    def _set(self, n: int, num: dict, den: int):
+        """Store a reduced map, dividing the numerators and den by their
+        common content.  An empty map gets den 1, since gcd(den) = den."""
+        if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
                 num = {e: v // g for e, v in num.items()}
@@ -230,16 +237,8 @@ class SpherePoly:
 
     @property
     def terms(self):
-        """The coefficient map ``exponents -> coefficient`` (read-only)."""
-        if self._den is None:
-            return MappingProxyType(self._num)
+        """The coefficient map ``exponents -> Fraction`` (read-only)."""
         return _FractionTerms(self._num, self._den)
-
-    def _values(self) -> dict:
-        """The coefficient map as a dict, for the coefficient-object path."""
-        if self._den is None:
-            return self._num
-        return {e: Fraction(v, self._den) for e, v in self._num.items()}
 
     # -- constructors ----------------------------------------------------
 
@@ -296,23 +295,18 @@ class SpherePoly:
     def _scaled_maps(pairs) -> tuple:
         """``(n, [(multiplier, map)], den)`` for the sum of c * p over the
         nonempty ``(c, p)`` pairs: int multipliers of the numerator maps
-        over their least common denominator, or the coefficient maps and
-        den None when a term is not rational."""
+        over their least common denominator."""
         pairs = list(pairs)
         n = pairs[0][1].n
         den = 1
         for c, p in pairs:
             if p.n != n:
                 raise ValueError(f"dimension mismatch: S^{n} vs S^{p.n}")
-            if den is not None:
-                if p._den is None or not isinstance(c, (int, Fraction)):
-                    den = None
-                    continue
-                q = c.denominator * p._den
-                if den % q:
-                    den = den // gcd(den, q) * q
-        if den is None:
-            return n, [(c, p._values()) for c, p in pairs], None
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"SpherePoly multipliers are rational, not {type(c).__name__}")
+            q = c.denominator * p._den
+            if den % q:
+                den = den // gcd(den, q) * q
         return n, [(c.numerator * (den // (c.denominator * p._den)), p._num) for c, p in pairs], den
 
     @classmethod
@@ -342,12 +336,8 @@ class SpherePoly:
     def __mul__(self, other):
         if isinstance(other, SpherePoly):
             self._check(other)
-            a, b = self._den, other._den
-            if a is None or b is None:
-                raw, den = _kernel.mul_terms(self._values(), other._values()), None
-            else:
-                raw, den = _kernel.mul_terms(self._num, other._num), a * b
-            return _poly(self.n, _kernel.reduce_terms(raw, self.n), den)
+            raw = _kernel.mul_terms(self._num, other._num)
+            return _poly(self.n, _kernel.reduce_terms(raw, self.n), self._den * other._den)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -376,16 +366,12 @@ class SpherePoly:
 
     def __eq__(self, other):
         if isinstance(other, SpherePoly):
-            if self.n != other.n:
-                return False
-            if self._den is None or other._den is None:
-                return self._values() == other._values()
-            return self._den == other._den and self._num == other._num
+            return self.n == other.n and self._den == other._den and self._num == other._num
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, frozenset(self._values().items())))
+            self._hash = hash((self.n, self._den, frozenset(self._num.items())))
         return self._hash
 
     def __repr__(self):
@@ -396,16 +382,7 @@ class SpherePoly:
 
     def canonical_str(self) -> str:
         """Deterministic text form: graded-lex term order, 'p/q * x0^a0 ...'."""
-        if not self._num:
-            return "0"
-        terms = self.terms
-        chunks = []
-        for e in sorted(terms, key=grlex_key):
-            c = terms[e]
-            mono = " ".join(f"x{i}^{k}" for i, k in enumerate(e) if k)
-            cs = fmt_rat(c) if isinstance(c, Fraction) else str(c)
-            chunks.append(f"{cs} * {mono}" if mono else cs)
-        return " + ".join(chunks)
+        return _format_terms(self.terms)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -465,13 +442,6 @@ def moment_integral(exps: Monomial, n: int) -> Fraction:
 
 def integrate(p: SpherePoly) -> Fraction:
     """Exact integral over the sphere, normalized measure."""
-    if p._den is None:
-        total = Fraction(0)
-        for e, c in p._num.items():
-            m = moment_integral(e, p.n)
-            if m:
-                total += c * m
-        return total
     # integer sums per half-degree h, then one division: the moment
     # denominators prod_{s<h} (n + 1 + 2 s) all divide the one of the top h
     sums: dict = {}

@@ -6,6 +6,15 @@ import json
 from dataclasses import dataclass, field
 
 
+def _store(table: dict, key, value, limit: int):
+    """value, stored at ``key`` in ``table``, which is emptied first when
+    it holds ``limit`` entries: the bounded memo tables of the suites."""
+    if len(table) >= limit:
+        table.clear()
+    table[key] = value
+    return value
+
+
 @dataclass
 class CheckResult:
     identity_id: str

@@ -52,7 +52,7 @@ from .polynomial import (
     normal_monomials,
     shift_terms,
 )
-from .report import VerificationReport, covariance_terms, shifted_square_terms
+from .report import VerificationReport, _store, covariance_terms, shifted_square_terms
 from .scalars import as_rat
 from .surd import Quad, rational_sqrt, sqrt_in_field
 
@@ -97,10 +97,10 @@ def U(i: int, p: SpherePoly) -> SpherePoly:
     if not 0 <= i <= n:
         raise IndexError(f"index {i} out of range for S^{n}")
     den = p._den
-    if n % 2 and den is not None:
+    if n % 2:
         m, half, den = 2, n, 2 * den
     else:
-        m, half = 1, Fraction(n, 2) if n % 2 else n // 2
+        m, half = 1, n // 2
     weight = {}  # degree d -> m (d + n/2)
     raw = {}
     num = p._num
@@ -148,12 +148,9 @@ def _laplacian(p: SpherePoly, shift) -> SpherePoly:
     of the shift (4 for n(n-2)/4 on odd n), which goes into the
     denominator of the result."""
     n = p.n
-    num, den = p._num, p._den
-    if den is None:
-        q = 1
-    else:
-        q, shift = shift.denominator, shift.numerator
-        den *= q
+    num = p._num
+    q, shift = shift.denominator, shift.numerator
+    den = p._den * q
     weight = {}  # degree d -> q d (d + n - 1) + shift
     weighted = {}
     for e, c in num.items():
@@ -563,15 +560,6 @@ _SUITE_IMAGES: dict = {}
 _SUITE_IMAGES_LIMIT = 512
 _SEEN_SUITES: dict = {}
 _SEEN_SUITES_LIMIT = 64
-
-
-def _store(table: dict, key, value, limit: int):
-    """value, stored at ``key`` in ``table`` (emptied past ``limit``
-    entries)."""
-    if len(table) >= limit:
-        table.clear()
-    table[key] = value
-    return value
 
 
 def _clear_suite_images() -> None:

@@ -7,16 +7,30 @@ candidate, a dense row reduction to compare ``_kernel.rref`` with, the
 two-Fraction quadratic surd (with the eigenvalue step and the scalar
 refutation on it) to compare ``speclab.surd.Quad`` with, and the gamma
 matrices as dense Kronecker products, with a dense matrix product, to
-compare the signed slot moves of ``clifford.GammaAlgebra`` with.
+compare the signed slot moves of ``clifford.GammaAlgebra`` with.  The
+one builder here, ``gaussian_spinor``, makes a spinor of Gaussian
+rational slot maps through the public API.
 """
 
 from fractions import Fraction
 from math import isqrt
 
 from speclab import _kernel
-from speclab.polynomial import ambient_laplacian_terms, monomials_of_degree
+from speclab.clifford import SpinorPoly
+from speclab.polynomial import SpherePoly, ambient_laplacian_terms, monomials_of_degree
 from speclab.scalars import CRat, as_rat
 from speclab.surd import rational_sqrt, squarefree_split
+
+
+def gaussian_spinor(n: int, slots) -> SpinorPoly:
+    """The spinor on S^n with the slot maps ``slots`` (``exponents ->``
+    ``CRat``, ``Fraction`` or int; raw exponents are reduced): the
+    combination of its real field and i times its imaginary field, each
+    built from rational ``SpherePoly`` slots."""
+    slots = [{e: c if isinstance(c, CRat) else CRat(c) for e, c in t.items()} for t in slots]
+    re = SpinorPoly(n, [SpherePoly(n, {e: z.re for e, z in t.items()}) for t in slots])
+    im = SpinorPoly(n, [SpherePoly(n, {e: z.im for e, z in t.items()}) for t in slots])
+    return SpinorPoly.combination([(1, re), (CRat(0, 1), im)])
 
 
 def eval_exact(p, point):

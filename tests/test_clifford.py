@@ -35,7 +35,7 @@ from speclab.polynomial import SpherePoly, normal_monomials
 from speclab.report import VerificationReport
 from speclab.scalars import CRat
 
-from oracles import kron_gamma_matrices, mat_mul, refute_dirac_candidate
+from oracles import gaussian_spinor, kron_gamma_matrices, mat_mul, refute_dirac_candidate
 
 
 def rand_spinor(rng, n, deg=2):
@@ -50,8 +50,8 @@ def rand_spinor(rng, n, deg=2):
                 Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
                 Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
             )
-        comps.append(SpherePoly(n, {k: v for k, v in terms.items() if v}))
-    return SpinorPoly(n, comps)
+        comps.append({k: v for k, v in terms.items() if v})
+    return gaussian_spinor(n, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +531,8 @@ def test_dirac_column_map_matches_reference(cold_dirac_caches):
         assert [dirac_apply(psi) for psi in psis] == want  # warm columns only
         for psi in psis:
             for comp in dirac_apply(psi).components:
-                assert all(v for v in comp.terms.values())
-                assert all(e[0] <= 1 for e in comp.terms)
+                assert all(v for v in comp.values())
+                assert all(e[0] <= 1 for e in comp)
 
 
 def test_u_and_y_column_maps_match_reference(cold_dirac_caches):
@@ -636,7 +636,7 @@ def test_suite_memos_stay_bounded(monkeypatch, cold_dirac_caches):
     monkeypatch.setattr(clifford, "_CACHE_LIMIT", 3)
     for _ in range(2):  # the second pass mixes hits and misses
         assert [clifford._x_image(psi) for psi in targets] == want_x
-        assert len(clifford._X_CACHE) <= 4
+        assert len(clifford._X_CACHE) <= 3
 
 
 def _corrupt_dirac_column(monkeypatch, bad_key):

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from speclab import _kernel
-from speclab.clifford import SpinorPoly, gamma_algebra
+from speclab.clifford import gamma_algebra
 from speclab.polynomial import SpherePoly
 from speclab.scalar_ops import T, U, coordinate_mul
 from speclab.scalars import CRat
 
+from oracles import gaussian_spinor
 from test_polynomial import rand_poly
 
 UNITS = [1, -1, Fraction(1), Fraction(-1), CRat(1), CRat(-1), 1.0, -1.0]
@@ -123,13 +124,13 @@ def test_spinor_coordinate_mul_is_multiplication_by_the_coordinate():
         comps = []
         for _ in range(d):
             p = _x0_heavy(rng, n)
-            comps.append(SpherePoly(n, {e: CRat(c, rng.randint(-2, 2)) for e, c in p.terms.items()}, reduced=True))
-        psi = SpinorPoly(n, comps)
+            comps.append({e: CRat(c, rng.randint(-2, 2)) for e, c in p.terms.items()})
+        psi = gaussian_spinor(n, comps)
         for i in range(n + 1):
             got = psi.coordinate_mul(i)
-            xi = SpherePoly.coordinate(n, i)
-            assert got == SpinorPoly(n, [xi * p for p in psi.components])
-            assert all(_normal(p) for p in got.components)
+            xi = SpherePoly.coordinate(n, i).terms
+            assert got == gaussian_spinor(n, [_kernel.mul_terms(xi, t) for t in psi.components])
+            assert all(e[0] <= 1 and c for t in got.components for e, c in t.items())
         for i in (-1, n + 1):
             with pytest.raises(IndexError):
                 psi.coordinate_mul(i)

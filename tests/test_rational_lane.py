@@ -6,14 +6,17 @@ one step at a time, builds T_i from its definition x_i E - d_i, and takes
 both Laplacians as -sum_i T_i^2.  Every operation on the lane must give
 the reference's values, leave the map in normal form (no zero numerators,
 x0-exponents at most 1, gcd(denominator, numerators) = 1), compare and
-hash like the CRat map of equal values, and print the reference's text.
+hash like the polynomial rebuilt from its values, and print the
+reference's text.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from speclab.entropy import apply_spectral_operator
 from speclab.polynomial import SpherePoly, grlex_key, harmonic_decompose, integrate
 from speclab.scalar_ops import T, U, conformal_laplacian, laplacian, laplacian_via_conformal_fields
 from speclab.scalars import CRat
@@ -141,14 +144,14 @@ def lane(p: SpherePoly) -> dict:
     values = dict(p.terms)
     assert all(type(v) is Fraction and v for v in values.values())
     assert all(e[0] <= 1 for e in values)
-    if p._den is not None:
-        assert p._den > 0 and all(type(v) is int and v for v in p._num.values())
-        assert gcd(p._den, *p._num.values()) == 1
+    assert p._den > 0 and all(type(v) is int and v for v in p._num.values())
+    assert gcd(p._den, *p._num.values()) == 1
     return values
 
 
-def crat_twin(p: SpherePoly) -> SpherePoly:
-    return SpherePoly(p.n, {e: CRat(c) for e, c in p.terms.items()}, reduced=True)
+def int_twin(p: SpherePoly) -> SpherePoly:
+    """p from its int numerators, scaled down by its denominator."""
+    return SpherePoly(p.n, dict(p._num), reduced=True).scale(Fraction(1, p._den))
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +223,13 @@ def test_equality_hash_and_text_across_coefficient_types(case):
     n, a, b, c = case
     p, q = SpherePoly(n, a), SpherePoly(n, b)
     for x in (p, q, p.add_scaled(q, c), p * q):
-        twin = crat_twin(x)
-        assert twin._den is None or x.is_zero
+        twin = int_twin(x)
         assert x == twin and twin == x and hash(x) == hash(twin)
         assert x.canonical_str() == ref_str(lane(x))
         # the reference map rebuilt from the view is the same polynomial
-        assert SpherePoly(n, dict(x.terms), reduced=True) == x
-        # mixed-type arithmetic gives the values of the rational result
+        rebuilt = SpherePoly(n, dict(x.terms), reduced=True)
+        assert rebuilt == x and hash(rebuilt) == hash(x)
+        # arithmetic on the twin from int numerators gives the same values
         assert twin + x == x.scale(2) and x - twin == SpherePoly.zero(n)
         assert U(0, twin) == U(0, x) and conformal_laplacian(twin) == conformal_laplacian(x)
     assert (p == q) == (ref_reduce(a, n) == ref_reduce(b, n))
@@ -242,3 +245,25 @@ def test_odd_dimension_denominators_are_carried_and_cancelled():
     assert U(1, x1.scale(2))._den == 1
     assert (x1.scale(Fraction(1, 2)) - x1.scale(Fraction(1, 2))).terms == {}
     assert x1.scale(Fraction(1, 2)).add_scaled(x1, Fraction(-1, 2)) == SpherePoly.zero(3)
+
+
+def test_coefficients_and_multipliers_that_are_not_rational_are_refused():
+    # a SpherePoly is int numerators over one denominator: a CRat or float
+    # coefficient or multiplier raises instead of taking another lane
+    n, e = 3, (0, 1, 0, 0)
+    p = SpherePoly(n, {e: Fraction(1, 2)})
+    for c, name in ((CRat(0, 1), "CRat"), (0.5, "float")):
+        refused = [
+            lambda: SpherePoly(n, {e: c}),
+            lambda: SpherePoly(n, {e: c}, reduced=True),
+            lambda: SpherePoly.combination([(1, p), (c, p)]),
+            lambda: SpherePoly.combination_is_zero([(c, p)]),
+            lambda: p.scale(c),
+            lambda: p.add_scaled(p, c),
+            lambda: p * c,
+            lambda: c * p,
+            lambda: apply_spectral_operator(p, lambda j: c),
+        ]
+        for build in refused:
+            with pytest.raises(TypeError, match=name):
+                build()

@@ -30,10 +30,10 @@ from speclab.clifford import (
     gamma_algebra,
     y_apply,
 )
-from speclab.polynomial import SpherePoly, normal_monomials
+from speclab.polynomial import SpherePoly, grlex_key, normal_monomials
 from speclab.scalars import CRat
 
-from oracles import kron_gamma_matrices, mat_mul
+from oracles import gaussian_spinor, kron_gamma_matrices, mat_mul
 
 DENOMINATORS = (1, 2, 4, 3, 5)
 ZERO = CRat(0)
@@ -173,26 +173,32 @@ def cancelling_pairs(draw, n):
 
 
 def build(n: int, a: list) -> SpinorPoly:
-    """The spinor of a reference value, from CRat components, or from
-    Fraction components where a slot is real."""
-    comps = []
-    for t in a:
-        if all(not c.im for c in t.values()):
-            t = {e: c.re for e, c in t.items()}
-        comps.append(SpherePoly(n, t, reduced=True))
-    return SpinorPoly(n, comps)
+    """The spinor of a reference value, from Fraction components where
+    every coefficient is real, else through ``gaussian_spinor``."""
+    if all(not c.im for t in a for c in t.values()):
+        comps = [SpherePoly(n, {e: c.re for e, c in t.items()}, reduced=True) for t in a]
+        return SpinorPoly(n, comps)
+    return gaussian_spinor(n, a)
+
+
+def ref_text(t: dict) -> str:
+    chunks = []
+    for e in sorted(t, key=grlex_key):
+        mono = " ".join(f"x{i}^{k}" for i, k in enumerate(e) if k)
+        chunks.append(f"{t[e]} * {mono}" if mono else str(t[e]))
+    return " + ".join(chunks) or "0"
 
 
 def ref_str(n: int, a: list) -> str:
-    body = "; ".join(SpherePoly(n, t, reduced=True).canonical_str() for t in a)
+    body = "; ".join(ref_text(t) for t in a)
     return f"SpinorPoly(n={n}, [{body}])"
 
 
 def assert_matches(psi: SpinorPoly, a: list):
     n = psi.n
-    assert [dict(p.terms) for p in psi.components] == a
-    for p in psi.components:
-        assert all(isinstance(c, CRat) for c in p.terms.values())
+    assert list(psi.components) == a
+    for t in psi.components:
+        assert type(t) is dict and all(isinstance(c, CRat) for c in t.values())
     den = psi._den
     assert den > 0
     values = [*psi._re.values(), *psi._im.values()]
@@ -305,7 +311,7 @@ def test_equal_fields_from_different_coefficient_types_are_equal():
     n = 2
     e = normal_monomials(n, 1)[1]
     zero = SpherePoly.zero(n)
-    as_crat = SpinorPoly(n, [SpherePoly(n, {e: CRat(Fraction(1, 2))}, reduced=True), zero])
+    as_crat = SpinorPoly.unit(n, 0, SpherePoly.monomial(n, e)).scale(CRat(Fraction(1, 2)))
     as_fraction = SpinorPoly(n, [SpherePoly(n, {e: Fraction(1, 2)}, reduced=True), zero])
     as_sum = SpinorPoly.unit(n, 0, SpherePoly.monomial(n, e)).scale(Fraction(3, 4)).add_scaled(
         SpinorPoly.unit(n, 0, SpherePoly.monomial(n, e)), Fraction(-1, 4)
@@ -383,7 +389,7 @@ def test_operator_column_maps_stay_bounded(monkeypatch):
         for _ in range(2):  # the second pass mixes result hits and misses
             got = [(dirac_apply(p), U_spin(1, p), y_apply(1, p)) for p in [psi] + others]
             assert got == want
-            assert all(len(table) <= 4 for table in tables)
+            assert all(len(table) <= 3 for table in tables)
     finally:
         clifford._clear_operator_caches()
 
