@@ -103,8 +103,8 @@ def _write_table(args, table: SpectrumTable) -> None:
 
 
 def _sphere_dimension(n: int) -> int:
-    """--n of spectrum and intertwinor, refused below 2 as the suites and
-    refute refuse it."""
+    """--n of spectrum, intertwinor and the scalar suite's cost guard,
+    refused below 2 as the suites and refute refuse it."""
     if n < 2:
         raise ValueError("sphere dimension must be >= 2")
     return n
@@ -233,9 +233,12 @@ def _verify_entropy(order: int, cutoff: int, quick: bool):
 def cmd_verify(args) -> int:
     n = args.n
     scopes = ["scalar", "spinor", "entropy"] if args.scope == "all" else [args.scope]
-    # cost guards before any work starts
+    # a dimension below 2 first, as the spinor algebra and the scalar
+    # suite refuse it, then the cost guards, before any work starts
+    if "spinor" in scopes and n < 2:
+        raise ValueError("n must be >= 2")
     if "scalar" in scopes:
-        basis = count_normal_monomials(n, args.cap)
+        basis = count_normal_monomials(_sphere_dimension(n), args.cap)
         if basis > MAX_SCALAR_BASIS or n > 6:
             print(
                 f"error: scalar sweep needs a basis of {basis} monomials "
@@ -243,13 +246,9 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    if "spinor" in scopes:
-        from .clifford import gamma_algebra
-
-        if n > 4 or args.N > 2:
-            print("error: spinor model guard: need n <= 4 and N <= 2", file=sys.stderr)
-            return 2
-        gamma_algebra(n)  # refuses n < 2 before any work starts
+    if "spinor" in scopes and (n > 4 or args.N > 2):
+        print("error: spinor model guard: need n <= 4 and N <= 2", file=sys.stderr)
+        return 2
     if "entropy" in scopes:
         refused = _entropy_guard(args.order, args.cutoff)
         if refused is not None:

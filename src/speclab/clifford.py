@@ -44,12 +44,19 @@ x. P + P x. rows and the footholds; ``clifford_x``, and so
 ``dirac_reference``, keeps the plain product), the span ranks of
 ``_span_rank_identity`` per (n, j, sign), and the truncation outcome per
 (n, N) inside ``verify_spinor_identities`` (``truncation_matrices`` and
-``TruncationModel.spectrum`` stay unmemoized).  ``_clear_operator_caches``
-empties all nine tables, so every change of P goes through it.  A warm
-suite then builds no column, makes no Clifford product and reduces no
-row: a warm (2, 1) run takes 11-12 ms and a warm (2, 2) run 31 ms
-(medians of 10 and 5 warm runs, three processes each, pinned to one core
-of the machine below).
+``TruncationModel.spectrum`` stay unmemoized).  From a suite's second
+request in the process on, the ``check_laws`` memos of its unit spinors
+(the word images and the pass marks of the law rows) are kept in the
+table of ``report._suite_memos`` under the suite's five operator
+callables, which the scalar suite shares; (4, 2), with 784 units, is too
+large to be kept.  ``_clear_operator_caches`` empties all nine tables and
+the kept memos, so every change of P goes through it.  A warm suite then
+builds no column, makes no Clifford product, reduces no row and sums no
+law difference: a warm (2, 1) run takes 0.7-1.3 ms, (2, 2) 1.0-1.7 ms
+and (3, 1) 1.8-3.0 ms, against 14-16, 26-41 and 40-58 ms with nothing
+kept (medians of 30, 10 and 10 warm runs, three processes each, pinned to
+one core of the machine below).  The kept (2, 1) memos hold about 420 KB
+by ``tracemalloc``.
 
 On restrictions of degree-k monogenic polynomials M (harmonic,
 annihilated by the Euclidean Dirac operator) one has G M = -k M and
@@ -104,7 +111,15 @@ from .polynomial import (
     normal_monomials,
     shift_terms,
 )
-from .report import VerificationReport, _store, compose, covariance_terms, shifted_square_terms
+from .report import (
+    VerificationReport,
+    _clear_suite_memos,
+    _store,
+    _suite_memos,
+    compose,
+    covariance_terms,
+    shifted_square_terms,
+)
 from .scalars import CRat, _norm
 from .scalar_ops import NotEigenfunctionError
 from .spectral import _odd_poly_coeffs
@@ -286,6 +301,8 @@ class SpinorPoly:
         if len(comps) != want:
             raise ValueError(f"expected {want} components, got {len(comps)}")
         for p in comps:
+            if not isinstance(p, SpherePoly):
+                raise TypeError(f"expected rational SpherePoly slots, got {type(p).__name__}")
             if p.n != n:
                 raise ValueError(f"dimension mismatch: S^{n} vs S^{p.n}")
         den = lcm(*(p._den for p in comps))
@@ -459,14 +476,16 @@ _CACHE_LIMIT = 20000
 
 
 def _clear_operator_caches() -> None:
-    """Empty the column maps of P, U_i and y_i, their per-spinor results
-    and the suite's three memos (x., span ranks, truncation outcomes)
-    together: the derived columns were built from the P columns, and the
-    span ranks and truncation outcomes from P."""
+    """Empty the column maps of P, U_i and y_i, their per-spinor results,
+    the suite's three memos (x., span ranks, truncation outcomes) and the
+    kept ``check_laws`` memos of ``report`` together: the derived columns
+    were built from the P columns, and the span ranks, truncation outcomes
+    and kept images and pass marks from P."""
     for table in (_DIRAC_CACHE, _U_CACHE, _Y_CACHE, _DIRAC_COLUMNS, _U_COLUMNS, _Y_COLUMNS):
         table.clear()
     for table in (_X_CACHE, _SPAN_CACHE, _SPECTRUM_CACHE):
         table.clear()
+    _clear_suite_memos()
 
 
 def _unit(n: int, slot: int, e: tuple) -> SpinorPoly:
@@ -520,6 +539,12 @@ def _x_image(psi: SpinorPoly) -> SpinorPoly:
     if hit is None:
         hit = _memo(_X_CACHE, psi, clifford_x(psi))
     return hit
+
+
+def _coordinate_mul(i: int, psi: SpinorPoly) -> SpinorPoly:
+    """x_i psi, the suite's x_i: one function for every call, so that the
+    kept memos of the suite keep their key."""
+    return psi.coordinate_mul(i)
 
 
 def dirac_reference(psi: SpinorPoly) -> SpinorPoly:
@@ -973,17 +998,26 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
     report = VerificationReport(scope="spinor", n=n, degree_cap=N)
     d = gamma_algebra(n).dim_spin
 
-    def units(degree):  # the normal-form unit spinors of degree <= degree
-        return [_unit(n, c, e) for c in range(d) for e in normal_monomials(n, degree)]
+    def units(degree):  # (slot, exponent) of each normal-form unit spinor of degree <= degree
+        return [(c, e) for c in range(d) for e in normal_monomials(n, degree)]
 
     # built per call, so that a rebound module-level name (a patch, a tracer) is used
     ops = {"P": dirac_apply, "X": _x_image}
-    indexed_ops = {"x": lambda i, psi: psi.coordinate_mul(i), "U": U_spin, "y": y_apply}
-    report.check_laws(units(0), [CLIFFORD_LAW], ops, indexed_ops)
-    report.check_laws(units(N), spinor_laws(n, N), ops, indexed_ops)
+    indexed_ops = {"x": _coordinate_mul, "U": U_spin, "y": y_apply}
+    top = units(N + 3)
+    kept = _suite_memos((n, N), top, (*ops.values(), *indexed_ops.values()))
+    kept = None if kept is None else dict(zip(top, kept))
+
+    def check(degree, laws):
+        keys = units(degree)
+        memos = None if kept is None else [kept[key] for key in keys]
+        report.check_laws([_unit(n, c, e) for c, e in keys], laws, ops, indexed_ops, memos)
+
+    check(0, [CLIFFORD_LAW])
+    check(N, spinor_laws(n, N))
     x_law = ("dirac_anticommutes_with_x", "x. P + P x. = 0", False, [(1, "X P"), (1, "P X")])
-    report.check_laws(units(N + 3), [x_law], ops, indexed_ops)
-    report.check_laws(units(N), EIGENSPACE_LAWS, ops, indexed_ops)
+    check(N + 3, [x_law])
+    check(N, EIGENSPACE_LAWS)
 
     # span identity on the exact bases of levels 0..1, whose adjacent
     # levels reach 2: x_i, P x_i, P^2 x_i images fill the adjacent sum.

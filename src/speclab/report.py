@@ -1,4 +1,18 @@
-"""Structured pass/fail records for identity verification suites."""
+"""Structured pass/fail records for identity verification suites.
+
+``VerificationReport.check_laws`` checks a table of operator laws on a
+basis, memoizing per basis vector the images of the law words and a pass
+mark for each law row that holds on the vector.  A suite requested more
+than once in a process keeps those memos across its requests in one
+bounded table shared by the scalar and the spinor suite
+(``_suite_memos``): from its second request on, each basis vector's memo
+is kept under the suite's operator callables and the vector's key, so a
+third request applies no operator and tests no law difference.  Nothing
+is kept on a suite's first request (a CLI process, the criterion-03
+grid), the table is emptied at 512 vectors, and a basis larger than that
+is never stored.  Only the suite's own operators are in the key: a
+change to anything they call must go through ``_clear_suite_memos``.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +27,42 @@ def _store(table: dict, key, value, limit: int):
         table.clear()
     table[key] = value
     return value
+
+
+# (operator callables, key of a basis vector) -> that vector's kept
+# ``check_laws`` memo; and the suites (suite, operator callables)
+# requested so far, as keys.  Both are emptied at their limits.
+_SUITE_MEMOS: dict = {}
+_SUITE_MEMOS_LIMIT = 512
+_SEEN_SUITES: dict = {}
+_SEEN_SUITES_LIMIT = 64
+
+
+def _clear_suite_memos() -> None:
+    """Empty the kept memos and the seen suites, so the next request of
+    every suite runs as in a fresh process."""
+    _SUITE_MEMOS.clear()
+    _SEEN_SUITES.clear()
+
+
+def _suite_memos(suite, keys: list, operators: tuple):
+    """The ``check_laws`` memos of a suite's basis vectors, one per key in
+    ``keys``, kept in ``_SUITE_MEMOS`` under ``operators``; or None (fresh
+    memos, nothing kept) on the first request of ``(suite, operators)``
+    and for a basis larger than the table, which would empty it on every
+    request and keep nothing."""
+    if (suite, operators) not in _SEEN_SUITES:
+        _store(_SEEN_SUITES, (suite, operators), None, _SEEN_SUITES_LIMIT)
+        return None
+    if len(keys) > _SUITE_MEMOS_LIMIT:
+        return None
+    memos = []
+    for key in keys:
+        memo = _SUITE_MEMOS.get((operators, key))
+        if memo is None:
+            memo = _store(_SUITE_MEMOS, (operators, key), {}, _SUITE_MEMOS_LIMIT)
+        memos.append(memo)
+    return memos
 
 
 @dataclass
@@ -90,21 +140,32 @@ class VerificationReport:
         Word images are memoized per basis vector by (word, i), index-free
         words without i, so laws share subwords; the i-sum of an indexed
         word is memoized too, by (word, "sum"), so every summed law holding
-        that word reuses it.  ``memos`` gives the memo dict of each basis
-        vector, in basis order, and the images this call makes are added to
-        it; by default each vector starts from an empty dict.  The caller
-        must pass memos made under these same operators.  Whether a word
-        is indexed is decided once per word.  A law's terms are merged per
-        word first, and a word whose coefficients cancel is not evaluated:
-        its images would cancel exactly.  A law whose coefficients all
-        cancel would hold for any operators, so it raises
-        ``AssertionError``.  Each i-sum is one linear combination,
-        ``type(vector).combination(pairs)`` over ``(coefficient, image)``
-        pairs, and each law's difference is tested with
-        ``type(vector).combination_is_zero(pairs)``, so vectors need both
-        classmethods.  The difference itself is built only for the first
-        failing vector of a law, which becomes its counterexample
+        that word reuses it.  Whether a word is indexed is decided once per
+        word.  A law's terms are merged per word first, and a word whose
+        coefficients cancel is not evaluated: its images would cancel
+        exactly.  A law whose coefficients all cancel would hold for any
+        operators, so it raises ``AssertionError``.  Each i-sum is one
+        linear combination, ``type(vector).combination(pairs)`` over
+        ``(coefficient, image)`` pairs, and each law's difference is tested
+        with ``type(vector).combination_is_zero(pairs)``, so vectors need
+        both classmethods.  The difference itself is built only for the
+        first failing vector of a law, which becomes its counterexample
         ``{"basis_vector", "index", "difference"}``.
+
+        A law that holds on a vector for every i leaves a pass mark in the
+        vector's memo, keyed by the text of its ``(per_index, merged
+        nonzero terms)``, and a law whose mark is present is skipped: no
+        image, no zero test.  The verdict depends only on the operators,
+        the vector and those terms, as the images do.  The identity_id is
+        not in the key, and a failing law leaves no mark, so it is checked
+        again on every call and its counterexample is rebuilt the same.
+
+        ``memos`` gives the memo dict of each basis vector, in basis order,
+        and the images and marks this call makes are added to it; by
+        default each vector starts from an empty dict.  The caller must
+        pass memos made under these same operators.  On memos that hold
+        every law's mark, a call costs the merge of the table's terms and
+        one dict probe per law and vector.
         """
         indexed = {"": False}
 
@@ -114,7 +175,8 @@ class VerificationReport:
                 indexed[word] = mark(rest) or head in indexed_ops
             return indexed[word]
 
-        merged = []  # (identity_id, per_index, nonzero (coefficient, word) terms)
+        # (identity_id, per_index, nonzero (coefficient, word) terms, pass mark)
+        merged = []
         for identity_id, _, per_index, terms in laws:
             coeffs = {}
             for c, word in terms:
@@ -123,7 +185,9 @@ class VerificationReport:
             nonzero = [(c, w) for w, c in coeffs.items() if c]
             if not nonzero:
                 raise AssertionError(f"law {identity_id} merges to no terms: it tests nothing")
-            merged.append((identity_id, per_index, nonzero))
+            # the mark is the text, hashed once and cached, where a tuple
+            # would hash its Fractions again on every probe
+            merged.append((identity_id, per_index, nonzero, repr((per_index, nonzero))))
 
         indices = range(self.n + 1)
         failed = {}
@@ -155,8 +219,8 @@ class VerificationReport:
                     memo[key] = hit
                 return hit
 
-            for identity_id, per_index, terms in merged:
-                if identity_id in failed:
+            for identity_id, per_index, terms, passed in merged:
+                if identity_id in failed or passed in memo:
                     continue
                 for i in indices if per_index else (None,):
                     pairs = [
@@ -170,6 +234,8 @@ class VerificationReport:
                             "difference": str(combination(pairs)),
                         }
                         break
+                else:
+                    memo[passed] = True
         for identity_id, law, _, _ in laws:
             self.add(identity_id, law, identity_id not in failed, failed.get(identity_id))
 

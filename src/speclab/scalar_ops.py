@@ -15,22 +15,21 @@ iterating the minus branch from any off-spectrum candidate descends below
 the bottom bound in finitely many steps, which is the machine-checkable
 refutation of that candidate.
 
-The identity suite keeps its word images across calls.  The
-``check_laws`` memo of each basis monomial, {(word, i): image}, is kept
-in ``_SUITE_IMAGES`` under the suite's five operator callables and the
-monomial's exponent, so a rebound operator (a corruption, a tracer) has
-keys of its own.  A suite (n, degree_cap, operators) stores its images
-only from its second request in the process on, which a bounded set of
-seen suites decides: a suite run once (the criterion-03 grid, a CLI
-process) keeps nothing.  The table is emptied past 512 monomials, and a
-suite with a larger basis is never stored.  A warm repeat applies no
-operator: warm (3, 4) takes about 6 ms instead of 24-33 ms (medians of
-30 warm runs, three processes each, pinned to one core of a 2-vCPU
-x86_64 VM, CPython 3.11.7) and keeps 2585 images of 5325 terms, 1.3-1.4
+The identity suite keeps its ``check_laws`` memos across calls, in the
+table that ``report._suite_memos`` shares with the spinor suite: each
+basis monomial's word images {(word, i): image} and the pass marks of the
+law rows that hold on it, under the suite's five operator callables and
+the monomial's exponent, so a rebound operator (a corruption, a tracer)
+has keys of its own.  A suite (n, degree_cap, operators) is kept only
+from its second request in the process on: a suite run once (the
+criterion-03 grid, a CLI process) keeps nothing.  A warm repeat applies
+no operator and tests no law difference: warm (3, 4) takes 0.3-0.55 ms
+instead of 5-8.5 ms (medians of 30 warm runs, three processes each,
+pinned to one core of a 2-vCPU x86_64 VM, CPython 3.11.7) and keeps 2585 images of 5325 terms, 1.3-1.4
 MB by ``tracemalloc``.  A monomial keeps at most about 45 KB (n = 6), so
 a full table holds about 23 MB.  Only the suite's own operators are in
 the key: a change to anything they call (``T``, ``_laplacian``, a
-kernel) must go through ``_clear_suite_images``.
+kernel) must go through ``report._clear_suite_memos``.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .polynomial import (
     normal_monomials,
     shift_terms,
 )
-from .report import VerificationReport, _store, covariance_terms, shifted_square_terms
+from .report import VerificationReport, _suite_memos, covariance_terms, shifted_square_terms
 from .scalars import as_rat
 from .surd import Quad, rational_sqrt, sqrt_in_field
 
@@ -552,45 +551,6 @@ def scalar_laws(n: int) -> list:
     return laws
 
 
-# (operator callables, exponent of a basis monomial) -> that monomial's
-# ``check_laws`` memo {(word, i): image}; and the suites (n, degree_cap,
-# operator callables) requested so far, as keys.  Both are emptied past
-# their limits.
-_SUITE_IMAGES: dict = {}
-_SUITE_IMAGES_LIMIT = 512
-_SEEN_SUITES: dict = {}
-_SEEN_SUITES_LIMIT = 64
-
-
-def _clear_suite_images() -> None:
-    """Empty the suite's image table and its seen suites, so the next
-    request of every suite runs as in a fresh process.  The key holds only
-    the suite's own operators: a change to anything they call (``T``,
-    ``_laplacian``, a kernel) must go through here."""
-    _SUITE_IMAGES.clear()
-    _SEEN_SUITES.clear()
-
-
-def _suite_memos(n: int, degree_cap: int, exponents: list, operators: tuple):
-    """The ``check_laws`` memos of the suite's basis monomials, kept in
-    ``_SUITE_IMAGES``, or None (fresh memos, nothing kept) on the suite's
-    first request and for a basis larger than the table, which would empty
-    it on every request and keep nothing."""
-    key = (n, degree_cap, operators)
-    if key not in _SEEN_SUITES:
-        _store(_SEEN_SUITES, key, None, _SEEN_SUITES_LIMIT)
-        return None
-    if len(exponents) > _SUITE_IMAGES_LIMIT:
-        return None
-    memos = []
-    for e in exponents:
-        memo = _SUITE_IMAGES.get((operators, e))
-        if memo is None:
-            memo = _store(_SUITE_IMAGES, (operators, e), {}, _SUITE_IMAGES_LIMIT)
-        memos.append(memo)
-    return memos
-
-
 def verify_scalar_identities(n: int, degree_cap: int) -> VerificationReport:
     """Check every scalar operator identity exactly on the full monomial
     basis up to degree_cap.
@@ -598,10 +558,10 @@ def verify_scalar_identities(n: int, degree_cap: int) -> VerificationReport:
     The operators are looked up by name at call time, so the suite's
     falsifiability is tested by rebinding one (say ``conformal_laplacian``
     shifted by a constant): a corrupted operator must produce failures.
-    The per-vector memos of word images come from ``_suite_memos``: fresh
-    on a suite's first request, and from its second request on kept in
-    ``_SUITE_IMAGES`` under these operators, so a warm repeat applies no
-    operator.
+    The per-monomial ``check_laws`` memos come from
+    ``report._suite_memos``, keyed by exponent: fresh on a suite's first
+    request, and from its second request on kept under these operators, so
+    a warm repeat applies no operator and tests no law difference.
     """
     if degree_cap < 2:
         raise ValueError("degree_cap must be >= 2")
@@ -611,6 +571,6 @@ def verify_scalar_identities(n: int, degree_cap: int) -> VerificationReport:
     # built per call, so that a rebound module-level name (a patch, a tracer) is used
     ops = {"D": conformal_laplacian, "L": laplacian, "LT": laplacian_via_conformal_fields}
     indexed_ops = {"x": coordinate_mul, "U": U}
-    memos = _suite_memos(n, degree_cap, exponents, (*ops.values(), *indexed_ops.values()))
+    memos = _suite_memos((n, degree_cap), exponents, (*ops.values(), *indexed_ops.values()))
     report.check_laws(basis, scalar_laws(n), ops, indexed_ops, memos)
     return report

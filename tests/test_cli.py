@@ -659,6 +659,22 @@ def test_escaped_inputs_are_usage_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "scope, n, message",
+    [
+        ("scalar", "1", "sphere dimension must be >= 2"),
+        ("scalar", "0", "sphere dimension must be >= 2"),
+        ("scalar", "-1", "sphere dimension must be >= 2"),
+        ("all", "0", "n must be >= 2"),
+    ],
+)
+def test_verify_refuses_a_dimension_below_two_as_n_1_is_refused(capsys, scope, n, message):
+    # below 1 the scalar cost guard counted monomials on S^n and printed
+    # math.comb's own error, "n must be a non-negative integer"
+    code, out, err = run(capsys, "verify", scope, "--n", n, "--cap", "4")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         # product printed the r = 2 table, labelled "parameter": "2", with exit 0

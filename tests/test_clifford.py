@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from speclab import clifford
+from speclab import clifford, report
 from speclab.clifford import (
     SpinorPoly,
     U_spin,
@@ -819,6 +819,62 @@ def test_spinor_corruption_table(monkeypatch, cold_dirac_caches):
         for name in ALL_CORRUPTIONS
     }
     assert failing == want
+
+
+def _rows_failed_by(name: str) -> set:
+    return {row for row, names in SPINOR_CORRUPTION_TABLE.items() if name in names}
+
+
+@pytest.mark.parametrize("n, N", [(2, 1), (2, 2), (3, 1)])
+def test_warm_spinor_report_is_byte_identical(n, N, cold_dirac_caches):
+    # the first request keeps no check_laws memo, the second keeps the
+    # images and pass marks of every unit of degree <= N + 3, and the third
+    # reads them back
+    first = verify_spinor_identities(n, N).to_json()
+    assert not report._SUITE_MEMOS
+    assert verify_spinor_identities(n, N).to_json() == first
+    units = clifford.gamma_algebra(n).dim_spin * len(normal_monomials(n, N + 3))
+    assert len(report._SUITE_MEMOS) == units
+    assert verify_spinor_identities(n, N).to_json() == first
+
+
+def test_kept_spinor_memos_are_emptied_with_the_operator_caches(monkeypatch, cold_dirac_caches):
+    # _p_column is not in the key: after two clean runs, a wrong column and
+    # the clear fail exactly the rows of the corruption table, on a cold and
+    # on warm repeats
+    for _ in range(2):
+        assert verify_spinor_identities(2, 1).all_passed
+    assert report._SUITE_MEMOS
+    with monkeypatch.context() as mp:
+        _spinor_corruptions()["P column + 1"](mp)
+        clifford._clear_operator_caches()
+        assert not report._SUITE_MEMOS
+        for _ in range(3):
+            failed = {c.identity_id for c in verify_spinor_identities(2, 1).failures()}
+            assert failed == _rows_failed_by("P column + 1")
+    clifford._clear_operator_caches()
+
+
+def test_a_rebound_dirac_apply_gets_kept_memos_of_its_own(monkeypatch, cold_dirac_caches):
+    # without a clear, P + 1 is new operators in the key: every request
+    # under it gives the same failing report, and the kept memos of the
+    # true P stay beside its own.  Its law rows of the corruption table
+    # fail; the span ranks and the truncation outcome of the true P are
+    # memoized in clifford itself, so those rows need the clear, and the
+    # warm U_i of the true P fail two rows more than a cold run does.
+    for _ in range(2):
+        assert verify_spinor_identities(2, 1).all_passed
+    kept = dict(report._SUITE_MEMOS)
+    with monkeypatch.context() as mp:
+        _spinor_corruptions()["P + 1"](mp)
+        runs = [verify_spinor_identities(2, 1) for _ in range(3)]
+    assert runs[0].to_json() == runs[1].to_json() == runs[2].to_json()
+    failed = {c.identity_id for c in runs[0].failures()}
+    laws = _rows_failed_by("P + 1") - {"truncation_spectrum_lattice", "spectral_bound"}
+    assert failed == laws | {"compressed_u_is_gap_times_x", "ladder_sum_as"}
+    assert kept.items() <= report._SUITE_MEMOS.items()
+    assert len(report._SUITE_MEMOS) == 2 * len(kept)
+    assert verify_spinor_identities(2, 1).all_passed
 
 
 def test_zero_clifford_x_fails_only_the_clifford_relations(monkeypatch, cold_dirac_caches):

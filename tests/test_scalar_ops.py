@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from speclab import scalar_ops
+from speclab import report, scalar_ops
 from speclab.polynomial import SpherePoly, ambient_laplacian_terms, normal_monomials
 from speclab.scalar_ops import (
     BelowBoundError,
@@ -566,9 +566,9 @@ def _corruption_want() -> dict:
 
 @pytest.fixture
 def cold_suite_images():
-    scalar_ops._clear_suite_images()
+    report._clear_suite_memos()
     yield
-    scalar_ops._clear_suite_images()
+    report._clear_suite_memos()
 
 
 @pytest.mark.parametrize("n, cap", [(2, 4), (3, 4), (4, 3)])
@@ -576,37 +576,39 @@ def test_warm_suite_report_is_byte_identical(n, cap, cold_suite_images):
     # the first request stores nothing, the second stores its images and
     # the third reads them back
     first = verify_scalar_identities(n, cap).to_json()
-    assert not scalar_ops._SUITE_IMAGES
+    assert not report._SUITE_MEMOS
     assert verify_scalar_identities(n, cap).to_json() == first
-    assert len(scalar_ops._SUITE_IMAGES) == len(normal_monomials(n, cap))
+    assert len(report._SUITE_MEMOS) == len(normal_monomials(n, cap))
     assert verify_scalar_identities(n, cap).to_json() == first
 
 
 def test_corruptions_are_caught_with_a_warm_table(monkeypatch, cold_suite_images):
     for _ in range(2):
         assert verify_scalar_identities(3, 3).all_passed
-    assert scalar_ops._SUITE_IMAGES
+    assert report._SUITE_MEMOS
     assert _corruption_failures(monkeypatch) == _corruption_want()
 
 
 def test_an_operator_outside_the_key_needs_the_clear(monkeypatch, cold_suite_images):
-    # the LT route calls T, which is not in the key: the kept images hide a
-    # change of T until the table is cleared
+    # the LT route calls T, which is not in the key: the kept images and
+    # pass marks hide a change of T until the table is cleared
     for _ in range(2):
         assert verify_scalar_identities(3, 3).all_passed
     good = scalar_ops.T
     monkeypatch.setattr(scalar_ops, "T", lambda i, p: good(i, p) * 2)
     assert verify_scalar_identities(3, 3).all_passed
-    scalar_ops._clear_suite_images()
+    report._clear_suite_memos()
     failed = {c.identity_id for c in verify_scalar_identities(3, 3).failures()}
     assert failed == {"laplacian_two_routes"}
 
 
 def test_warm_suite_applies_no_operator(monkeypatch, cold_suite_images):
-    # the images of a warm (3, 4) repeat all come from the table; the
-    # operators' kernels are counted in _kernel, which leaves the operator
-    # callables, and so the key, as they are
-    from speclab import _kernel
+    # the images of a warm scalar (3, 4) or spinor (2, 1) repeat all come
+    # from the table and every law row from its pass mark, so no operator
+    # is applied and no law difference is summed; the kernels are counted
+    # in _kernel, which leaves the operator callables, and so the key, as
+    # they are
+    from speclab import _kernel, clifford
 
     calls = []
 
@@ -619,35 +621,39 @@ def test_warm_suite_applies_no_operator(monkeypatch, cold_suite_images):
 
         return wrapper
 
-    for name in ("reduce_terms", "add_scaled_terms"):
+    kernels = ("reduce_terms", "add_scaled_terms", "combine_terms")
+    for name in kernels:
         monkeypatch.setattr(_kernel, name, counted(name))
-    assert verify_scalar_identities(3, 4).all_passed
-    assert {"reduce_terms", "add_scaled_terms"} <= set(calls)
-    assert verify_scalar_identities(3, 4).all_passed
-    calls.clear()
-    assert verify_scalar_identities(3, 4).all_passed
-    assert calls == []
+    suites = [(verify_scalar_identities, (3, 4)), (clifford.verify_spinor_identities, (2, 1))]
+    for suite, key in suites:
+        calls.clear()
+        assert suite(*key).all_passed
+        assert suite(*key).all_passed
+        assert set(kernels) <= set(calls)
+        calls.clear()
+        assert suite(*key).all_passed
+        assert calls == []
 
 
 def test_suite_image_table_is_bounded(monkeypatch, cold_suite_images):
     # a suite requested once stores nothing; with a small limit the table
     # and the seen suites stay within their bounds, a basis larger than the
     # table is never stored, and every report matches its cold run
-    monkeypatch.setattr(scalar_ops, "_SUITE_IMAGES_LIMIT", 20)
-    monkeypatch.setattr(scalar_ops, "_SEEN_SUITES_LIMIT", 3)
+    monkeypatch.setattr(report, "_SUITE_MEMOS_LIMIT", 20)
+    monkeypatch.setattr(report, "_SEEN_SUITES_LIMIT", 3)
     want = {key: verify_scalar_identities(*key).to_json() for key in [(2, 2), (2, 3), (3, 2)]}
-    assert not scalar_ops._SUITE_IMAGES
+    assert not report._SUITE_MEMOS
     for _ in range(3):
-        for key, report in want.items():
-            assert verify_scalar_identities(*key).to_json() == report
-            assert len(scalar_ops._SUITE_IMAGES) <= 20
-    assert scalar_ops._SUITE_IMAGES
-    scalar_ops._clear_suite_images()
+        for key, text in want.items():
+            assert verify_scalar_identities(*key).to_json() == text
+            assert len(report._SUITE_MEMOS) <= 20
+    assert report._SUITE_MEMOS
+    report._clear_suite_memos()
     assert len(normal_monomials(3, 3)) > 20
     for key in [(3, 3), (3, 3), (3, 3), *want]:
         assert verify_scalar_identities(*key).all_passed
-        assert len(scalar_ops._SEEN_SUITES) <= 3
-    assert not scalar_ops._SUITE_IMAGES
+        assert len(report._SEEN_SUITES) <= 3
+    assert not report._SUITE_MEMOS
 
 
 def test_eigenspace_cache_stays_bounded(monkeypatch):
@@ -706,3 +712,54 @@ def test_report_serialization():
     assert all("identity_id" in c and "law" in c for c in d["checks"])
     assert "degree_cap" in d["checks"][0]
     rep.to_json()
+
+
+# ---------------------------------------------------------------------------
+# the pass marks of check_laws
+# ---------------------------------------------------------------------------
+
+
+def _mark_basis(n=2, cap=2):
+    return [SpherePoly(n, {e: 1}, reduced=True) for e in normal_monomials(n, cap)]
+
+
+def _check(basis, row, memos):
+    rep = report.VerificationReport(scope="scalar", n=2, degree_cap=2)
+    rep.check_laws(basis, [row], {"L": laplacian}, {"x": scalar_ops.coordinate_mul}, memos)
+    return rep.checks[0]
+
+
+def test_pass_marks_are_keyed_by_terms_not_by_identity_id():
+    # the same id over other terms is checked again on a warm memo: a mark
+    # keyed by the id would let the false law pass
+    basis = _mark_basis()
+    memos = [{} for _ in basis]
+    holds = _check(basis, ("row", "sum_i x_i^2 = 1", False, [(1, "x x"), (-1, "")]), memos)
+    assert holds.status == "pass" and all(memos)
+    wrong = _check(basis, ("row", "sum_i x_i^2 = 2", False, [(1, "x x"), (-2, "")]), memos)
+    assert wrong.status == "fail"
+    assert wrong.counterexample == {"basis_vector": "1/1", "index": None, "difference": "-1/1"}
+
+
+def test_a_failing_row_leaves_no_mark_and_fails_the_same_again(monkeypatch):
+    # L p = 0 holds on the constant, the first basis vector, and fails on
+    # the next: the pass on the constant is kept, the failure is tested and
+    # its counterexample rebuilt on every call
+    basis = _mark_basis()
+    memos = [{} for _ in basis]
+    row = ("row", "L = 0", False, [(1, "L")])
+    tested = []
+    real = SpherePoly.combination_is_zero.__func__
+
+    def counted(cls, pairs):
+        tested.append(pairs)
+        return real(cls, pairs)
+
+    monkeypatch.setattr(SpherePoly, "combination_is_zero", classmethod(counted))
+    first = _check(basis, row, memos)
+    assert first.status == "fail" and first.counterexample["basis_vector"] != "1/1"
+    assert len(tested) == 2
+    tested.clear()
+    again = _check(basis, row, memos)
+    assert again.to_dict() == first.to_dict()
+    assert len(tested) == 1  # the constant's pass is kept, the failure is tested

@@ -346,6 +346,15 @@ def test_components_on_another_sphere_are_refused():
             build_field()
 
 
+def test_slots_that_are_not_sphere_polynomials_are_refused():
+    # the components of a field are {exponents: CRat} dicts, not slots: read
+    # back into the constructor they raised AttributeError on dict.n
+    unit = SpinorPoly.unit(2, 0)
+    for slots in (unit.components, [SpherePoly.one(2), 1]):
+        with pytest.raises(TypeError, match="expected rational SpherePoly slots, got"):
+            SpinorPoly(2, slots)
+
+
 def test_columns_over_different_denominators_add_exactly(monkeypatch):
     # every column of one operator has the same denominator at every n that
     # the suites run, so halve one column of P to make the sum mix two
