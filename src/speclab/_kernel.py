@@ -9,6 +9,8 @@ field arithmetic works (Fraction, CRat, float), and CRat maps run on the
 int arithmetic of the quadratic-field core in ``scalars``.  Callers look
 the functions up on this module at call time
 (``_kernel.mul_terms(...)``), so a wrapper bound here sees every call.
+``Memo``, the bounded table of every hand-held cache, lives here because
+this module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -128,12 +130,28 @@ def mul_terms(a: dict, b: dict) -> dict:
     return out
 
 
+class Memo(dict):
+    """A memo table of at most ``limit`` entries, the one bound of the
+    package's hand-held caches: ``store`` empties a full table first."""
+
+    __slots__ = ("limit",)
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def store(self, key, value):
+        """value, stored at ``key``."""
+        if len(self) >= self.limit:
+            self.clear()
+        self[key] = value
+        return value
+
+
 # cache of the expansions (1 - x1^2 - ... - xn^2)^k, keyed by (n, k, key
 # width); entries are lists of (exponents of x1..xn padded with zeros to
-# width - 1 entries, integer coefficient), oldest dropped first beyond the
-# limit
-_POW_CACHE: dict = {}
-_POW_LIMIT = 256
+# width - 1 entries, integer coefficient)
+_POW_CACHE = Memo(256)
 
 
 def _compositions(total: int, parts: int):
@@ -158,10 +176,7 @@ def _pow_one_minus_s(n: int, k: int, width: int):
             for bi in beta:
                 coeff //= factorial(bi)
             rows.append((tuple(2 * bi for bi in beta) + (0,) * (width - n - 1), coeff))
-    if len(_POW_CACHE) >= _POW_LIMIT:
-        del _POW_CACHE[next(iter(_POW_CACHE))]
-    _POW_CACHE[key] = rows
-    return rows
+    return _POW_CACHE.store(key, rows)
 
 
 def reduce_terms(terms: dict, n: int) -> dict:

@@ -214,10 +214,6 @@ def cmd_intertwinor(args) -> int:
     return 0
 
 
-def _verify_scalar(n: int, cap: int):
-    return verify_scalar_identities(n, cap)
-
-
 def _verify_spinor(n: int, cap: int):
     from .clifford import verify_spinor_identities
 
@@ -256,7 +252,7 @@ def cmd_verify(args) -> int:
 
     tasks = []
     if "scalar" in scopes:
-        tasks.append(("scalar", _verify_scalar, (n, args.cap)))
+        tasks.append(("scalar", verify_scalar_identities, (n, args.cap)))
     if "spinor" in scopes:
         tasks.append(("spinor", _verify_spinor, (n, args.N)))
     if "entropy" in scopes:

@@ -38,18 +38,19 @@ models) goes through the columns.  Every linear combination of spinors,
 these column sums included, is one accumulation on ints (``_combine``)
 over coefficients (p + q i) / r given as int triples (p, q, r).
 
-The identity suite memoizes three more results beside those tables, each
-bounded the same way: x. per spinor (``_x_image``: the x. x. and
-x. P + P x. rows and the footholds; ``clifford_x``, and so
-``dirac_reference``, keeps the plain product), the span ranks of
-``_span_rank_identity`` per (n, j, sign), and the truncation outcome per
-(n, N) inside ``verify_spinor_identities`` (``truncation_matrices`` and
-``TruncationModel.spectrum`` stay unmemoized).  From a suite's second
-request in the process on, the ``check_laws`` memos of its unit spinors
-(the word images and the pass marks of the law rows) are kept in the
-table of ``report._suite_memos`` under the suite's five operator
-callables, which the scalar suite shares; (4, 2), with 784 units, is too
-large to be kept.  ``_clear_operator_caches`` empties all nine tables and
+The identity suite memoizes three more results beside those tables: x.
+per spinor (``_x_image``: the x. x. and x. P + P x. rows and the
+footholds; ``clifford_x``, and so ``dirac_reference``, keeps the plain
+product), the span ranks of ``_span_rank_identity`` per (n, j, sign), and
+the truncation outcome per (n, N) inside ``verify_spinor_identities``
+(``truncation_matrices`` and ``TruncationModel.spectrum`` stay
+unmemoized).  Each of the nine tables is a ``Memo`` of ``_CACHE_LIMIT``
+(20000) entries, emptied when full.  From a suite's second request in
+the process on, the ``check_laws`` memos of its unit spinors (the word
+images and the pass marks of the law rows) are kept in the table of
+``report._suite_memos`` under the suite's five operator callables, which
+the scalar suite shares; (4, 2), with 784 units, is too large to be
+kept.  ``_clear_operator_caches`` empties all nine tables and
 the kept memos, so every change of P goes through it.  A warm suite then
 builds no column, makes no Clifford product, reduces no row and sums no
 law difference: a warm (2, 1) run takes 0.7-1.3 ms, (2, 2) 1.0-1.7 ms
@@ -114,7 +115,6 @@ from .polynomial import (
 from .report import (
     VerificationReport,
     _clear_suite_memos,
-    _store,
     _suite_memos,
     compose,
     covariance_terms,
@@ -452,27 +452,27 @@ def angular_apply(psi: SpinorPoly) -> SpinorPoly:
     )
 
 
+_CACHE_LIMIT = 20000
 # (n, slot, normal-form exponent) -> image under P of that unit spinor
 # monomial.
-_DIRAC_COLUMNS: dict = {}
+_DIRAC_COLUMNS = _kernel.Memo(_CACHE_LIMIT)
 # (i, n, slot, exponent) -> image under U_i and under y_i, built from P.
-_U_COLUMNS: dict = {}
-_Y_COLUMNS: dict = {}
+_U_COLUMNS = _kernel.Memo(_CACHE_LIMIT)
+_Y_COLUMNS = _kernel.Memo(_CACHE_LIMIT)
 # Per-spinor results in front of each column map, keyed by (psi,) for P
 # and by (i, psi) for U_i and y_i: identity sweeps apply the operators to
 # the same spinors repeatedly, and a warm suite applies them to the same
 # ones again.
-_DIRAC_CACHE: dict = {}
-_U_CACHE: dict = {}
-_Y_CACHE: dict = {}
+_DIRAC_CACHE = _kernel.Memo(_CACHE_LIMIT)
+_U_CACHE = _kernel.Memo(_CACHE_LIMIT)
+_Y_CACHE = _kernel.Memo(_CACHE_LIMIT)
 # What a warm spinor suite would otherwise rebuild from unchanged inputs:
 # psi -> x. psi (the suite's x. and the footholds), (n, j, sign) -> the
 # verdict of ``_span_rank_identity``, and (n, N) -> the suite's truncation
 # outcome.
-_X_CACHE: dict = {}
-_SPAN_CACHE: dict = {}
-_SPECTRUM_CACHE: dict = {}
-_CACHE_LIMIT = 20000
+_X_CACHE = _kernel.Memo(_CACHE_LIMIT)
+_SPAN_CACHE = _kernel.Memo(_CACHE_LIMIT)
+_SPECTRUM_CACHE = _kernel.Memo(_CACHE_LIMIT)
 
 
 def _clear_operator_caches() -> None:
@@ -481,9 +481,8 @@ def _clear_operator_caches() -> None:
     kept ``check_laws`` memos of ``report`` together: the derived columns
     were built from the P columns, and the span ranks, truncation outcomes
     and kept images and pass marks from P."""
-    for table in (_DIRAC_CACHE, _U_CACHE, _Y_CACHE, _DIRAC_COLUMNS, _U_COLUMNS, _Y_COLUMNS):
-        table.clear()
-    for table in (_X_CACHE, _SPAN_CACHE, _SPECTRUM_CACHE):
+    results = (_DIRAC_CACHE, _U_CACHE, _Y_CACHE, _X_CACHE, _SPAN_CACHE, _SPECTRUM_CACHE)
+    for table in results + (_DIRAC_COLUMNS, _U_COLUMNS, _Y_COLUMNS):
         table.clear()
     _clear_suite_memos()
 
@@ -493,7 +492,9 @@ def _unit(n: int, slot: int, e: tuple) -> SpinorPoly:
     return _spinor(n, {e + (slot,): 1}, {}, 1)
 
 
-def _apply_columns(psi: SpinorPoly, index: tuple, results: dict, table: dict, build) -> SpinorPoly:
+def _apply_columns(
+    psi: SpinorPoly, index: tuple, results: _kernel.Memo, table: _kernel.Memo, build
+) -> SpinorPoly:
     """A linear operator given by its columns: the sum over the terms of
     psi of coefficient times the column of (slot, exponent).
 
@@ -523,12 +524,12 @@ def _apply_columns(psi: SpinorPoly, index: tuple, results: dict, table: dict, bu
     return _memo(results, key, _combine(psi.n, terms))
 
 
-def _memo(table: dict, key, psi: SpinorPoly) -> SpinorPoly:
+def _memo(table: _kernel.Memo, key, psi: SpinorPoly) -> SpinorPoly:
     """psi, stored at ``key`` in ``table`` with its maps rebuilt, since
     cancelled keys oversize them."""
     psi._re = {k: v for k, v in psi._re.items()}
     psi._im = {k: v for k, v in psi._im.items()}
-    return _store(table, key, psi, _CACHE_LIMIT)
+    return table.store(key, psi)
 
 
 def _x_image(psi: SpinorPoly) -> SpinorPoly:
@@ -1052,7 +1053,7 @@ def verify_spinor_identities(n: int, N: int) -> VerificationReport:
             error = None
         except SpectrumError as exc:
             error = str(exc)
-        _store(_SPECTRUM_CACHE, (n, N), error, _CACHE_LIMIT)
+        _SPECTRUM_CACHE.store((n, N), error)
     ok, cx = (True, None) if error is None else (False, {"error": error})
     report.add(
         "truncation_spectrum_lattice", "certified truncation spectrum lies on +-(n/2+j)", ok, cx
@@ -1089,12 +1090,8 @@ def _span_rank_identity(n: int, j: int, sign: int) -> bool:
     # the bases are independent: rank(gen) = target_dim with every reduced
     # row in the span of the targets means equal spans
     rank_gen = len(rref(gen_rows))
-    return _store(
-        _SPAN_CACHE,
-        key,
-        rank_gen == target_dim and None not in coords_in_span_multi(tgt_rows, gen_rows[:rank_gen]),
-        _CACHE_LIMIT,
-    )
+    ok = rank_gen == target_dim and None not in coords_in_span_multi(tgt_rows, gen_rows[:rank_gen])
+    return _SPAN_CACHE.store(key, ok)
 
 
 def _adjacent_levels(n: int, j: int, sign: int):

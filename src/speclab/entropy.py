@@ -41,6 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._kernel import Memo
 from .polynomial import (
     SpherePoly,
     harmonic_decompose,
@@ -469,11 +470,10 @@ def battery() -> list:
 
 
 # (quadrature order, projector jmax) -> (rule, its gate error, projector):
-# a session repeats the same --order and --cutoff.  Oldest dropped first;
-# two entries, each about 1.2 MB of arrays at the order guard (order 100,
-# jmax 47: 0.17 MB of rule, 1.0 MB of projector tables).
-_FIXED_COSTS: dict = {}
-_FIXED_COSTS_LIMIT = 2
+# a session repeats the same --order and --cutoff.  Two entries, each
+# about 1.2 MB of arrays at the order guard (order 100, jmax 47: 0.17 MB
+# of rule, 1.0 MB of projector tables).
+_FIXED_COSTS = Memo(2)
 
 
 # a rule whose gate error exceeds this fails the report: the battery's
@@ -493,9 +493,7 @@ def entropy_report(cutoff: int = 25, quick: bool = False, order: int = 60) -> di
     if fixed is None:
         rule = build_quadrature(key[0])
         fixed = (rule, rule.validate(2 * key[1]), SphereProjector(rule, key[1]))
-        if len(_FIXED_COSTS) >= _FIXED_COSTS_LIMIT:
-            del _FIXED_COSTS[next(iter(_FIXED_COSTS))]
-        _FIXED_COSTS[key] = fixed
+        _FIXED_COSTS.store(key, fixed)
     rule, gate, projector = fixed
     rows = []
     members = battery()

@@ -4,14 +4,15 @@
 basis, memoizing per basis vector the images of the law words and a pass
 mark for each law row that holds on the vector.  A suite requested more
 than once in a process keeps those memos across its requests in one
-bounded table shared by the scalar and the spinor suite
-(``_suite_memos``): from its second request on, each basis vector's memo
-is kept under the suite's operator callables and the vector's key, so a
-third request applies no operator and tests no law difference.  Nothing
-is kept on a suite's first request (a CLI process, the criterion-03
-grid), the table is emptied at 512 vectors, and a basis larger than that
-is never stored.  Only the suite's own operators are in the key: a
-change to anything they call must go through ``_clear_suite_memos``.
+table shared by the scalar and the spinor suite (``_suite_memos``): from
+its second request on, each basis vector's memo is kept under the
+suite's operator callables and the vector's key, so a third request
+applies no operator and tests no law difference.  Nothing is kept on a
+suite's first request (a CLI process, the criterion-03 grid), the table
+is a ``Memo`` of 512 vectors, emptied when full like every memo table of
+the package, and a basis larger than that is never stored.  Only the
+suite's own operators are in the key: a change to anything they call
+must go through ``_clear_suite_memos``.
 """
 
 from __future__ import annotations
@@ -19,23 +20,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-
-def _store(table: dict, key, value, limit: int):
-    """value, stored at ``key`` in ``table``, which is emptied first when
-    it holds ``limit`` entries: the bounded memo tables of the suites."""
-    if len(table) >= limit:
-        table.clear()
-    table[key] = value
-    return value
-
+from ._kernel import Memo
 
 # (operator callables, key of a basis vector) -> that vector's kept
 # ``check_laws`` memo; and the suites (suite, operator callables)
-# requested so far, as keys.  Both are emptied at their limits.
-_SUITE_MEMOS: dict = {}
-_SUITE_MEMOS_LIMIT = 512
-_SEEN_SUITES: dict = {}
-_SEEN_SUITES_LIMIT = 64
+# requested so far, as keys.
+_SUITE_MEMOS = Memo(512)
+_SEEN_SUITES = Memo(64)
 
 
 def _clear_suite_memos() -> None:
@@ -52,15 +43,15 @@ def _suite_memos(suite, keys: list, operators: tuple):
     and for a basis larger than the table, which would empty it on every
     request and keep nothing."""
     if (suite, operators) not in _SEEN_SUITES:
-        _store(_SEEN_SUITES, (suite, operators), None, _SEEN_SUITES_LIMIT)
+        _SEEN_SUITES.store((suite, operators), None)
         return None
-    if len(keys) > _SUITE_MEMOS_LIMIT:
+    if len(keys) > _SUITE_MEMOS.limit:
         return None
     memos = []
     for key in keys:
         memo = _SUITE_MEMOS.get((operators, key))
         if memo is None:
-            memo = _store(_SUITE_MEMOS, (operators, key), {}, _SUITE_MEMOS_LIMIT)
+            memo = _SUITE_MEMOS.store((operators, key), {})
         memos.append(memo)
     return memos
 

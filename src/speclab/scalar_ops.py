@@ -350,10 +350,9 @@ def ladder_sums(phi: SpherePoly, lam) -> tuple:
 # eigenspaces by ladders
 # ---------------------------------------------------------------------------
 
-# (n, j) -> canonical basis of the level-j eigenspace, oldest dropped first
-# beyond the limit (a warm CLI session holds a handful of levels)
-_EIGENSPACE_CACHE: dict = {}
-_EIGENSPACE_LIMIT = 128
+# (n, j) -> canonical basis of the level-j eigenspace (a warm CLI session
+# holds a handful of levels)
+_EIGENSPACE_CACHE = _kernel.Memo(128)
 
 
 def build_eigenspace(n: int, j: int) -> ScalarEigenpair:
@@ -400,9 +399,7 @@ def build_eigenspace(n: int, j: int) -> ScalarEigenpair:
             for r in range(len(pivots)):
                 terms = {monos[k]: v for k, v in enumerate(rows[r]) if v}
                 basis.append(SpherePoly(n, terms, reduced=True))
-        if len(_EIGENSPACE_CACHE) >= _EIGENSPACE_LIMIT:
-            del _EIGENSPACE_CACHE[next(iter(_EIGENSPACE_CACHE))]
-        _EIGENSPACE_CACHE[key] = basis
+        _EIGENSPACE_CACHE.store(key, basis)
     funcs = list(_EIGENSPACE_CACHE[key])
     lam = scalar_eigenvalue(n, j)
     for f in funcs:

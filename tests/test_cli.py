@@ -489,8 +489,9 @@ def test_verify_entropy_quick(capsys):
 def test_entropy_output_is_byte_stable_across_the_fixed_cost_cache(capsys, monkeypatch):
     # the second report reads the cached quadrature rule and projector
     from speclab import entropy
+    from speclab._kernel import Memo
 
-    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    monkeypatch.setattr(entropy, "_FIXED_COSTS", Memo(entropy._FIXED_COSTS.limit))
     cold = run(capsys, "entropy", "--order", "60")
     warm = run(capsys, "entropy", "--order", "60")
     assert cold[0] == 0 and cold[1]

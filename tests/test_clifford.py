@@ -627,13 +627,14 @@ def test_memoized_x_matches_the_plain_product(cold_dirac_caches):
 
 
 def test_suite_memos_stay_bounded(monkeypatch, cold_dirac_caches):
-    # x. images honour _CACHE_LIMIT like the operator tables
+    # x. images are bounded like the operator tables
     n = 2
     targets = [b.coordinate_mul(i) for b in eigenspinor_basis(n, 0, 1) for i in range(n + 1)]
     targets += [b.coordinate_mul(i) for b in eigenspinor_basis(n, 1, -1) for i in range(n + 1)]
     want_x = [clifford_x(psi) for psi in targets]
     assert len(targets) > 8
-    monkeypatch.setattr(clifford, "_CACHE_LIMIT", 3)
+    clifford._X_CACHE.clear()
+    monkeypatch.setattr(clifford._X_CACHE, "limit", 3)
     for _ in range(2):  # the second pass mixes hits and misses
         assert [clifford._x_image(psi) for psi in targets] == want_x
         assert len(clifford._X_CACHE) <= 3

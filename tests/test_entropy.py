@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from speclab._kernel import Memo
 from speclab.entropy import (
     ConformalFactor,
     _entropy_eigen_floats,
@@ -229,13 +230,21 @@ def test_ring_projection_matches_the_dense_reference_at_other_sizes(order, jmax)
     _battery_agreement(order, jmax, [members[i] for i in (0, 6, 18, 23)])
 
 
+def _empty_fixed_costs(monkeypatch):
+    """An empty fixed-cost table of the same limit for the rest of the test,
+    so that the rules and gate errors it stores reach no other test."""
+    from speclab import entropy
+
+    monkeypatch.setattr(entropy, "_FIXED_COSTS", Memo(entropy._FIXED_COSTS.limit))
+
+
 def test_entropy_report_matches_the_dense_reference(monkeypatch):
     from speclab import entropy
 
-    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    _empty_fixed_costs(monkeypatch)
     fast = entropy_report(order=60)
     monkeypatch.setattr(entropy, "SphereProjector", DenseProjector)
-    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    _empty_fixed_costs(monkeypatch)
     dense = entropy_report(order=60)
     assert fast["all_passed"] and dense["all_passed"]
     for a, b in zip(fast["rows"], dense["rows"]):
@@ -455,14 +464,14 @@ def test_entropy_report_reuses_its_rule_and_projector(monkeypatch):
         return real(rule, jmax)
 
     monkeypatch.setattr(entropy, "SphereProjector", counting)
-    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    _empty_fixed_costs(monkeypatch)
     cold = entropy_report(order=20, cutoff=4, quick=True)
     warm = entropy_report(order=20, cutoff=4, quick=True)
     assert built == [5]
     assert warm == cold
     for cutoff in (5, 6, 4):
         entropy_report(order=20, cutoff=cutoff, quick=True)
-    # bounded, oldest dropped first: (20, 5) was evicted before (20, 4) came back
+    # bounded: storing (20, 7) emptied the full table, so cutoff 4 built (20, 5) again
     assert built == [5, 6, 7, 5]
     assert list(entropy._FIXED_COSTS) == [(20, 7), (20, 5)]
 
@@ -475,7 +484,7 @@ def test_entropy_report_gate_reads_every_degree_the_projector_uses(monkeypatch):
 
     low = dataclasses.replace(build_quadrature(12), order=60)
     monkeypatch.setattr(entropy, "build_quadrature", lambda order: low)
-    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    _empty_fixed_costs(monkeypatch)
     rep = entropy_report(order=60, quick=True)
     assert rep["quadrature_gate_error"] > 1e-3
     assert rep["all_passed"] is False
@@ -486,11 +495,11 @@ def test_entropy_report_fails_on_its_gate_alone(monkeypatch):
     # still fails the report
     from speclab import entropy
 
-    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    _empty_fixed_costs(monkeypatch)
     sound = entropy_report(order=40, cutoff=20, quick=True)
     assert sound["all_passed"]
     monkeypatch.setattr(entropy.QuadratureRule, "validate", lambda self, deg=None: 1e-9)
-    monkeypatch.setattr(entropy, "_FIXED_COSTS", {})
+    _empty_fixed_costs(monkeypatch)
     rep = entropy_report(order=40, cutoff=20, quick=True)
     assert all(row["status"] == "pass" for row in rep["rows"])
     assert rep["quadrature_gate_error"] == 1e-9

@@ -296,8 +296,9 @@ def test_normal_monomial_count():
 def test_pow_cache_stays_bounded(monkeypatch):
     raws = [{(k, 1) + (0,) * (n - 1): Fraction(1, k)} for n in (2, 3, 4) for k in range(2, 9)]
     want = [_kernel.reduce_terms(raw, len(next(iter(raw))) - 1) for raw in raws]
-    monkeypatch.setattr(_kernel, "_POW_CACHE", {})
-    monkeypatch.setattr(_kernel, "_POW_LIMIT", 2)
+    # emptied first: a hit stores nothing, so a warm table would stay above 2
+    _kernel._POW_CACHE.clear()
+    monkeypatch.setattr(_kernel._POW_CACHE, "limit", 2)
     for _ in range(2):
         for raw, terms in zip(raws, want):
             assert _kernel.reduce_terms(raw, len(next(iter(raw))) - 1) == terms

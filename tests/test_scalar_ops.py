@@ -639,8 +639,8 @@ def test_suite_image_table_is_bounded(monkeypatch, cold_suite_images):
     # a suite requested once stores nothing; with a small limit the table
     # and the seen suites stay within their bounds, a basis larger than the
     # table is never stored, and every report matches its cold run
-    monkeypatch.setattr(report, "_SUITE_MEMOS_LIMIT", 20)
-    monkeypatch.setattr(report, "_SEEN_SUITES_LIMIT", 3)
+    monkeypatch.setattr(report._SUITE_MEMOS, "limit", 20)
+    monkeypatch.setattr(report._SEEN_SUITES, "limit", 3)
     want = {key: verify_scalar_identities(*key).to_json() for key in [(2, 2), (2, 3), (3, 2)]}
     assert not report._SUITE_MEMOS
     for _ in range(3):
@@ -658,8 +658,8 @@ def test_suite_image_table_is_bounded(monkeypatch, cold_suite_images):
 
 def test_eigenspace_cache_stays_bounded(monkeypatch):
     want = {(n, j): build_eigenspace(n, j).funcs for n in (2, 3) for j in range(5)}
-    monkeypatch.setattr(scalar_ops, "_EIGENSPACE_CACHE", {})
-    monkeypatch.setattr(scalar_ops, "_EIGENSPACE_LIMIT", 2)
+    scalar_ops._EIGENSPACE_CACHE.clear()
+    monkeypatch.setattr(scalar_ops._EIGENSPACE_CACHE, "limit", 2)
     for _ in range(2):
         for (n, j), funcs in want.items():
             assert build_eigenspace(n, j).funcs == funcs

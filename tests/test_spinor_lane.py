@@ -384,7 +384,6 @@ def test_operator_column_maps_stay_bounded(monkeypatch):
     psi = SpinorPoly(n, [ones, ones.scale(Fraction(1, 3))])
     others = [psi.coordinate_mul(i) for i in range(n + 1)]
     want = [(dirac_apply(p), U_spin(1, p), y_apply(1, p)) for p in [psi] + others]
-    monkeypatch.setattr(clifford, "_CACHE_LIMIT", 3)
     tables = (
         clifford._DIRAC_CACHE,
         clifford._U_CACHE,
@@ -393,6 +392,8 @@ def test_operator_column_maps_stay_bounded(monkeypatch):
         clifford._U_COLUMNS,
         clifford._Y_COLUMNS,
     )
+    for table in tables:
+        monkeypatch.setattr(table, "limit", 3)
     try:
         clifford._clear_operator_caches()
         for _ in range(2):  # the second pass mixes result hits and misses
